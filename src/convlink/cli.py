@@ -88,12 +88,10 @@ def _build_parser() -> _Parser:
     ev.add_argument("--config", action="append", default=None,
                     help="feature configuration to evaluate (repeatable)")
     ev.add_argument("--report", help="write the report to this path")
-    ev.add_argument("--threads", type=int, default=1)
 
     ln = sub.add_parser("link", help="link mentions in a corpus")
     add_common(ln, needs_model=True)
     ln.add_argument("--out", required=True)
-    ln.add_argument("--threads", type=int, default=1)
 
     ins = sub.add_parser("inspect-filters",
                          help="show top-activating n-grams for a filter")
@@ -180,8 +178,7 @@ def _cmd_evaluate(args) -> int:
         configs = None
         if args.config:
             configs = [(name, toggles_from_name(name)) for name in args.config]
-        report = evalharness.evaluate(m, docs, knowledge, table,
-                                      configs=configs, threads=args.threads)
+        report = evalharness.evaluate(m, docs, knowledge, table, configs=configs)
     text = report.to_jsonl()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

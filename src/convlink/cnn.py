@@ -16,11 +16,12 @@ six dense features with exact analytic gradients for every bank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ALL_PAIRS_MASK, COSINE_PAIRS, GRANULARITIES, N_DENSE
+from .config import (ALL_PAIRS_MASK, COSINE_PAIRS, GRANULARITIES, N_DENSE,
+                     needed_granularities)
 from .errors import CacheError, DimensionError
 
 COSINE_EPS = 1e-12
@@ -91,23 +92,6 @@ class CnnParams:
         return {g: np.zeros_like(b.M) for g, b in self.banks.items()}
 
 
-@dataclass
-class TopicVector:
-    v: np.ndarray
-    granularity: str
-
-
-@dataclass
-class DenseFeatures:
-    """The six cosine features, ordered as in ``config.COSINE_PAIRS``."""
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (N_DENSE,):
-            raise DimensionError("dense feature vector must have %d entries"
-                                 % N_DENSE)
-
-
 def pad_to_width(X: np.ndarray, ell: int) -> np.ndarray:
     """Zero-pad a (n, d) sequence symmetrically up to ell rows."""
     n, d = X.shape
@@ -130,28 +114,25 @@ def window_matrix(X: np.ndarray, ell: int) -> np.ndarray:
     return view.reshape(m, ell * d)
 
 
-def _encode_raw(M: np.ndarray, W: np.ndarray):
-    """Pre-activations (windows x k) and the pooled topic vector."""
-    A = W @ M.T
-    v = np.maximum(A, 0.0).sum(axis=0)
-    return A, v
-
-
-def encode(bank: FilterBank, sequence: np.ndarray) -> TopicVector:
-    """Apply one filter bank to an embedded (n, d) sequence."""
+def _encode(bank: FilterBank, sequence: np.ndarray):
+    """Windows, pre-activations (windows x k) and the pooled topic vector
+    of an embedded (n, d) sequence."""
     if sequence.ndim != 2 or sequence.shape[1] != bank.d:
         raise DimensionError(
             "sequence width %s does not match bank dimension %d"
             % (sequence.shape[1:] or "scalar", bank.d))
     W = window_matrix(sequence, bank.ell)
-    _, v = _encode_raw(bank.M, W)
-    return TopicVector(v=v, granularity=bank.granularity)
+    A = W @ bank.M.T
+    return W, A, np.maximum(A, 0.0).sum(axis=0)
 
 
-def cosine(a, b) -> float:
+def encode(bank: FilterBank, sequence: np.ndarray) -> np.ndarray:
+    """Apply one filter bank to an embedded (n, d) sequence."""
+    return _encode(bank, sequence)[2]
+
+
+def cosine(u: np.ndarray, w: np.ndarray) -> float:
     """Cosine similarity; defined as 0 when either norm is below epsilon."""
-    u = a.v if isinstance(a, TopicVector) else a
-    w = b.v if isinstance(b, TopicVector) else b
     if u.shape != w.shape:
         raise DimensionError("topic vectors differ in length")
     nu = np.linalg.norm(u)
@@ -159,77 +140,6 @@ def cosine(a, b) -> float:
     if nu < COSINE_EPS or nw < COSINE_EPS:
         return 0.0
     return float(np.clip(np.dot(u, w) / (nu * nw), -1.0, 1.0))
-
-
-@dataclass
-class ForwardState:
-    """Cached forward pass for one (source, target) pair."""
-    params: CnnParams
-    mask: tuple
-    null_target: bool
-    windows: dict = field(default_factory=dict)     # granularity -> W
-    preacts: dict = field(default_factory=dict)     # granularity -> A
-    topics: dict = field(default_factory=dict)      # granularity -> v
-    fc: np.ndarray = None
-
-
-def forward_from_matrices(params: CnnParams, mats: dict,
-                          mask: tuple = ALL_PAIRS_MASK) -> ForwardState:
-    """Run the encoders named by ``mask`` over pre-embedded matrices.
-
-    ``mats`` maps granularity to an (n, d) embedding matrix; pass
-    ``None`` for the whole dict to mark a NULL target, which fixes all
-    six features at zero.
-    """
-    state = ForwardState(params=params, mask=tuple(mask),
-                         null_target=mats is None)
-    fc = np.zeros(N_DENSE)
-    if state.null_target:
-        state.fc = fc
-        return state
-    needed = set()
-    for on, (src, tgt) in zip(mask, COSINE_PAIRS):
-        if on:
-            needed.add(src)
-            needed.add(tgt)
-    for g in needed:
-        bank = params.banks[g]
-        X = mats[g]
-        if X.shape[1] != bank.d:
-            raise DimensionError("embedded width %d != bank dimension %d"
-                                 % (X.shape[1], bank.d))
-        W = window_matrix(X, bank.ell)
-        A, v = _encode_raw(bank.M, W)
-        state.windows[g] = W
-        state.preacts[g] = A
-        state.topics[g] = v
-    for i, (on, (src, tgt)) in enumerate(zip(mask, COSINE_PAIRS)):
-        if on:
-            fc[i] = cosine(state.topics[src], state.topics[tgt])
-    state.fc = fc
-    return state
-
-
-def extract_fc(params: CnnParams, source_views, target, table,
-               mask: tuple = ALL_PAIRS_MASK) -> DenseFeatures:
-    """Dense features for one (mention views, candidate target) pair.
-
-    ``target`` is a (title_tokens, body_tokens) pair, or None for the
-    NULL candidate (all-zero features).
-    """
-    state = extract_fc_with_state(params, source_views, target, table, mask)
-    return DenseFeatures(values=state.fc.copy())
-
-
-def extract_fc_with_state(params: CnnParams, source_views, target, table,
-                          mask: tuple = ALL_PAIRS_MASK) -> ForwardState:
-    if target is None:
-        return forward_from_matrices(params, None, mask)
-    title_tokens, body_tokens = target
-    mats = embed_views(table, source_views)
-    mats["tgt_title"] = table.lookup_sequence([t.surface for t in title_tokens])
-    mats["tgt_document"] = table.lookup_sequence([t.surface for t in body_tokens])
-    return forward_from_matrices(params, mats, mask)
 
 
 def embed_views(table, views) -> dict:
@@ -240,42 +150,99 @@ def embed_views(table, views) -> dict:
     }
 
 
-def backward(params: CnnParams, state: ForwardState,
-             upstream: np.ndarray) -> dict:
-    """Gradient of ``upstream . fc`` w.r.t. every filter bank.
+@dataclass
+class ForwardCache:
+    """One mention's forward pass, kept for ``backward``.
 
-    The ReLU subgradient at exactly zero is taken as zero; cosine
-    gradients are zero inside the epsilon guard region.  Returns a dict
-    granularity -> dM with the same shapes as the banks.
+    ``source`` maps each source granularity the mask needs to its
+    (windows, pre-activations, topic vector); ``targets`` holds the same
+    for each candidate's target views, or None for NULL.  ``fc`` is the
+    (T, 6) matrix of cosine features.
     """
-    if state is None or state.fc is None:
-        raise CacheError("backward requires the cached forward state")
-    if state.params is not params:
-        raise CacheError("forward state was computed for different parameters")
+    params: CnnParams
+    mask: tuple
+    source: dict
+    targets: list
+    fc: np.ndarray
+
+
+def forward_from_matrices(params: CnnParams, source_mats: dict, target_mats,
+                          mask: tuple = ALL_PAIRS_MASK) -> ForwardCache:
+    """Encode one mention's source views once and every candidate's
+    target views, then compare them under ``mask``.
+
+    ``source_mats`` maps source granularity to an (n, d) embedding
+    matrix; ``target_mats`` holds one such dict per candidate, or None
+    for the NULL candidate, whose six features stay zero.
+    """
+    mask = tuple(mask)
+    needed = needed_granularities(mask)
+
+    def encode_views(mats):
+        return {g: _encode(params.banks[g], X)
+                for g, X in mats.items() if g in needed}
+
+    source = encode_views(source_mats)
+    targets = [None if mats is None else encode_views(mats)
+               for mats in target_mats]
+    fc = np.zeros((len(targets), N_DENSE))
+    for ti, tgt in enumerate(targets):
+        if tgt is None:
+            continue
+        for i, (on, (src_g, tgt_g)) in enumerate(zip(mask, COSINE_PAIRS)):
+            if on:
+                fc[ti, i] = cosine(source[src_g][2], tgt[tgt_g][2])
+    return ForwardCache(params=params, mask=mask, source=source,
+                        targets=targets, fc=fc)
+
+
+def backward(params: CnnParams, cache: ForwardCache,
+             upstream: np.ndarray) -> dict:
+    """Gradient of ``sum(upstream * fc)`` w.r.t. every filter bank.
+
+    ``upstream`` is (T, 6), one row per candidate.  The source-side
+    topic gradients are summed over candidates before they reach the
+    source banks.  The ReLU subgradient at exactly zero is taken as
+    zero; cosine gradients are zero inside the epsilon guard region.
+    Returns a dict granularity -> dM with the same shapes as the banks.
+    """
+    if cache is None:
+        raise CacheError("backward requires the cached forward pass")
+    if cache.params is not params:
+        raise CacheError("forward pass was computed for different parameters")
     upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (N_DENSE,):
-        raise DimensionError("upstream gradient must have %d entries" % N_DENSE)
+    if upstream.shape != cache.fc.shape:
+        raise DimensionError("upstream gradient must be %s, got %s"
+                             % (cache.fc.shape, upstream.shape))
     grads = params.zero_gradients()
-    if state.null_target:
-        return grads
-    dv = {g: np.zeros(params.k) for g in state.topics}
-    for i, (on, (src, tgt)) in enumerate(zip(state.mask, COSINE_PAIRS)):
-        if not on or upstream[i] == 0.0:
+    d_source = {g: np.zeros(params.k) for g in cache.source}
+    for ti, tgt in enumerate(cache.targets):
+        if tgt is None:
             continue
-        u = state.topics[src]
-        w = state.topics[tgt]
-        nu = np.linalg.norm(u)
-        nw = np.linalg.norm(w)
-        if nu < COSINE_EPS or nw < COSINE_EPS:
-            continue
-        c = np.dot(u, w) / (nu * nw)
-        dv[src] += upstream[i] * (w / (nu * nw) - c * u / (nu * nu))
-        dv[tgt] += upstream[i] * (u / (nu * nw) - c * w / (nw * nw))
+        d_target = {g: np.zeros(params.k) for g in tgt}
+        for i, (on, (src_g, tgt_g)) in enumerate(zip(cache.mask, COSINE_PAIRS)):
+            up = upstream[ti, i]
+            if not on or up == 0.0:
+                continue
+            u = cache.source[src_g][2]
+            w = tgt[tgt_g][2]
+            nu = np.linalg.norm(u)
+            nw = np.linalg.norm(w)
+            if nu < COSINE_EPS or nw < COSINE_EPS:
+                continue
+            c = np.dot(u, w) / (nu * nw)
+            d_source[src_g] += up * (w / (nu * nw) - c * u / (nu * nu))
+            d_target[tgt_g] += up * (u / (nu * nw) - c * w / (nw * nw))
+        _backprop_pooling(grads, tgt, d_target)
+    _backprop_pooling(grads, cache.source, d_source)
+    return grads
+
+
+def _backprop_pooling(grads: dict, encodings: dict, dv: dict) -> None:
+    """Chain topic-vector gradients through sum pooling and the ReLU
+    into the banks that produced them."""
     for g, dvg in dv.items():
         if not np.any(dvg):
             continue
-        A = state.preacts[g]
-        W = state.windows[g]
-        dA = (A > 0.0) * dvg[np.newaxis, :]
-        grads[g] += dA.T @ W
-    return grads
+        W, A, _ = encodings[g]
+        grads[g] += ((A > 0.0) * dvg[np.newaxis, :]).T @ W

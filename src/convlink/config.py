@@ -37,6 +37,12 @@ def pair_index(src: str, tgt: str) -> int:
     return COSINE_PAIRS.index((src, tgt))
 
 
+def needed_granularities(mask) -> frozenset:
+    """The encoders that the cosine slots switched on in ``mask`` compare."""
+    return frozenset(g for on, pair in zip(mask, COSINE_PAIRS) if on
+                     for g in pair)
+
+
 @dataclass(frozen=True)
 class FeatureToggles:
     """Which feature blocks participate in scoring.
@@ -73,16 +79,6 @@ class FeatureToggles:
         mask = [False] * N_DENSE
         mask[pair_index(src, tgt)] = True
         return cls.cnn_only(tuple(mask))
-
-    def active_granularities(self) -> frozenset:
-        if not self.use_dense:
-            return frozenset()
-        needed = set()
-        for flag, (src, tgt) in zip(self.dense_mask, COSINE_PAIRS):
-            if flag:
-                needed.add(src)
-                needed.add(tgt)
-        return frozenset(needed)
 
 
 TOGGLE_PRESETS = {

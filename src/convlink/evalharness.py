@@ -4,7 +4,6 @@ scoring, and filter inspection."""
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -55,8 +54,7 @@ def _labeled_mentions(docs):
 
 
 def evaluate(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
-             configs=None, tfidf: TfIdfModel = None,
-             threads: int = 1) -> EvalReport:
+             configs=None, tfidf: TfIdfModel = None) -> EvalReport:
     """Deterministic top-1 accuracy over all gold-annotated mentions.
 
     ``configs`` is a list of (name, FeatureToggles) pairs evaluated as
@@ -76,7 +74,7 @@ def evaluate(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
             report.missing_entities.append(mention.gold_entity)
     for name, toggles in configs:
         m = replace(model, config=model.config.with_toggles(toggles))
-        results = _score_mentions(m, pairs, kb, table, tfidf, threads)
+        results = _score_mentions(m, pairs, kb, table, tfidf)
         n = len(results)
         n_correct = sum(1 for r in results if r[0])
         n_in_cand = sum(1 for r in results if r[1])
@@ -96,25 +94,19 @@ def evaluate(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
 
 
 def _score_mentions(model: Model, pairs, kb: KnowledgeBase,
-                    table: EmbeddingTable, tfidf: TfIdfModel,
-                    threads: int = 1) -> list:
+                    table: EmbeddingTable, tfidf: TfIdfModel) -> list:
     """(top-1 correct, gold in candidates, query count) per (doc, mention)
     pair, under the model's own toggles."""
     targets = TargetCache(kb, table, model.config,
                           embed=model.config.toggles.use_dense)
-
-    def score_one(pair):
-        doc, mention = pair
+    results = []
+    for doc, mention in pairs:
         prep = prepare_mention(model, kb, table, tfidf, doc, mention, targets)
         top = infer(model, prep)[0]
-        return (top.entity == mention.gold_entity,
-                prep.gold_index is not None,
-                len(prep.queries))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(score_one, pairs))
-    return [score_one(p) for p in pairs]
+        results.append((top.entity == mention.gold_entity,
+                        prep.gold_index is not None,
+                        len(prep.queries)))
+    return results
 
 
 def correct_by_kind(model: Model, docs, kb: KnowledgeBase,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .binfile import read_framed, write_framed
-from .errors import IngestError
+from .errors import IngestError, LoadError
 from .textproc import Token
 
 NULL_ENTITY = "<NULL>"
@@ -313,6 +313,10 @@ def save_kb(kb: KnowledgeBase, path) -> None:
 
 def load_kb(path) -> KnowledgeBase:
     _, payload = read_framed(path, KB_MAGIC, supported_versions=(KB_VERSION,))
-    data = json.loads(zlib.decompress(payload).decode("utf-8"))
-    return KnowledgeBase(data["entities"], data["anchor_index"],
-                         data.get("skipped_anchors", 0))
+    try:
+        data = json.loads(zlib.decompress(payload).decode("utf-8"))
+        return KnowledgeBase(data["entities"], data["anchor_index"],
+                             data.get("skipped_anchors", 0))
+    except (zlib.error, ValueError, KeyError, TypeError,
+            AttributeError) as exc:
+        raise LoadError("%s: malformed KB payload: %s" % (path, exc))

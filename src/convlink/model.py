@@ -97,10 +97,6 @@ class PreparedMention:
     fe: list                             # [t][q] -> SparseVector
     gold_index: Optional[int]            # index into cand.candidates, or None
 
-    @property
-    def gold(self):
-        return self.mention.gold_entity
-
 
 def prepare_mention(model: Model, kb: KnowledgeBase, table: EmbeddingTable,
                     tfidf: TfIdfModel, doc: Document, mention: Mention,
@@ -165,34 +161,23 @@ def _sparse_dot(weights: dict, vec: SparseVector) -> float:
 @dataclass
 class ScoreTable:
     candidates: list
-    queries: list
     S: np.ndarray                 # (T, Q) pair scores
     fc: np.ndarray                # (T, 6) dense features (zeros when unused)
-    states: list                  # per candidate ForwardState or None
-    sparse_part: np.ndarray       # (T, Q) sparse contribution
+    forward: Optional[cnn.ForwardCache]   # None when dense features are off
 
 
 def score_pairs(model: Model, prep: PreparedMention) -> ScoreTable:
-    """Score every (candidate, query) pair; dense features are computed
-    once per candidate and shared across queries."""
+    """Score every (candidate, query) pair; dense features come from one
+    CNN forward pass per mention and are shared across queries."""
     tog = model.config.toggles
     T = len(prep.cand.candidates)
     Q = len(prep.queries)
+    forward = None
     fc = np.zeros((T, N_DENSE))
-    states = [None] * T
     if tog.use_dense:
-        for ti in range(T):
-            mats = prep.target_mats[ti]
-            if mats is None:
-                state = cnn.forward_from_matrices(model.cnn_params, None,
-                                                  tog.dense_mask)
-            else:
-                full = dict(prep.source_mats)
-                full.update(mats)
-                state = cnn.forward_from_matrices(model.cnn_params, full,
-                                                  tog.dense_mask)
-            states[ti] = state
-            fc[ti] = state.fc
+        forward = cnn.forward_from_matrices(model.cnn_params, prep.source_mats,
+                                            prep.target_mats, tog.dense_mask)
+        fc = forward.fc
     dense_part = fc @ model.w_dense
     sparse_part = np.zeros((T, Q))
     fq_dots = [_sparse_dot(model.w_sparse, v) for v in prep.fq]
@@ -202,8 +187,8 @@ def score_pairs(model: Model, prep: PreparedMention) -> ScoreTable:
             sparse_part[ti, qi] = fq_dots[qi] + _sparse_dot(model.w_sparse,
                                                             row[qi])
     S = sparse_part + dense_part[:, np.newaxis]
-    return ScoreTable(candidates=prep.cand.candidates, queries=prep.queries,
-                      S=S, fc=fc, states=states, sparse_part=sparse_part)
+    return ScoreTable(candidates=prep.cand.candidates, S=S, fc=fc,
+                      forward=forward)
 
 
 def marginals_from_scores(S: np.ndarray):
@@ -219,8 +204,6 @@ def marginals_from_scores(S: np.ndarray):
 class ScoredCandidate:
     entity: str
     marginal_prob: float
-    best_query: object
-    breakdown: dict = field(default_factory=dict)
 
 
 def infer(model: Model, prep: PreparedMention) -> list:
@@ -228,22 +211,10 @@ def infer(model: Model, prep: PreparedMention) -> list:
     descending with ties broken by entity id."""
     table = score_pairs(model, prep)
     Pt, _ = marginals_from_scores(table.S)
-    out = []
-    for ti, entity in enumerate(table.candidates):
-        qi = int(np.argmax(table.S[ti]))
-        breakdown = {
-            "sparse": float(table.sparse_part[ti, qi]),
-            "dense": (table.fc[ti] * model.w_dense).tolist(),
-        }
-        out.append(ScoredCandidate(entity=entity, marginal_prob=float(Pt[ti]),
-                                   best_query=table.queries[qi],
-                                   breakdown=breakdown))
+    out = [ScoredCandidate(entity=entity, marginal_prob=float(p))
+           for entity, p in zip(table.candidates, Pt)]
     out.sort(key=lambda s: (-s.marginal_prob, s.entity))
     return out
-
-
-def predict(model: Model, prep: PreparedMention) -> ScoredCandidate:
-    return infer(model, prep)[0]
 
 
 @dataclass
@@ -300,16 +271,11 @@ def loss_and_grad(model: Model, prep: PreparedMention):
     t_coefs[ti_gold] -= 1.0
     g_dense = (t_coefs[:, np.newaxis] * table.fc).sum(axis=0) * mask
 
-    g_banks = model.cnn_params.zero_gradients()
     if tog.use_dense:
-        wd = model.w_dense * mask
-        for ti, c in enumerate(t_coefs):
-            state = table.states[ti]
-            if state is None or state.null_target or c == 0.0:
-                continue
-            upstream = c * wd
-            for g, dM in cnn.backward(model.cnn_params, state, upstream).items():
-                g_banks[g] += dM
+        g_banks = cnn.backward(model.cnn_params, table.forward,
+                               t_coefs[:, np.newaxis] * (model.w_dense * mask))
+    else:
+        g_banks = model.cnn_params.zero_gradients()
     return loss, GradBundle(sparse=g_sparse, dense=g_dense, banks=g_banks)
 
 

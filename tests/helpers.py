@@ -1,3 +1,5 @@
+import math
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,8 +32,22 @@ def write_embeddings(path, vectors):
     return path
 
 
+# KB payloads behind a valid frame and checksum that are still unusable
+MALFORMED_KB_PAYLOADS = {
+    "not-zlib": b"not a zlib stream",
+    "missing-entities": zlib.compress(b'{"anchor_index": {}}'),
+}
+
+
 def toks(*surfaces):
     return [Token(s) for s in surfaces]
+
+
+def encodings(cache):
+    """Every (windows, pre-activations, topic vector) of a CNN forward
+    pass."""
+    return [enc for views in [cache.source] + cache.targets
+            if views is not None for enc in views.values()]
 
 
 TINY_WORDS = (["w%d" % i for i in range(15)]
@@ -81,13 +97,9 @@ def tiny_world(seed, d=4, k=3, ell=2, toggles=None, gold="E1",
                 if idx not in model.w_sparse:
                     model.w_sparse[idx] = float(rng.normal() * 0.4)
         if min_kink_gap > 0.0 and model.config.toggles.use_dense:
-            t = score_pairs(model, prep)
-            gaps = [np.min(np.abs(s.preacts[g]))
-                    for s in t.states if s is not None and not s.null_target
-                    for g in s.preacts]
-            norms = [np.linalg.norm(s.topics[g])
-                     for s in t.states if s is not None and not s.null_target
-                     for g in s.topics]
+            encs = encodings(score_pairs(model, prep).forward)
+            gaps = [np.min(np.abs(A)) for _, A, _ in encs]
+            norms = [np.linalg.norm(v) for _, _, v in encs]
             if min(gaps) <= min_kink_gap or min(norms) <= 1e-6:
                 continue
         return SimpleNamespace(model=model, kb=kb, table=table, tfidf=tfidf,
@@ -95,20 +107,29 @@ def tiny_world(seed, d=4, k=3, ell=2, toggles=None, gold="E1",
     raise AssertionError("could not build a kink-free tiny world")
 
 
+def plain_cosine(u, w):
+    """Cosine similarity, 0 when either norm is below 1e-12."""
+    nu = math.sqrt(sum(x * x for x in u))
+    nw = math.sqrt(sum(x * x for x in w))
+    if nu < 1e-12 or nw < 1e-12:
+        return 0.0
+    return sum(a * b for a, b in zip(u, w)) / (nu * nw)
+
+
 def brute_force_marginals(world):
     """Independent scorer: re-derive every (candidate, query) score from
-    scratch (views, feature strings, dense features recomputed per pair,
-    no caching) and normalize with plain exponentials.
+    scratch (views, feature strings, dense features recomputed per pair
+    with the direct-summation reference encoder, no caching) and
+    normalize with plain exponentials.
 
     Returns (entity order, P(t), P(t, q), gold NLL or None).
     """
-    import math
-
-    from convlink import cnn
+    from convlink.config import COSINE_PAIRS
     from convlink.kb import NULL_ENTITY
     from convlink.sparse import (NULL_FEATURE, entity_feature_strings,
                                  query_feature_strings)
     from convlink.textproc import extract_target_views, extract_views
+    from test_cnn import reference_encode
 
     model, kb, table, tfidf = world.model, world.kb, world.table, world.tfidf
     prep, mention = world.prep, world.mention
@@ -118,6 +139,13 @@ def brute_force_marginals(world):
                           context_window=cfg.context_window,
                           doc_cap=cfg.doc_cap)
     doc_surf = [t.surface for t in views.document_tokens]
+    banks = model.cnn_params.banks
+
+    def topic(granularity, tokens):
+        X = table.lookup_sequence([t.surface for t in tokens])
+        bank = banks[granularity]
+        return reference_encode(bank.M, X, bank.ell)
+
     entities = list(prep.cand.candidates)
     queries = list(prep.queries)
     raw = {}
@@ -141,10 +169,18 @@ def brute_force_marginals(world):
             if tog.use_dense and entity != NULL_ENTITY:
                 title_toks, body_toks = extract_target_views(
                     kb.title(entity), kb.body(entity), doc_cap=cfg.doc_cap)
-                fc = cnn.extract_fc(model.cnn_params, views,
-                                    (title_toks, body_toks), table,
-                                    tog.dense_mask).values
-                s += float(np.dot(model.w_dense, fc))
+                topics = {
+                    "src_mention": topic("src_mention", views.mention_tokens),
+                    "src_context": topic("src_context", views.context_tokens),
+                    "src_document": topic("src_document",
+                                          views.document_tokens),
+                    "tgt_title": topic("tgt_title", title_toks),
+                    "tgt_document": topic("tgt_document", body_toks),
+                }
+                for i, (src, tgt) in enumerate(COSINE_PAIRS):
+                    if tog.dense_mask[i]:
+                        s += model.w_dense[i] * plain_cosine(topics[src],
+                                                             topics[tgt])
             raw[(ti, qi)] = s
     Z = sum(math.exp(v) for v in raw.values())
     pair = {k: math.exp(v) / Z for k, v in raw.items()}

@@ -132,7 +132,7 @@ def test_criterion_3_encoder_oracle():
         M = rng.normal(size=(k, ell * d))
         X = rng.normal(size=(n, d))
         bank = cnn.FilterBank("src_mention", M, ell, d)
-        got = cnn.encode(bank, X).v
+        got = cnn.encode(bank, X)
         want = reference_encode(M, X, ell)
         worst = max(worst, float(np.max(np.abs(got - want))) if k else 0.0)
     elapsed = time.monotonic() - start

@@ -5,8 +5,11 @@ import os
 import pytest
 
 from convlink import model as model_mod
+from convlink.binfile import write_framed
 from convlink.cli import run
 from convlink.config import FeatureToggles, ModelConfig
+from convlink.kb import KB_MAGIC, KB_VERSION
+from helpers import MALFORMED_KB_PAYLOADS
 
 
 GEN_ARGS = ["--n-topics", "2", "--vocab-per-topic", "12", "--n-entities", "4",
@@ -52,6 +55,18 @@ def test_missing_file_is_data_error(workspace, capsys):
                 "--embeddings", workspace["embeddings"],
                 "--corpus", workspace["test"]])
     assert code == 2
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_KB_PAYLOADS))
+def test_malformed_kb_payload_is_data_error(workspace, tmp_path, capsys, kind):
+    kb = str(tmp_path / "kb.bin")
+    write_framed(kb, KB_MAGIC, KB_VERSION, MALFORMED_KB_PAYLOADS[kind])
+    code = run(["-q", "train", "--kb", kb,
+                "--embeddings", workspace["embeddings"],
+                "--corpus", workspace["train"],
+                "--out", str(tmp_path / "model.bin")])
+    assert code == 2
+    assert "%s: malformed KB payload" % kb in capsys.readouterr().err
 
 
 def test_evaluate_requires_model_or_predictions(workspace):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from convlink import cnn
 from convlink.config import COSINE_PAIRS, GRANULARITIES
 from convlink.errors import CacheError, DimensionError
-from helpers import make_table, toks
+from helpers import encodings, make_table, toks
 
 
 def reference_encode(M, X, ell):
@@ -39,7 +39,7 @@ class TestEncode:
     def test_zero_bank_gives_zero_vector(self):
         bank = cnn.FilterBank("src_mention", np.zeros((3, 8)), 2, 4)
         rng = np.random.default_rng(0)
-        v = cnn.encode(bank, rng.normal(size=(6, 4))).v
+        v = cnn.encode(bank, rng.normal(size=(6, 4)))
         assert np.array_equal(v, np.zeros(3))
 
     def test_single_window_reduction(self):
@@ -47,7 +47,7 @@ class TestEncode:
         m = rng.normal(size=(1, 8))
         bank = cnn.FilterBank("src_mention", m, 2, 4)
         X = rng.normal(size=(2, 4))       # exactly one window
-        v = cnn.encode(bank, X).v
+        v = cnn.encode(bank, X)
         expected = max(0.0, float(m[0] @ X.reshape(-1)))
         assert v == pytest.approx([expected], abs=1e-12)
 
@@ -61,7 +61,7 @@ class TestEncode:
             M = rng.normal(size=(k, ell * d))
             X = rng.normal(size=(n, d))
             bank = cnn.FilterBank("src_mention", M, ell, d)
-            got = cnn.encode(bank, X).v
+            got = cnn.encode(bank, X)
             want = reference_encode(M, X, ell)
             assert np.max(np.abs(got - want)) < 1e-10
 
@@ -75,11 +75,11 @@ class TestEncode:
         rng = np.random.default_rng(3)
         bank = random_bank(rng, k=4, ell=2, d=3)
         X = rng.normal(size=(7, 3))
-        base = cnn.encode(bank, X).v
+        base = cnn.encode(bank, X)
         for c in (2.0, 0.5, 4.0):
             M2 = bank.M.copy()
             M2[1] *= c
-            v2 = cnn.encode(cnn.FilterBank("src_mention", M2, 2, 3), X).v
+            v2 = cnn.encode(cnn.FilterBank("src_mention", M2, 2, 3), X)
             assert v2[1] == c * base[1]
             assert np.array_equal(np.delete(v2, 1), np.delete(base, 1))
 
@@ -89,8 +89,8 @@ class TestEncode:
         X = rng.normal(size=(6, 3))
         perm = rng.permutation(5)
         permuted = cnn.FilterBank("src_mention", bank.M[perm], 2, 3)
-        assert np.array_equal(cnn.encode(permuted, X).v,
-                              cnn.encode(bank, X).v[perm])
+        assert np.array_equal(cnn.encode(permuted, X),
+                              cnn.encode(bank, X)[perm])
 
     def test_window_locality(self):
         rng = np.random.default_rng(5)
@@ -151,9 +151,15 @@ def make_params(rng, k=3, ell=2, d=4):
                           for g in GRANULARITIES})
 
 
+def random_views(rng, d, lens):
+    return {g: rng.normal(size=(n, d)) for g, n in lens.items()}
+
+
 def random_mats(rng, d=4, lens=(1, 3, 6, 2, 5)):
-    return {g: rng.normal(size=(n, d))
-            for g, n in zip(GRANULARITIES, lens)}
+    """Source views and a one-candidate target list."""
+    mats = random_views(rng, d, dict(zip(GRANULARITIES, lens)))
+    source = {g: mats.pop(g) for g in GRANULARITIES[:3]}
+    return source, [mats]
 
 
 class TestExtractFc:
@@ -168,41 +174,44 @@ class TestExtractFc:
         views.mention_tokens = toks("pink", "floyd")
         views.context_tokens = toks("pink", "floyd")
         views.document_tokens = toks("pink", "floyd")
-        target = (toks("pink", "floyd"), toks("other", "words"))
-        fc = cnn.extract_fc(params, views, target, table).values
-        assert fc[0] == pytest.approx(1.0, abs=1e-12)
+        target = {"tgt_title": table.lookup_sequence(["pink", "floyd"]),
+                  "tgt_document": table.lookup_sequence(["other", "words"])}
+        fc = cnn.forward_from_matrices(params, cnn.embed_views(table, views),
+                                       [target]).fc
+        assert fc[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_null_candidate_all_zero(self):
         rng = np.random.default_rng(7)
         params = make_params(rng)
-        state = cnn.forward_from_matrices(params, None)
-        assert np.array_equal(state.fc, np.zeros(6))
+        source, _ = random_mats(rng)
+        cache = cnn.forward_from_matrices(params, source, [None])
+        assert np.array_equal(cache.fc, np.zeros((1, 6)))
 
     def test_components_bounded(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             params = make_params(rng)
-            state = cnn.forward_from_matrices(params, random_mats(rng))
-            assert np.all(state.fc >= -1.0) and np.all(state.fc <= 1.0)
+            cache = cnn.forward_from_matrices(params, *random_mats(rng))
+            assert np.all(cache.fc >= -1.0) and np.all(cache.fc <= 1.0)
 
     def test_mask_skips_components(self):
         rng = np.random.default_rng(9)
         params = make_params(rng)
         mask = (True, False, False, False, False, True)
-        state = cnn.forward_from_matrices(params, random_mats(rng), mask)
-        assert state.fc[1] == 0.0 and state.fc[2] == 0.0
-        assert state.fc[0] != 0.0 or state.fc[5] != 0.0
+        cache = cnn.forward_from_matrices(params, *random_mats(rng), mask)
+        assert cache.fc[0, 1] == 0.0 and cache.fc[0, 2] == 0.0
+        assert cache.fc[0, 0] != 0.0 or cache.fc[0, 5] != 0.0
 
 
 def away_from_kinks(rng, params, min_gap=1e-3):
     """Sample input matrices until no pre-activation sits near zero."""
     for _ in range(200):
-        mats = random_mats(rng, d=params.d)
-        state = cnn.forward_from_matrices(params, mats)
-        gaps = [np.min(np.abs(A)) for A in state.preacts.values()]
-        norms = [np.linalg.norm(v) for v in state.topics.values()]
+        source, targets = random_mats(rng, d=params.d)
+        cache = cnn.forward_from_matrices(params, source, targets)
+        gaps = [np.min(np.abs(A)) for _, A, _ in encodings(cache)]
+        norms = [np.linalg.norm(v) for _, _, v in encodings(cache)]
         if min(gaps) > min_gap and min(norms) > 1e-6:
-            return mats, state
+            return (source, targets), cache
     raise AssertionError("could not sample inputs away from ReLU kinks")
 
 
@@ -210,18 +219,18 @@ class TestBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(10)
         params = make_params(rng)
-        _, state = away_from_kinks(rng, params)
-        grads = cnn.backward(params, state, np.zeros(6))
+        _, cache = away_from_kinks(rng, params)
+        grads = cnn.backward(params, cache, np.zeros((1, 6)))
         assert all(np.array_equal(g, 0 * g) for g in grads.values())
 
     def test_structural_sparsity(self):
         # component 0 pairs mention with title: no other bank may move
         rng = np.random.default_rng(11)
         params = make_params(rng)
-        _, state = away_from_kinks(rng, params)
-        upstream = np.zeros(6)
-        upstream[0] = 1.0
-        grads = cnn.backward(params, state, upstream)
+        _, cache = away_from_kinks(rng, params)
+        upstream = np.zeros((1, 6))
+        upstream[0, 0] = 1.0
+        grads = cnn.backward(params, cache, upstream)
         for g in ("src_context", "src_document", "tgt_document"):
             assert np.array_equal(grads[g], np.zeros_like(grads[g]))
         assert np.any(grads["src_mention"] != 0.0)
@@ -230,9 +239,14 @@ class TestBackward:
     def test_finite_differences(self):
         rng = np.random.default_rng(12)
         params = make_params(rng)
-        mats, state = away_from_kinks(rng, params)
-        upstream = rng.normal(size=6)
-        grads = cnn.backward(params, state, upstream)
+        mats, cache = away_from_kinks(rng, params)
+        upstream = rng.normal(size=(1, 6))
+
+        def objective():
+            return float(np.sum(upstream
+                                * cnn.forward_from_matrices(params, *mats).fc))
+
+        grads = cnn.backward(params, cache, upstream)
         h = 1e-5
         worst = 0.0
         for g in GRANULARITIES:
@@ -241,9 +255,9 @@ class TestBackward:
                 for c in range(M.shape[1]):
                     orig = M[r, c]
                     M[r, c] = orig + h
-                    up = float(upstream @ cnn.forward_from_matrices(params, mats).fc)
+                    up = objective()
                     M[r, c] = orig - h
-                    dn = float(upstream @ cnn.forward_from_matrices(params, mats).fc)
+                    dn = objective()
                     M[r, c] = orig
                     fd = (up - dn) / (2 * h)
                     an = grads[g][r, c]
@@ -255,18 +269,46 @@ class TestBackward:
         rng = np.random.default_rng(13)
         params = make_params(rng)
         other = make_params(rng)
-        _, state = away_from_kinks(rng, params)
+        _, cache = away_from_kinks(rng, params)
         with pytest.raises(CacheError):
-            cnn.backward(other, state, np.ones(6))
+            cnn.backward(other, cache, np.ones((1, 6)))
         with pytest.raises(CacheError):
-            cnn.backward(params, None, np.ones(6))
+            cnn.backward(params, None, np.ones((1, 6)))
 
     def test_null_state_zero_grads(self):
         rng = np.random.default_rng(14)
         params = make_params(rng)
-        state = cnn.forward_from_matrices(params, None)
-        grads = cnn.backward(params, state, np.ones(6))
+        source, _ = random_mats(rng)
+        cache = cnn.forward_from_matrices(params, source, [None])
+        grads = cnn.backward(params, cache, np.ones((1, 6)))
         assert all(not np.any(g) for g in grads.values())
+
+    @pytest.mark.parametrize("mask", [(True,) * 6,
+                                      (True, False, False, False, False, True)])
+    def test_batch_equals_single_candidate_calls(self, mask):
+        # one pass over T candidates (NULL in the middle) against T passes
+        # over one candidate each, summing their bank gradients
+        rng = np.random.default_rng(17)
+        params = make_params(rng)
+        source, _ = random_mats(rng)
+        targets = [random_views(rng, 4, {"tgt_title": n, "tgt_document": m})
+                   for n, m in ((2, 5), (1, 7), (3, 4))]
+        targets.insert(1, None)
+        upstream = rng.normal(size=(len(targets), 6))
+        batch = cnn.forward_from_matrices(params, source, targets, mask)
+        batch_grads = cnn.backward(params, batch, upstream)
+        summed = params.zero_gradients()
+        for ti, target in enumerate(targets):
+            single = cnn.forward_from_matrices(params, source, [target], mask)
+            assert np.max(np.abs(single.fc[0] - batch.fc[ti])) < 1e-12
+            for g, dM in cnn.backward(params, single,
+                                      upstream[ti:ti + 1]).items():
+                summed[g] += dM
+        assert np.array_equal(batch.fc[1], np.zeros(6))
+        for g in GRANULARITIES:
+            scale = np.max(np.abs(summed[g]))
+            assert np.max(np.abs(batch_grads[g] - summed[g])) <= 1e-10 * scale
+        assert any(np.any(dM) for dM in batch_grads.values())
 
 
 class TestParams:

@@ -178,13 +178,6 @@ class TestEvaluate:
         report = evaluate(eval_model(), docs, kb, table)
         assert "EZ" in report.missing_entities
 
-    def test_threads_match_serial(self):
-        kb, docs, table = oracle_corpus()
-        m = eval_model()
-        serial = evaluate(m, docs, kb, table, threads=1)
-        threaded = evaluate(m, docs, kb, table, threads=3)
-        assert serial.rows == threaded.rows
-
     def test_report_jsonl_parses(self):
         kb, docs, table = oracle_corpus()
         report = evaluate(eval_model(), docs, kb, table,

@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convlink.binfile import write_framed
 from convlink.errors import ChecksumError, IngestError, LoadError, VersionError
-from convlink.kb import (NULL_ENTITY, F_CAPSEQ, F_LEADING, F_ORIGINAL,
-                         KnowledgeBase, candidates_for, generate_queries,
-                         load_kb, normalize_anchor, save_kb)
-from helpers import toks
+from convlink.kb import (KB_MAGIC, KB_VERSION, NULL_ENTITY, F_CAPSEQ,
+                         F_LEADING, F_ORIGINAL, KnowledgeBase, candidates_for,
+                         generate_queries, load_kb, normalize_anchor, save_kb)
+from helpers import MALFORMED_KB_PAYLOADS, toks
 
 
 class TestIngest:
@@ -202,6 +203,14 @@ class TestPersistence:
         path.write_bytes(bytes(data))
         with pytest.raises(ChecksumError):
             load_kb(path)
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_KB_PAYLOADS))
+    def test_malformed_payload_names_file(self, tmp_path, kind):
+        path = tmp_path / "kb.bin"
+        write_framed(path, KB_MAGIC, KB_VERSION, MALFORMED_KB_PAYLOADS[kind])
+        with pytest.raises(LoadError) as err:
+            load_kb(path)
+        assert str(err.value).startswith("%s: malformed KB payload: " % path)
 
 
 def test_normalize_anchor():

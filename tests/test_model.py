@@ -254,9 +254,7 @@ class TestAblationConsistency:
         zeroed.w_dense = np.zeros(6)
         a = infer(sparse_only, prep_sparse)
         b = infer(zeroed, w.prep)
-        assert [(s.entity, s.marginal_prob) for s in a] == \
-            pytest.approx_entity_list([(s.entity, s.marginal_prob) for s in b]) \
-            if hasattr(pytest, "approx_entity_list") else True
+        assert len(a) == len(b)
         for sa, sb in zip(a, b):
             assert sa.entity == sb.entity
             assert sa.marginal_prob == pytest.approx(sb.marginal_prob,
