@@ -76,8 +76,6 @@ def _build_parser() -> _Parser:
     tr.add_argument("--top-k", type=int, default=30)
     tr.add_argument("--rho", type=float, default=0.95)
     tr.add_argument("--eps", type=float, default=1e-6)
-    tr.add_argument("--vocab-mode", default="hashed",
-                    choices=["hashed", "interned"])
     tr.add_argument("--hash-capacity", type=int, default=2 ** 20)
 
     ev = sub.add_parser("evaluate", help="evaluate a model or predictions")
@@ -150,7 +148,6 @@ def _cmd_train(args) -> int:
     config = ModelConfig(d=table.dim, k=args.k, ell=args.ell,
                          context_window=args.context_window,
                          doc_cap=args.doc_cap, top_k=args.top_k,
-                         vocab_mode=args.vocab_mode,
                          hash_capacity=args.hash_capacity,
                          init_seed=args.seed, toggles=toggles)
     m = model_mod.Model.initialize(config)
@@ -194,8 +191,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_link(args) -> int:
     knowledge, table, docs, m = _load_inputs(args, with_model=True)
     tfidf = TfIdfModel.from_kb(knowledge)
-    targets = model_mod.TargetCache(knowledge, table, m.config,
-                                    embed=m.config.toggles.use_dense)
+    targets = model_mod.TargetCache(knowledge, table, m.config)
     with open(args.out, "w", encoding="utf-8") as fh:
         for doc in docs:
             for mention in doc.mentions:

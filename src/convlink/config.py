@@ -47,11 +47,12 @@ def needed_granularities(mask) -> frozenset:
 class FeatureToggles:
     """Which feature blocks participate in scoring.
 
-    ``use_sparse`` gates the indicator features (query shape and
-    query-entity compatibility); the NULL-candidate indicator is always
-    emitted because NULL has no other signal.  ``dense_mask`` selects a
-    subset of the six cosine slots; masked slots are fixed at zero and
-    receive no gradient.
+    Toggles act only when scoring: a mention is prepared the same way
+    under every toggle setting.  ``use_sparse`` gates the indicator
+    features (query shape and query-entity compatibility); the
+    NULL-candidate indicator always scores because NULL has no other
+    signal.  ``dense_mask`` selects a subset of the six cosine slots;
+    masked slots are fixed at zero and receive no gradient.
     """
 
     use_sparse: bool = True
@@ -114,7 +115,6 @@ class ModelConfig:
     context_window: int = 10
     doc_cap: int = 2000
     top_k: int = 30
-    vocab_mode: str = "hashed"  # "hashed" or "interned"
     hash_capacity: int = 2 ** 20
     init_seed: int = 0
     toggles: FeatureToggles = field(default_factory=FeatureToggles)
@@ -124,8 +124,6 @@ class ModelConfig:
                      "hash_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be positive" % name)
-        if self.vocab_mode not in ("hashed", "interned"):
-            raise ValueError("vocab_mode must be 'hashed' or 'interned'")
 
     def with_toggles(self, toggles: FeatureToggles) -> "ModelConfig":
         return replace(self, toggles=toggles)

@@ -69,7 +69,7 @@ def load_word2vec(path, fmt: str = "text") -> EmbeddingTable:
     word, ``token v1 ... v<dim>``.  Binary format: the same header line,
     then for each word the token bytes up to a space followed by ``dim``
     little-endian float32 values.  Duplicate tokens keep the first
-    occurrence.
+    occurrence.  A NaN or infinite component is a format error.
     """
     if fmt == "text":
         return _load_text(path)
@@ -118,6 +118,9 @@ def _load_text(path) -> EmbeddingTable:
             except ValueError:
                 raise FormatError("%s:%d: non-numeric vector component"
                                   % (path, lineno))
+            if not np.isfinite(vec).all():
+                raise FormatError("%s:%d: non-finite vector component"
+                                  % (path, lineno))
             if token in vocab:
                 continue
             vocab[token] = len(rows)
@@ -152,11 +155,15 @@ def _load_binary(path) -> EmbeddingTable:
             raw = fh.read(vec_bytes)
             if len(raw) != vec_bytes:
                 raise FormatError("%s: truncated vector at entry %d" % (path, i + 1))
+            vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+            if not np.isfinite(vec).all():
+                raise FormatError("%s: non-finite vector component at entry %d"
+                                  % (path, i + 1))
             token = token_bytes.decode("utf-8", errors="replace")
             if token in vocab:
                 continue
             vocab[token] = len(rows)
-            rows.append(np.frombuffer(raw, dtype="<f4").astype(np.float64))
+            rows.append(vec)
         if fh.read(1) not in (b"", b"\n"):
             raise FormatError("%s: trailing data after %d entries" % (path, count))
     matrix = np.stack(rows) if rows else np.zeros((0, dim))

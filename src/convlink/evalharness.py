@@ -8,11 +8,12 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import cnn, model as model_mod
-from .config import FeatureToggles, ModelConfig
+from . import cnn
+from .config import ModelConfig
 from .embeddings import EmbeddingTable
 from .kb import KnowledgeBase
-from .model import Model, TargetCache, infer, prepare_mention, train
+from .model import (Model, TargetCache, fit, infer, prepare_corpus,
+                    prepare_mention)
 from .sparse import TfIdfModel
 
 
@@ -54,32 +55,35 @@ def _labeled_mentions(docs):
 
 
 def evaluate(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
-             configs=None, tfidf: TfIdfModel = None) -> EvalReport:
+             configs=None) -> EvalReport:
     """Deterministic top-1 accuracy over all gold-annotated mentions.
 
-    ``configs`` is a list of (name, FeatureToggles) pairs evaluated as
-    feature subsets of the given model; by default the model's own
-    toggles are used.  Mentions whose gold entity misses the candidate
-    set score as wrong; gold ids absent from the KB are listed in the
-    report rather than raised.
+    ``configs`` is a list of (name, FeatureToggles) pairs, evaluated as
+    feature subsets of the given model, or (name, Model) pairs, scored as
+    they are; by default the model's own toggles are used.  Each mention
+    is prepared once, with ``model``, for all configs, so a listed Model
+    must have ``model``'s config apart from its toggles.  Mentions whose
+    gold entity misses the candidate set score as wrong; gold ids absent
+    from the KB are listed in the report rather than raised.
     """
-    if tfidf is None:
-        tfidf = TfIdfModel.from_kb(kb)
     if configs is None:
         configs = [("model", model.config.toggles)]
+    scorers = [c if isinstance(c, Model)
+               else replace(model, config=model.config.with_toggles(c))
+               for _, c in configs]
     report = EvalReport()
     pairs = list(_labeled_mentions(docs))
     for doc, mention in pairs:
         if mention.gold_entity not in kb.entities:
             report.missing_entities.append(mention.gold_entity)
-    for name, toggles in configs:
-        m = replace(model, config=model.config.with_toggles(toggles))
-        results = _score_mentions(m, pairs, kb, table, tfidf)
-        n = len(results)
+    oov_rate = table.oov_rate([t.surface for doc, _ in pairs
+                               for t in doc.tokens])
+    n = len(pairs)
+    for (name, _), results in zip(
+            configs, _score_mentions(model, scorers, pairs, kb, table)):
         n_correct = sum(1 for r in results if r[0])
         n_in_cand = sum(1 for r in results if r[1])
         mean_q = (sum(r[2] for r in results) / n) if n else 0.0
-        surfaces = [t.surface for doc, _ in pairs for t in doc.tokens]
         report.rows.append(EvalRow(
             config_name=name,
             accuracy=n_correct / n if n else 0.0,
@@ -88,42 +92,44 @@ def evaluate(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
             n_correct=n_correct,
             n_gold_in_candidates=n_in_cand,
             mean_queries_per_mention=mean_q,
-            oov_rate=table.oov_rate(surfaces),
+            oov_rate=oov_rate,
         ))
     return report
 
 
-def _score_mentions(model: Model, pairs, kb: KnowledgeBase,
-                    table: EmbeddingTable, tfidf: TfIdfModel) -> list:
-    """(top-1 correct, gold in candidates, query count) per (doc, mention)
-    pair, under the model's own toggles."""
-    targets = TargetCache(kb, table, model.config,
-                          embed=model.config.toggles.use_dense)
-    results = []
+def _score_mentions(model: Model, scorers, pairs, kb: KnowledgeBase,
+                    table: EmbeddingTable) -> list:
+    """Per scorer, (top-1 correct, gold in candidates, query count) per
+    (doc, mention) pair.  Each mention is prepared once, with ``model``,
+    scored by every scorer and dropped."""
+    for m in scorers:
+        if m.config.with_toggles(model.config.toggles) != model.config:
+            raise ValueError("a scored model's config differs from the "
+                             "preparing model's beyond its toggles")
+    tfidf = TfIdfModel.from_kb(kb)
+    targets = TargetCache(kb, table, model.config)
+    results = [[] for _ in scorers]
     for doc, mention in pairs:
         prep = prepare_mention(model, kb, table, tfidf, doc, mention, targets)
-        top = infer(model, prep)[0]
-        results.append((top.entity == mention.gold_entity,
-                        prep.gold_index is not None,
-                        len(prep.queries)))
+        for m, out in zip(scorers, results):
+            top = infer(m, prep)[0]
+            out.append((top.entity == mention.gold_entity,
+                        prep.gold_index is not None, len(prep.queries)))
     return results
 
 
 def correct_by_kind(model: Model, docs, kb: KnowledgeBase,
-                    table: EmbeddingTable, doc_kinds: dict,
-                    tfidf: TfIdfModel = None) -> dict:
+                    table: EmbeddingTable, doc_kinds: dict) -> dict:
     """Top-1 (n_correct, n_mentions) per document kind.
 
     ``doc_kinds`` maps doc_id -> kind label, e.g. the ``kind`` fields of
     a synthetic corpus's ``metadata["documents"]``; every evaluated
     document must have one.
     """
-    if tfidf is None:
-        tfidf = TfIdfModel.from_kb(kb)
     pairs = list(_labeled_mentions(docs))
     counts = {}
-    for (doc, _), (correct, _, _) in zip(
-            pairs, _score_mentions(model, pairs, kb, table, tfidf)):
+    [results] = _score_mentions(model, [model], pairs, kb, table)
+    for (doc, _), (correct, _, _) in zip(pairs, results):
         kind = doc_kinds[doc.doc_id]
         n_correct, n = counts.get(kind, (0, 0))
         counts[kind] = (n_correct + int(correct), n + 1)
@@ -155,21 +161,19 @@ def run_ablation(base_config: ModelConfig, train_docs, test_docs,
                  epochs: int, rho: float = 0.95, eps: float = 1e-6,
                  seed: int = 0, log=None):
     """Train one system per feature configuration and evaluate each on
-    the test split.  Returns (EvalReport, dict name -> trained Model)."""
-    tfidf = TfIdfModel.from_kb(kb)
-    report = EvalReport()
+    the test split.  Both splits are prepared once for all
+    configurations.  Returns (EvalReport, dict name -> trained Model)."""
+    preparer = Model.initialize(base_config)
+    prepared, _ = prepare_corpus(preparer, kb, table, train_docs)
     trained = {}
     for name, toggles in configs:
         if log is not None:
             log("training configuration %r" % name)
         m = Model.initialize(base_config.with_toggles(toggles))
-        m, _ = train(m, train_docs, kb, table, epochs=epochs, rho=rho,
-                     eps=eps, seed=seed, tfidf=tfidf, log=log)
-        sub = evaluate(m, test_docs, kb, table,
-                       configs=[(name, toggles)], tfidf=tfidf)
-        report.rows.extend(sub.rows)
-        report.missing_entities.extend(sub.missing_entities)
+        fit(m, prepared, epochs, rho=rho, eps=eps, seed=seed, log=log)
         trained[name] = m
+    report = evaluate(preparer, test_docs, kb, table,
+                      configs=list(trained.items()))
     return report, trained
 
 

@@ -32,38 +32,42 @@ from .sparse import FeatureVocabulary, SparseVector, TfIdfModel
 from .textproc import Document, Mention, extract_target_views, extract_views
 
 MODEL_MAGIC = b"CLMD1"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass
 class Model:
     config: ModelConfig
-    vocab: FeatureVocabulary
     w_sparse: dict                  # feature index -> weight
     w_dense: np.ndarray             # (6,)
     cnn_params: cnn.CnnParams
+    vocab: FeatureVocabulary = field(init=False)
+
+    def __post_init__(self):
+        self.vocab = FeatureVocabulary(self.config.hash_capacity)
 
     @classmethod
     def initialize(cls, config: ModelConfig) -> "Model":
-        vocab = FeatureVocabulary(config.vocab_mode, config.hash_capacity)
         params = cnn.CnnParams.initialize(config.k, config.ell, config.d,
                                           seed=config.init_seed)
-        return cls(config=config, vocab=vocab, w_sparse={},
-                   w_dense=np.zeros(N_DENSE), cnn_params=params)
+        return cls(config=config, w_sparse={}, w_dense=np.zeros(N_DENSE),
+                   cnn_params=params)
 
 
 class TargetCache:
-    """Tokenized and embedded target views, shared across mentions."""
+    """Article-body surfaces and embedded target views, shared across
+    mentions."""
 
     def __init__(self, kb: KnowledgeBase, table: EmbeddingTable,
-                 config: ModelConfig, embed: bool):
+                 config: ModelConfig):
         self.kb = kb
         self.table = table
         self.config = config
-        self.embed = embed
         self._cache = {}
 
     def get(self, entity: str):
+        """(body surfaces, granularity -> (n, d)) for an entity; None for
+        NULL."""
         if entity == NULL_ENTITY:
             return None
         hit = self._cache.get(entity)
@@ -71,27 +75,25 @@ class TargetCache:
             title_toks, body_toks = extract_target_views(
                 self.kb.title(entity), self.kb.body(entity),
                 doc_cap=self.config.doc_cap)
-            mats = None
-            if self.embed:
-                mats = {
-                    "tgt_title": self.table.lookup_sequence(
-                        [t.surface for t in title_toks]),
-                    "tgt_document": self.table.lookup_sequence(
-                        [t.surface for t in body_toks]),
-                }
-            hit = (title_toks, body_toks, mats)
+            body = [t.surface for t in body_toks]
+            hit = (body, {
+                "tgt_title": self.table.lookup_sequence(
+                    [t.surface for t in title_toks]),
+                "tgt_document": self.table.lookup_sequence(body),
+            })
             self._cache[entity] = hit
         return hit
 
 
 @dataclass
 class PreparedMention:
-    """Everything about one mention that does not depend on the weights."""
+    """Everything about one mention that depends neither on the weights
+    nor on the feature toggles."""
     doc_id: str
     mention: Mention
     queries: list
     cand: CandidateSet
-    source_mats: Optional[dict]          # granularity -> (n, d), None if unused
+    source_mats: dict                    # granularity -> (n, d)
     target_mats: list                    # per candidate: dict or None (NULL)
     fq: list                             # per query: SparseVector
     fe: list                             # [t][q] -> SparseVector
@@ -101,50 +103,41 @@ class PreparedMention:
 def prepare_mention(model: Model, kb: KnowledgeBase, table: EmbeddingTable,
                     tfidf: TfIdfModel, doc: Document, mention: Mention,
                     targets: TargetCache = None) -> PreparedMention:
+    """Queries, candidates, sparse vectors and embedded views of one
+    mention.  The result is shared by every model whose config differs
+    from ``model.config`` only in its toggles."""
     cfg = model.config
-    tog = cfg.toggles
     views = extract_views(doc.tokens, mention,
                           context_window=cfg.context_window,
                           doc_cap=cfg.doc_cap)
     queries = generate_queries(views.mention_tokens)
     cand = candidates_for(kb, queries, top_k=cfg.top_k)
     if targets is None:
-        targets = TargetCache(kb, table, cfg, embed=tog.use_dense)
-
-    source_mats = cnn.embed_views(table, views) if tog.use_dense else None
+        targets = TargetCache(kb, table, cfg)
     doc_surfaces = [t.surface for t in views.document_tokens]
-
+    fq = [sparse.features_q(views.mention_tokens, q, model.vocab)
+          for q in queries]
     target_mats = []
     fe = []
-    fq = []
-    if tog.use_sparse:
-        fq = [sparse.features_q(views.mention_tokens, q, model.vocab)
-              for q in queries]
-    else:
-        fq = [SparseVector([], []) for _ in queries]
-
     for entity in cand.candidates:
         tgt = targets.get(entity)
-        target_mats.append(None if tgt is None else tgt[2])
-        row = []
-        for q in queries:
-            if entity == NULL_ENTITY:
-                row.append(SparseVector.from_features([sparse.NULL_FEATURE],
-                                                      model.vocab))
-            elif tog.use_sparse:
-                body_surfaces = [t.surface for t in tgt[1]]
-                row.append(sparse.features_e(kb, q, entity, tfidf,
-                                             doc_surfaces, body_surfaces,
-                                             model.vocab))
-            else:
-                row.append(SparseVector([], []))
-        fe.append(row)
+        if tgt is None:
+            target_mats.append(None)
+            fe.append([SparseVector.from_features([sparse.NULL_FEATURE],
+                                                  model.vocab)
+                       for _ in queries])
+            continue
+        body, mats = tgt
+        target_mats.append(mats)
+        cos = tfidf.cosine(doc_surfaces, body)
+        fe.append([sparse.features_e(kb, q, entity, cos, model.vocab)
+                   for q in queries])
 
     gold_index = None
     if mention.gold_entity is not None and mention.gold_entity in cand.candidates:
         gold_index = cand.candidates.index(mention.gold_entity)
     return PreparedMention(doc_id=doc.doc_id, mention=mention, queries=queries,
-                           cand=cand, source_mats=source_mats,
+                           cand=cand, source_mats=cnn.embed_views(table, views),
                            target_mats=target_mats, fq=fq, fe=fe,
                            gold_index=gold_index)
 
@@ -158,6 +151,15 @@ def _sparse_dot(weights: dict, vec: SparseVector) -> float:
     return total
 
 
+def _sparse_rows(model: Model, prep: PreparedMention):
+    """Candidate rows whose f_E vectors score: every row, or with sparse
+    features off only NULL's, whose indicator is its only signal."""
+    if model.config.toggles.use_sparse:
+        return range(len(prep.cand.candidates))
+    return [ti for ti, entity in enumerate(prep.cand.candidates)
+            if entity == NULL_ENTITY]
+
+
 @dataclass
 class ScoreTable:
     candidates: list
@@ -167,8 +169,9 @@ class ScoreTable:
 
 
 def score_pairs(model: Model, prep: PreparedMention) -> ScoreTable:
-    """Score every (candidate, query) pair; dense features come from one
-    CNN forward pass per mention and are shared across queries."""
+    """Score every (candidate, query) pair under the model's toggles;
+    dense features come from one CNN forward pass per mention and are
+    shared across queries."""
     tog = model.config.toggles
     T = len(prep.cand.candidates)
     Q = len(prep.queries)
@@ -180,8 +183,10 @@ def score_pairs(model: Model, prep: PreparedMention) -> ScoreTable:
         fc = forward.fc
     dense_part = fc @ model.w_dense
     sparse_part = np.zeros((T, Q))
-    fq_dots = [_sparse_dot(model.w_sparse, v) for v in prep.fq]
-    for ti in range(T):
+    fq_dots = [0.0] * Q
+    if tog.use_sparse:
+        fq_dots = [_sparse_dot(model.w_sparse, v) for v in prep.fq]
+    for ti in _sparse_rows(model, prep):
         row = prep.fe[ti]
         for qi in range(Q):
             sparse_part[ti, qi] = fq_dots[qi] + _sparse_dot(model.w_sparse,
@@ -255,11 +260,11 @@ def loss_and_grad(model: Model, prep: PreparedMention):
         for idx, val in vec:
             g_sparse[idx] = g_sparse.get(idx, 0.0) + c * val
 
-    q_coefs = coef.sum(axis=0)
-    for qi, c in enumerate(q_coefs):
-        if c != 0.0:
-            accumulate(prep.fq[qi], c)
-    for ti in range(len(table.candidates)):
+    if tog.use_sparse:
+        for qi, c in enumerate(coef.sum(axis=0)):
+            if c != 0.0:
+                accumulate(prep.fq[qi], c)
+    for ti in _sparse_rows(model, prep):
         row_fe = prep.fe[ti]
         crow = coef[ti]
         for qi, c in enumerate(crow):
@@ -339,12 +344,11 @@ class TrainReport:
 
 
 def prepare_corpus(model: Model, kb: KnowledgeBase, table: EmbeddingTable,
-                   docs, tfidf: TfIdfModel = None):
-    """Prepare every labeled mention once; reused across epochs."""
-    if tfidf is None:
-        tfidf = TfIdfModel.from_kb(kb)
-    targets = TargetCache(kb, table, model.config,
-                          embed=model.config.toggles.use_dense)
+                   docs):
+    """Prepare every labeled mention once; reused across epochs and
+    shared by every toggle setting of ``model.config``."""
+    tfidf = TfIdfModel.from_kb(kb)
+    targets = TargetCache(kb, table, model.config)
     prepared = []
     n_unlabeled = 0
     for doc in docs:
@@ -359,22 +363,32 @@ def prepare_corpus(model: Model, kb: KnowledgeBase, table: EmbeddingTable,
 
 def train(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
           epochs: int, rho: float = 0.95, eps: float = 1e-6, seed: int = 0,
-          tfidf: TfIdfModel = None, log=None):
-    """Adadelta training over single-example minibatches.
-
-    Example order is reshuffled each epoch from ``seed``; with a fixed
-    seed and corpus the final weights are bit-identical across runs.
-    """
-    prepared, n_unlabeled = prepare_corpus(model, kb, table, docs, tfidf)
+          log=None):
+    """Prepare ``docs`` and ``fit`` the model on them."""
+    prepared, n_unlabeled = prepare_corpus(model, kb, table, docs)
     report = TrainReport(n_mentions=len(prepared), n_unlabeled=n_unlabeled)
     if prepared:
         report.mean_queries_per_mention = (
             sum(len(p.queries) for p in prepared) / len(prepared))
     all_surfaces = [t.surface for doc in docs for t in doc.tokens]
     report.oov_rate = table.oov_rate(all_surfaces)
+    report.epochs = fit(model, prepared, epochs, rho=rho, eps=eps, seed=seed,
+                        log=log)
+    return model, report
 
+
+def fit(model: Model, prepared: list, epochs: int, rho: float = 0.95,
+        eps: float = 1e-6, seed: int = 0, log=None) -> list:
+    """Adadelta training over single-example minibatches of prepared
+    mentions, which are only read; returns one report row per epoch.
+
+    Example order is reshuffled each epoch from ``seed``; with a fixed
+    seed and corpus the final weights are bit-identical across runs.
+    """
     state = AdadeltaState(model, rho=rho, eps=eps)
     rng = np.random.default_rng(seed)
+    in_cand = sum(1 for p in prepared if p.gold_index is not None)
+    rows = []
     for epoch in range(epochs):
         order = rng.permutation(len(prepared))
         total = 0.0
@@ -392,7 +406,6 @@ def train(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
             state.apply(model, grads)
             total += loss
             used += 1
-        in_cand = sum(1 for p in prepared if p.gold_index is not None)
         row = {
             "epoch": epoch,
             "mean_loss": total / used if used else float("nan"),
@@ -400,11 +413,11 @@ def train(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
             "n_examples": used,
             "n_skipped": skipped,
         }
-        report.epochs.append(row)
+        rows.append(row)
         if log is not None:
             log("epoch %d: mean_loss=%.4f gold_recall=%.3f skipped=%d"
                 % (epoch, row["mean_loss"], row["gold_recall"], skipped))
-    return model, report
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +427,6 @@ def train(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
 def _model_payload(model: Model) -> bytes:
     header = json.dumps({
         "config": model.config.to_dict(),
-        "vocab": model.vocab.to_dict(),
         "n_sparse": len(model.w_sparse),
     }, sort_keys=True).encode("utf-8")
     parts = [struct.pack("<I", len(header)), header]
@@ -438,7 +450,6 @@ def load_model(path) -> Model:
         (hlen,) = struct.unpack_from("<I", payload, 0)
         header = json.loads(payload[4:4 + hlen].decode("utf-8"))
         config = ModelConfig.from_dict(header["config"])
-        vocab = FeatureVocabulary.from_dict(header["vocab"])
         off = 4 + hlen
         w_dense = np.frombuffer(payload, dtype="<f8", count=N_DENSE,
                                 offset=off).copy()
@@ -459,7 +470,7 @@ def load_model(path) -> Model:
         if off != len(payload):
             raise LoadError("%s: %d trailing payload bytes"
                             % (path, len(payload) - off))
-    except (struct.error, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (struct.error, KeyError, TypeError, ValueError) as exc:
         raise LoadError("%s: malformed model payload: %s" % (path, exc))
-    return Model(config=config, vocab=vocab, w_sparse=w_sparse,
-                 w_dense=w_dense, cnn_params=cnn.CnnParams(banks))
+    return Model(config=config, w_sparse=w_sparse, w_dense=w_dense,
+                 cnn_params=cnn.CnnParams(banks))

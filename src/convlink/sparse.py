@@ -1,4 +1,4 @@
-"""Sparse indicator features over a hashed (or interned) vocabulary.
+"""Sparse indicator features over a hashed vocabulary.
 
 Two families: query-shape features, which describe how a query was
 derived from its mention and never look at the candidate entity, and
@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ConvlinkError
 from .kb import NULL_ENTITY, KnowledgeBase, Query, normalize_anchor
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -31,45 +30,19 @@ def fnv1a64(text: str) -> int:
 
 
 class FeatureVocabulary:
-    """Maps feature strings to integer indices.
+    """Maps feature strings to integer indices by hashing.
 
-    ``hashed`` mode is stateless: index = fnv1a64(feature) mod capacity,
-    identical across runs and platforms; collisions are accepted.
-    ``interned`` mode assigns dense indices on first sight (useful for
-    small, inspectable models).
+    index = fnv1a64(feature) mod capacity: stateless, identical across
+    runs and platforms; collisions are accepted.
     """
 
-    def __init__(self, mode: str = "hashed", capacity: int = 2 ** 20,
-                 interned=None):
-        if mode not in ("hashed", "interned"):
-            raise ValueError("mode must be 'hashed' or 'interned'")
+    def __init__(self, capacity: int = 2 ** 20):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self.mode = mode
         self.capacity = capacity
-        self.interned = dict(interned) if interned else {}
 
     def index_of(self, feature: str) -> int:
-        if self.mode == "hashed":
-            return fnv1a64(feature) % self.capacity
-        idx = self.interned.get(feature)
-        if idx is None:
-            if len(self.interned) >= self.capacity:
-                raise ConvlinkError("interned vocabulary is full (%d)"
-                                    % self.capacity)
-            idx = len(self.interned)
-            self.interned[feature] = idx
-        return idx
-
-    def to_dict(self) -> dict:
-        out = {"mode": self.mode, "capacity": self.capacity}
-        if self.mode == "interned":
-            out["interned"] = self.interned
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FeatureVocabulary":
-        return cls(data["mode"], data["capacity"], data.get("interned"))
+        return fnv1a64(feature) % self.capacity
 
 
 @dataclass
@@ -164,8 +137,9 @@ def _title_match(query_text: str, title: str):
 
 
 def entity_feature_strings(kb: KnowledgeBase, query: Query, entity,
-                           tfidf: "TfIdfModel", doc_tokens,
-                           body_tokens) -> list:
+                           tfidf_cosine: float) -> list:
+    """``tfidf_cosine`` is the tf-idf cosine between the source document
+    and the entity's article body; it does not depend on the query."""
     if entity == NULL_ENTITY or entity is None:
         return [NULL_FEATURE]
     feats = []
@@ -177,17 +151,14 @@ def entity_feature_strings(kb: KnowledgeBase, query: Query, entity,
     match = _title_match(query.text, kb.title(entity))
     if match is not None:
         feats.append("e:title=%s" % match)
-    cos = tfidf.cosine(doc_tokens, body_tokens)
-    feats.append("e:tfidf_bucket=%d" % tfidf_bucket(cos))
+    feats.append("e:tfidf_bucket=%d" % tfidf_bucket(tfidf_cosine))
     return feats
 
 
-def features_e(kb: KnowledgeBase, query: Query, entity, tfidf: "TfIdfModel",
-               doc_tokens, body_tokens,
+def features_e(kb: KnowledgeBase, query: Query, entity, tfidf_cosine: float,
                vocab: FeatureVocabulary) -> SparseVector:
     return SparseVector.from_features(
-        entity_feature_strings(kb, query, entity, tfidf, doc_tokens,
-                               body_tokens), vocab)
+        entity_feature_strings(kb, query, entity, tfidf_cosine), vocab)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
+import copy
+import json
 import math
+import struct
 import zlib
 from types import SimpleNamespace
 
 import numpy as np
 
+from convlink.binfile import read_framed, write_framed
 from convlink.config import FeatureToggles, ModelConfig
 from convlink.embeddings import EmbeddingTable
 from convlink.kb import KnowledgeBase
-from convlink.model import Model, prepare_mention, score_pairs
+from convlink.model import (MODEL_MAGIC, MODEL_VERSION, Model,
+                            prepare_mention, score_pairs)
 from convlink.sparse import TfIdfModel
 from convlink.textproc import Document, Mention, Token
 
@@ -36,6 +41,53 @@ def write_embeddings(path, vectors):
 MALFORMED_KB_PAYLOADS = {
     "not-zlib": b"not a zlib stream",
     "missing-entities": zlib.compress(b'{"anchor_index": {}}'),
+}
+
+
+# The five feature configurations of the ablation grid
+ABLATION_TOGGLES = [
+    ("full", FeatureToggles.full()),
+    ("sparse-only", FeatureToggles.sparse_only()),
+    ("cnn-only", FeatureToggles.cnn_only()),
+    ("pair:doc*doc", FeatureToggles.cnn_pair("src_document", "tgt_document")),
+    ("pair:ment*title", FeatureToggles.cnn_pair("src_mention", "tgt_title")),
+]
+
+
+def rewrite_model_header(path, edit):
+    """Apply ``edit`` to a saved model's JSON header in place, keeping a
+    valid frame and checksum."""
+    _, payload = read_framed(path, MODEL_MAGIC, (MODEL_VERSION,))
+    (hlen,) = struct.unpack_from("<I", payload, 0)
+    header = edit(json.loads(payload[4:4 + hlen].decode("utf-8")))
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    write_framed(path, MODEL_MAGIC, MODEL_VERSION,
+                 struct.pack("<I", len(raw)) + raw + payload[4 + hlen:])
+
+
+def _with(header, path, value):
+    """A copy of ``header`` with the nested key ``path`` set to
+    ``value``, or deleted when ``value`` is None."""
+    out = copy.deepcopy(header)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+# Header edits that leave a model file checksummed but unreadable
+MALFORMED_MODEL_HEADERS = {
+    "unknown-config-key":
+        lambda h: _with(h, ("config", "vocab_mode"), "hashed"),
+    "unknown-toggles-key":
+        lambda h: _with(h, ("config", "toggles", "use_magic"), True),
+    "missing-toggles": lambda h: _with(h, ("config", "toggles"), None),
+    "toggles-not-object": lambda h: _with(h, ("config", "toggles"), 5),
+    "header-not-object": lambda h: [h],
 }
 
 
@@ -77,8 +129,7 @@ def tiny_world(seed, d=4, k=3, ell=2, toggles=None, gold="E1",
             + [{"anchor_text": "ones", "entity_id": "E2"}] * 1
             + [{"anchor_text": "one", "entity_id": "E2"}] * 2)
         config = ModelConfig(d=d, k=k, ell=ell, context_window=3, doc_cap=40,
-                             top_k=5, vocab_mode="interned",
-                             hash_capacity=2 ** 16, init_seed=seed,
+                             top_k=5, hash_capacity=2 ** 16, init_seed=seed,
                              toggles=toggles or FeatureToggles())
         model = Model.initialize(config)
         model.w_dense = rng.normal(size=6) * 0.8
@@ -158,8 +209,8 @@ def brute_force_marginals(world):
                 title_toks, body_toks = extract_target_views(
                     kb.title(entity), kb.body(entity), doc_cap=cfg.doc_cap)
                 feats = entity_feature_strings(
-                    kb, q, entity, tfidf, doc_surf,
-                    [t.surface for t in body_toks])
+                    kb, q, entity,
+                    tfidf.cosine(doc_surf, [t.surface for t in body_toks]))
             else:
                 feats = []
             if tog.use_sparse:

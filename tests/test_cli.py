@@ -9,7 +9,8 @@ from convlink.binfile import write_framed
 from convlink.cli import run
 from convlink.config import FeatureToggles, ModelConfig
 from convlink.kb import KB_MAGIC, KB_VERSION
-from helpers import MALFORMED_KB_PAYLOADS
+from helpers import (MALFORMED_KB_PAYLOADS, MALFORMED_MODEL_HEADERS,
+                     rewrite_model_header)
 
 
 GEN_ARGS = ["--n-topics", "2", "--vocab-per-topic", "12", "--n-entities", "4",
@@ -67,6 +68,38 @@ def test_malformed_kb_payload_is_data_error(workspace, tmp_path, capsys, kind):
                 "--out", str(tmp_path / "model.bin")])
     assert code == 2
     assert "%s: malformed KB payload" % kb in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_MODEL_HEADERS))
+def test_malformed_model_header_is_data_error(workspace, tmp_path, capsys,
+                                              kind):
+    model_path = str(tmp_path / "model.bin")
+    model_mod.save_model(model_mod.Model.initialize(
+        ModelConfig(d=8, k=4, ell=5)), model_path)
+    rewrite_model_header(model_path, MALFORMED_MODEL_HEADERS[kind])
+    code = run(["-q", "link", "--model", model_path, "--kb", workspace["kb"],
+                "--embeddings", workspace["embeddings"],
+                "--corpus", workspace["test"],
+                "--out", str(tmp_path / "preds.jsonl")])
+    assert code == 2
+    assert ("%s: malformed model payload" % model_path
+            in capsys.readouterr().err)
+
+
+def test_non_finite_embedding_is_data_error(workspace, tmp_path, capsys):
+    with open(workspace["embeddings"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    fields = lines[1].split()
+    lines[1] = " ".join([fields[0], "nan"] + fields[2:])
+    embeddings = str(tmp_path / "embeddings.txt")
+    with open(embeddings, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    code = run(["-q", "train", "--kb", workspace["kb"],
+                "--embeddings", embeddings, "--corpus", workspace["train"],
+                "--out", str(tmp_path / "model.bin")])
+    assert code == 2
+    assert ("%s:2: non-finite vector component" % embeddings
+            in capsys.readouterr().err)
 
 
 def test_evaluate_requires_model_or_predictions(workspace):

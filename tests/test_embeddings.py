@@ -118,3 +118,25 @@ def test_binary_truncation_rejected(tmp_path):
         fh.write(b"a " + struct.pack("<3f", 1, 0, 0))
     with pytest.raises(FormatError):
         load_word2vec(path, fmt="binary")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_text_non_finite_component_names_line(tmp_path, bad):
+    path = write(tmp_path, "2 3\na 1 0 0\nb 0 %s 0\n" % bad)
+    with pytest.raises(FormatError) as err:
+        load_word2vec(path)
+    assert str(err.value) == "%s:3: non-finite vector component" % path
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_binary_non_finite_component_names_entry(tmp_path, bad):
+    import struct
+    path = tmp_path / "vec.bin"
+    with open(path, "wb") as fh:
+        fh.write(b"2 3\n")
+        fh.write(b"a " + struct.pack("<3f", 1, 0, 0) + b"\n")
+        fh.write(b"b " + struct.pack("<3f", 0, bad, 0) + b"\n")
+    with pytest.raises(FormatError) as err:
+        load_word2vec(path, fmt="binary")
+    assert str(err.value) == ("%s: non-finite vector component at entry 2"
+                              % path)

@@ -1,21 +1,23 @@
 import filecmp
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from convlink import evalharness
 from convlink.config import FeatureToggles, ModelConfig
 from convlink.errors import SpecError
 from convlink.evalharness import (EvalRow, evaluate, inspect_filters,
                                   run_ablation, score_predictions,
                                   topic_purity)
 from convlink.kb import KnowledgeBase
-from convlink.model import Model, train
+from convlink.model import Model, save_model, train
 from convlink.embeddings import load_word2vec
 from convlink.synthetic import (MENTION_PREFIX, MENTION_SUFFIX,
                                 SyntheticSpec, generate)
 from convlink.textproc import Document, Mention, load_corpus
-from helpers import make_table, toks
+from helpers import ABLATION_TOGGLES, make_table, toks
 
 
 def tiny_spec(**overrides):
@@ -178,6 +180,24 @@ class TestEvaluate:
         report = evaluate(eval_model(), docs, kb, table)
         assert "EZ" in report.missing_entities
 
+    def test_configs_share_one_preparation(self, monkeypatch):
+        kb, docs, table = oracle_corpus()
+        calls = []
+        real = evalharness.prepare_mention
+        monkeypatch.setattr(evalharness, "prepare_mention",
+                            lambda *a: calls.append(a) or real(*a))
+        report = evaluate(eval_model(), docs, kb, table,
+                          configs=ABLATION_TOGGLES)
+        assert len(report.rows) == len(ABLATION_TOGGLES)
+        assert len(calls) == sum(len(d.mentions) for d in docs)
+
+    def test_scored_model_must_share_preparation_settings(self):
+        kb, docs, table = oracle_corpus()
+        other = eval_model()
+        other.config = replace(other.config, top_k=2)
+        with pytest.raises(ValueError):
+            evaluate(eval_model(), docs, kb, table, configs=[("x", other)])
+
     def test_report_jsonl_parses(self):
         kb, docs, table = oracle_corpus()
         report = evaluate(eval_model(), docs, kb, table,
@@ -287,3 +307,29 @@ class TestRunAblation:
         for row in report.rows:
             assert 0.0 <= row.accuracy <= row.gold_recall <= 1.0
         assert set(trained) == {"full", "sparse-only"}
+
+    def test_shared_preparation_matches_separate_runs(self, tmp_path):
+        # every config trains and scores on one shared preparation; its
+        # models and rows must equal those of a separate run per config
+        data = generate(tiny_spec(), tmp_path / "abl")
+        kb = _load_kb(data)
+        table = load_word2vec(data.paths["embeddings.txt"])
+        train_docs = load_corpus(data.paths["train.jsonl"])
+        test_docs = load_corpus(data.paths["test.jsonl"])
+        config = ModelConfig(d=table.dim, k=4, ell=5, context_window=10,
+                             doc_cap=200, top_k=5, hash_capacity=2 ** 16,
+                             init_seed=2)
+        report, trained = run_ablation(config, train_docs, test_docs, kb,
+                                       table, ABLATION_TOGGLES, epochs=2,
+                                       seed=3)
+        assert [r.config_name for r in report.rows] == \
+            [name for name, _ in ABLATION_TOGGLES]
+        for (name, toggles), row in zip(ABLATION_TOGGLES, report.rows):
+            alone, _ = train(Model.initialize(config.with_toggles(toggles)),
+                             train_docs, kb, table, epochs=2, seed=3)
+            a, b = tmp_path / "shared.bin", tmp_path / "alone.bin"
+            save_model(trained[name], a)
+            save_model(alone, b)
+            assert a.read_bytes() == b.read_bytes(), name
+            assert evaluate(alone, test_docs, kb, table,
+                            configs=[(name, toggles)]).rows == [row]

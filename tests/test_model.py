@@ -1,18 +1,25 @@
+import json
 import math
+import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from convlink.binfile import read_framed, write_framed
 from convlink.config import GRANULARITIES, FeatureToggles, ModelConfig
 from convlink.errors import ChecksumError, LoadError, TrainingError, VersionError
 from convlink.kb import NULL_ENTITY, KnowledgeBase
-from convlink.model import (AdadeltaState, Model, infer, load_model,
-                            loss_and_grad, marginals_from_scores,
-                            prepare_mention, save_model, score_pairs, train)
+from convlink.model import (MODEL_MAGIC, MODEL_VERSION, AdadeltaState, Model,
+                            infer, load_model, loss_and_grad,
+                            marginals_from_scores, prepare_mention,
+                            save_model, score_pairs, train)
 from convlink.sparse import TfIdfModel
 from convlink.textproc import Document, Mention
-from helpers import brute_force_marginals, tiny_world, toks
+from helpers import (ABLATION_TOGGLES, MALFORMED_MODEL_HEADERS,
+                     brute_force_marginals, rewrite_model_header, tiny_world,
+                     toks)
 
 
 class TestScorePairs:
@@ -262,12 +269,31 @@ class TestAblationConsistency:
 
     def test_cnn_only_keeps_null_indicator_only(self):
         w = tiny_world(seed=11, toggles=FeatureToggles.cnn_only())
-        # only sparse feature anywhere is the NULL indicator
-        for row, entity in zip(w.prep.fe, w.prep.cand.candidates):
-            for vec in row:
-                assert len(vec) == (1 if entity == NULL_ENTITY else 0)
-        for vec in w.prep.fq:
-            assert len(vec) == 0
+        # the preparation carries every sparse feature, each with a weight
+        assert all(len(vec) for vec in w.prep.fq)
+        null_idx = w.model.vocab.index_of("e:null")
+        # with the dense part zeroed, S is the sparse part alone: the NULL
+        # indicator on the NULL row and nothing elsewhere
+        S = score_pairs(replace(w.model, w_dense=np.zeros(6)), w.prep).S
+        for ti, entity in enumerate(w.prep.cand.candidates):
+            expect = w.model.w_sparse[null_idx] if entity == NULL_ENTITY else 0.0
+            assert S[ti].tolist() == [expect] * len(w.prep.queries)
+        _, grads = loss_and_grad(w.model, w.prep)
+        assert list(grads.sparse) == [null_idx]
+
+    def test_one_preparation_serves_every_ablation_config(self):
+        for seed in range(5):
+            w = tiny_world(seed=600 + seed)
+            for name, toggles in ABLATION_TOGGLES:
+                m = replace(w.model,
+                            config=w.model.config.with_toggles(toggles))
+                world = SimpleNamespace(**{**vars(w), "model": m})
+                entities, pt_ref, _, nll_ref = brute_force_marginals(world)
+                got = {s.entity: s.marginal_prob for s in infer(m, w.prep)}
+                for e, p in zip(entities, pt_ref):
+                    assert abs(got[e] - p) < 1e-12, name
+                loss, _ = loss_and_grad(m, w.prep)
+                assert loss == pytest.approx(nll_ref, abs=1e-12), name
 
 
 def micro_corpus(n_docs=12, seed=0):
@@ -300,8 +326,7 @@ def micro_table(seed=0, d=6):
 
 def micro_model(seed=0, toggles=None, d=6):
     config = ModelConfig(d=d, k=4, ell=2, context_window=4, doc_cap=30,
-                         top_k=5, vocab_mode="hashed",
-                         hash_capacity=2 ** 16, init_seed=seed,
+                         top_k=5, hash_capacity=2 ** 16, init_seed=seed,
                          toggles=toggles or FeatureToggles())
     return Model.initialize(config)
 
@@ -435,6 +460,37 @@ class TestSaveLoad:
         path.write_bytes(bytes(data))
         with pytest.raises(VersionError):
             load_model(path)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # version 1 headers carried the vocabulary mode this format dropped
+        m = micro_model()
+        path = tmp_path / "model.bin"
+        save_model(m, path)
+        _, payload = read_framed(path, MODEL_MAGIC, (MODEL_VERSION,))
+        write_framed(path, MODEL_MAGIC, 1, payload)
+        with pytest.raises(VersionError):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_MODEL_HEADERS))
+    def test_malformed_header_names_file(self, tmp_path, kind):
+        path = tmp_path / "model.bin"
+        save_model(micro_model(), path)
+        rewrite_model_header(path, MALFORMED_MODEL_HEADERS[kind])
+        with pytest.raises(LoadError) as err:
+            load_model(path)
+        assert str(err.value).startswith(
+            "%s: malformed model payload: " % path)
+
+    def test_header_has_no_vocab_entry(self, tmp_path):
+        path = tmp_path / "model.bin"
+        m = micro_model()
+        save_model(m, path)
+        _, payload = read_framed(path, MODEL_MAGIC, (MODEL_VERSION,))
+        (hlen,) = struct.unpack_from("<I", payload, 0)
+        header = json.loads(payload[4:4 + hlen].decode("utf-8"))
+        assert sorted(header) == ["config", "n_sparse"]
+        assert "vocab_mode" not in header["config"]
+        assert load_model(path).vocab.capacity == m.config.hash_capacity
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.bin"

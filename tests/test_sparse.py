@@ -19,21 +19,14 @@ class TestHashing:
         assert fnv1a64("foobar") == 0x85944171F73967E8
 
     def test_hashed_mode_deterministic(self):
-        v1 = FeatureVocabulary("hashed", 2 ** 20)
-        v2 = FeatureVocabulary("hashed", 2 ** 20)
+        v1 = FeatureVocabulary(2 ** 20)
+        v2 = FeatureVocabulary(2 ** 20)
         for f in ["q:flag=is_original", "e:count_bucket=3", "e:null"]:
             assert v1.index_of(f) == v2.index_of(f)
             assert 0 <= v1.index_of(f) < 2 ** 20
 
-    def test_interned_mode(self):
-        v = FeatureVocabulary("interned", 10)
-        a = v.index_of("x")
-        b = v.index_of("y")
-        assert (a, b) == (0, 1)
-        assert v.index_of("x") == 0
-
     def test_sparse_vector_merges_duplicates(self):
-        v = FeatureVocabulary("hashed", 1)   # force total collision
+        v = FeatureVocabulary(1)   # force total collision
         sv = SparseVector.from_features(["a", "b", "c"], v)
         assert sv.indices == [0]
         assert sv.values == [3.0]
@@ -133,44 +126,43 @@ class TestTfIdf:
 
 
 class TestEntityFeatures:
-    def test_null_single_feature(self, small_kb, tfidf3):
+    def test_null_single_feature(self, small_kb):
         q = generate_queries(toks("Pink", "Floyd"))[0]
-        feats = entity_feature_strings(small_kb, q, NULL_ENTITY, tfidf3,
-                                       ["x"], ["y"])
+        feats = entity_feature_strings(small_kb, q, NULL_ENTITY, 0.5)
         assert feats == ["e:null"]
         vocab = FeatureVocabulary()
-        sv = features_e(small_kb, q, NULL_ENTITY, tfidf3, ["x"], ["y"], vocab)
+        sv = features_e(small_kb, q, NULL_ENTITY, 0.5, vocab)
         assert len(sv) == 1
 
-    def test_exact_title_match(self, small_kb, tfidf3):
+    def test_exact_title_match(self, small_kb):
         by_text = {q.text: q for q in generate_queries(toks("Pink", "Floyd"))}
         feats = entity_feature_strings(small_kb, by_text["pink floyd"],
-                                       "Pink_Floyd", tfidf3, [], [])
+                                       "Pink_Floyd", 0.0)
         assert "e:title=exact" in feats
 
-    def test_prefix_and_substring_title_match(self, small_kb, tfidf3):
+    def test_prefix_and_substring_title_match(self, small_kb):
         by_text = {q.text: q for q in generate_queries(toks("Pink", "Floyd"))}
         feats = entity_feature_strings(small_kb, by_text["pink"],
-                                       "Pink_Floyd", tfidf3, [], [])
+                                       "Pink_Floyd", 0.0)
         assert "e:title=prefix" in feats
         feats = entity_feature_strings(small_kb, by_text["floyd"],
-                                       "Pink_Floyd", tfidf3, [], [])
+                                       "Pink_Floyd", 0.0)
         assert "e:title=substring" in feats
 
-    def test_count_and_rank_buckets(self, small_kb, tfidf3):
+    def test_count_and_rank_buckets(self, small_kb):
         by_text = {q.text: q for q in generate_queries(toks("Floyd"))}
         q = by_text["floyd"]
         # anchor "floyd": Gavin_Floyd count 5 (rank 1), Pink_Floyd count 3 (rank 2)
-        feats = entity_feature_strings(small_kb, q, "Gavin_Floyd", tfidf3, [], [])
+        feats = entity_feature_strings(small_kb, q, "Gavin_Floyd", 0.0)
         assert "e:count_bucket=3" in feats     # 5 in [4, 8)
         assert "e:rank=1" in feats
-        feats = entity_feature_strings(small_kb, q, "Pink_Floyd", tfidf3, [], [])
+        feats = entity_feature_strings(small_kb, q, "Pink_Floyd", 0.0)
         assert "e:count_bucket=2" in feats     # 3 in [2, 4)
         assert "e:rank=2" in feats
 
-    def test_unseen_pair_gets_zero_bucket(self, small_kb, tfidf3):
+    def test_unseen_pair_gets_zero_bucket(self, small_kb):
         q = generate_queries(toks("Zanzibar"))[0]
-        feats = entity_feature_strings(small_kb, q, "Obama", tfidf3, [], [])
+        feats = entity_feature_strings(small_kb, q, "Obama", 0.0)
         assert "e:count_bucket=0" in feats
         assert not any(f.startswith("e:rank=") for f in feats)
 
@@ -187,6 +179,7 @@ class TestEntityFeatures:
         for entity in ["Pink_Floyd", "Gavin_Floyd", "Obama"]:
             doc = ["english", "rock", "band", "zz"]
             body = small_kb.body(entity).split()
-            feats = entity_feature_strings(small_kb, q, entity, tfidf, doc, body)
+            cos = tfidf.cosine(doc, body)
+            feats = entity_feature_strings(small_kb, q, entity, cos)
             buckets = [f for f in feats if f.startswith("e:tfidf_bucket=")]
-            assert len(buckets) == 1
+            assert buckets == ["e:tfidf_bucket=%d" % tfidf_bucket(cos)]
