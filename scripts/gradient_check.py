@@ -4,10 +4,12 @@ differences on random micro-instances, parameter by parameter."""
 
 import argparse
 import math
+import os
 import sys
 import time
 
-sys.path.insert(0, "tests")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import numpy as np
 

@@ -10,8 +10,12 @@ and the filter-topic purity diagnostic.
 
 import argparse
 import json
+import os
 import sys
 import time
+
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from convlink.config import FeatureToggles, ModelConfig
 from convlink.embeddings import load_word2vec

@@ -164,8 +164,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     knowledge, table, docs, _ = _load_inputs(args, with_model=False)
     if args.predictions:
-        with open(args.predictions, "r", encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
+        records = evalharness.load_predictions(args.predictions)
         row = evalharness.score_predictions(docs, records)
         report = evalharness.EvalReport(rows=[row])
     else:
@@ -191,13 +190,14 @@ def _cmd_evaluate(args) -> int:
 def _cmd_link(args) -> int:
     knowledge, table, docs, m = _load_inputs(args, with_model=True)
     tfidf = TfIdfModel.from_kb(knowledge)
-    targets = model_mod.TargetCache(knowledge, table, m.config)
+    targets = model_mod.TargetCache(knowledge, table, m.config, tfidf)
+    memo = {}       # entity -> target topic vectors under m's frozen weights
     with open(args.out, "w", encoding="utf-8") as fh:
         for doc in docs:
             for mention in doc.mentions:
                 prep = model_mod.prepare_mention(m, knowledge, table, tfidf,
                                                  doc, mention, targets)
-                top = model_mod.infer(m, prep)[0]
+                top = model_mod.infer(m, prep, memo)[0]
                 fh.write(json.dumps({
                     "doc_id": doc.doc_id,
                     "span": [mention.start, mention.end],

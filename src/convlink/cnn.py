@@ -157,23 +157,33 @@ class ForwardCache:
     ``source`` maps each source granularity the mask needs to its
     (windows, pre-activations, topic vector); ``targets`` holds the same
     for each candidate's target views, or None for NULL.  ``fc`` is the
-    (T, 6) matrix of cosine features.
+    (T, 6) matrix of cosine features.  A ``memoized`` pass took its
+    target topic vectors from a memo and has no target windows or
+    pre-activations (both None), so it cannot be backpropagated.
     """
     params: CnnParams
     mask: tuple
     source: dict
     targets: list
     fc: np.ndarray
+    memoized: bool = False
 
 
 def forward_from_matrices(params: CnnParams, source_mats: dict, target_mats,
-                          mask: tuple = ALL_PAIRS_MASK) -> ForwardCache:
+                          mask: tuple = ALL_PAIRS_MASK,
+                          target_memo=None) -> ForwardCache:
     """Encode one mention's source views once and every candidate's
     target views, then compare them under ``mask``.
 
     ``source_mats`` maps source granularity to an (n, d) embedding
     matrix; ``target_mats`` holds one such dict per candidate, or None
     for the NULL candidate, whose six features stay zero.
+
+    ``target_memo``, for frozen weights only, holds one dict per
+    candidate (None for NULL) that maps target granularity to topic
+    vector; it is normally the candidate entity's entry in a memo shared
+    by many mentions.  A target view is then encoded only when its
+    vector is missing from the dict, and the vector is stored there.
     """
     mask = tuple(mask)
     needed = needed_granularities(mask)
@@ -182,9 +192,19 @@ def forward_from_matrices(params: CnnParams, source_mats: dict, target_mats,
         return {g: _encode(params.banks[g], X)
                 for g, X in mats.items() if g in needed}
 
+    def memo_views(mats, memo):
+        for g, X in mats.items():
+            if g in needed and g not in memo:
+                memo[g] = _encode(params.banks[g], X)[2]
+        return {g: (None, None, memo[g]) for g in mats if g in needed}
+
     source = encode_views(source_mats)
-    targets = [None if mats is None else encode_views(mats)
-               for mats in target_mats]
+    if target_memo is None:
+        targets = [None if mats is None else encode_views(mats)
+                   for mats in target_mats]
+    else:
+        targets = [None if mats is None else memo_views(mats, memo)
+                   for mats, memo in zip(target_mats, target_memo)]
     fc = np.zeros((len(targets), N_DENSE))
     for ti, tgt in enumerate(targets):
         if tgt is None:
@@ -193,7 +213,8 @@ def forward_from_matrices(params: CnnParams, source_mats: dict, target_mats,
             if on:
                 fc[ti, i] = cosine(source[src_g][2], tgt[tgt_g][2])
     return ForwardCache(params=params, mask=mask, source=source,
-                        targets=targets, fc=fc)
+                        targets=targets, fc=fc,
+                        memoized=target_memo is not None)
 
 
 def backward(params: CnnParams, cache: ForwardCache,
@@ -210,6 +231,9 @@ def backward(params: CnnParams, cache: ForwardCache,
         raise CacheError("backward requires the cached forward pass")
     if cache.params is not params:
         raise CacheError("forward pass was computed for different parameters")
+    if cache.memoized:
+        raise CacheError("forward pass used memoized target vectors and "
+                         "kept no target windows")
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != cache.fc.shape:
         raise DimensionError("upstream gradient must be %s, got %s"

@@ -11,6 +11,7 @@ import numpy as np
 from . import cnn
 from .config import ModelConfig
 from .embeddings import EmbeddingTable
+from .errors import FormatError
 from .kb import KnowledgeBase
 from .model import (Model, TargetCache, fit, infer, prepare_corpus,
                     prepare_mention)
@@ -101,18 +102,20 @@ def _score_mentions(model: Model, scorers, pairs, kb: KnowledgeBase,
                     table: EmbeddingTable) -> list:
     """Per scorer, (top-1 correct, gold in candidates, query count) per
     (doc, mention) pair.  Each mention is prepared once, with ``model``,
-    scored by every scorer and dropped."""
+    scored by every scorer and dropped.  Each scorer keeps its own memo
+    of target topic vectors, since scorers differ in weights and mask."""
     for m in scorers:
         if m.config.with_toggles(model.config.toggles) != model.config:
             raise ValueError("a scored model's config differs from the "
                              "preparing model's beyond its toggles")
     tfidf = TfIdfModel.from_kb(kb)
-    targets = TargetCache(kb, table, model.config)
+    targets = TargetCache(kb, table, model.config, tfidf)
     results = [[] for _ in scorers]
+    memos = [{} for _ in scorers]
     for doc, mention in pairs:
         prep = prepare_mention(model, kb, table, tfidf, doc, mention, targets)
-        for m, out in zip(scorers, results):
-            top = infer(m, prep)[0]
+        for m, memo, out in zip(scorers, memos, results):
+            top = infer(m, prep, memo)[0]
             out.append((top.entity == mention.gold_entity,
                         prep.gold_index is not None, len(prep.queries)))
     return results
@@ -134,6 +137,33 @@ def correct_by_kind(model: Model, docs, kb: KnowledgeBase,
         n_correct, n = counts.get(kind, (0, 0))
         counts[kind] = (n_correct + int(correct), n + 1)
     return counts
+
+
+def load_predictions(path) -> list:
+    """Read a ``link`` output file: one JSON object per line with a
+    ``doc_id``, an ``entity`` and a ``span`` of two integers."""
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = "%s:%d" % (path, lineno)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError("%s: invalid JSON: %s" % (where, exc))
+            if not isinstance(rec, dict):
+                raise FormatError("%s: a prediction must be an object" % where)
+            for key in ("doc_id", "span", "entity"):
+                if key not in rec:
+                    raise FormatError("%s: missing field %r" % (where, key))
+            span = rec["span"]
+            if (not isinstance(span, list) or len(span) != 2
+                    or any(type(x) is not int for x in span)):
+                raise FormatError("%s: span must be two integers, got %s"
+                                  % (where, json.dumps(span)))
+            records.append(rec)
+    return records
 
 
 def score_predictions(docs, prediction_records) -> EvalRow:

@@ -55,18 +55,19 @@ class Model:
 
 
 class TargetCache:
-    """Article-body surfaces and embedded target views, shared across
+    """Article-body tf-idf bags and embedded target views, shared across
     mentions."""
 
     def __init__(self, kb: KnowledgeBase, table: EmbeddingTable,
-                 config: ModelConfig):
+                 config: ModelConfig, tfidf: TfIdfModel):
         self.kb = kb
         self.table = table
         self.config = config
+        self.tfidf = tfidf
         self._cache = {}
 
     def get(self, entity: str):
-        """(body surfaces, granularity -> (n, d)) for an entity; None for
+        """(body TfIdfBag, granularity -> (n, d)) for an entity; None for
         NULL."""
         if entity == NULL_ENTITY:
             return None
@@ -76,7 +77,7 @@ class TargetCache:
                 self.kb.title(entity), self.kb.body(entity),
                 doc_cap=self.config.doc_cap)
             body = [t.surface for t in body_toks]
-            hit = (body, {
+            hit = (self.tfidf.bag(body), {
                 "tgt_title": self.table.lookup_sequence(
                     [t.surface for t in title_toks]),
                 "tgt_document": self.table.lookup_sequence(body),
@@ -113,8 +114,8 @@ def prepare_mention(model: Model, kb: KnowledgeBase, table: EmbeddingTable,
     queries = generate_queries(views.mention_tokens)
     cand = candidates_for(kb, queries, top_k=cfg.top_k)
     if targets is None:
-        targets = TargetCache(kb, table, cfg)
-    doc_surfaces = [t.surface for t in views.document_tokens]
+        targets = TargetCache(kb, table, cfg, tfidf)
+    doc_bag = tfidf.bag([t.surface for t in views.document_tokens])
     fq = [sparse.features_q(views.mention_tokens, q, model.vocab)
           for q in queries]
     target_mats = []
@@ -127,9 +128,9 @@ def prepare_mention(model: Model, kb: KnowledgeBase, table: EmbeddingTable,
                                                   model.vocab)
                        for _ in queries])
             continue
-        body, mats = tgt
+        body_bag, mats = tgt
         target_mats.append(mats)
-        cos = tfidf.cosine(doc_surfaces, body)
+        cos = tfidf.cosine(doc_bag, body_bag)
         fe.append([sparse.features_e(kb, q, entity, cos, model.vocab)
                    for q in queries])
 
@@ -168,18 +169,33 @@ class ScoreTable:
     forward: Optional[cnn.ForwardCache]   # None when dense features are off
 
 
-def score_pairs(model: Model, prep: PreparedMention) -> ScoreTable:
+def score_pairs(model: Model, prep: PreparedMention,
+                memo: dict = None) -> ScoreTable:
     """Score every (candidate, query) pair under the model's toggles;
     dense features come from one CNN forward pass per mention and are
-    shared across queries."""
+    shared across queries.
+
+    ``memo``, for frozen weights only, maps entity id to that entity's
+    target topic vectors under this model; it is filled as candidates
+    are scored and shared by every mention the same model scores.  The
+    scores are bit-identical with and without it, but a memoized
+    forward pass cannot be backpropagated.
+    """
     tog = model.config.toggles
     T = len(prep.cand.candidates)
     Q = len(prep.queries)
     forward = None
     fc = np.zeros((T, N_DENSE))
     if tog.use_dense:
+        target_memo = None
+        if memo is not None:
+            target_memo = [None if mats is None
+                           else memo.setdefault(entity, {})
+                           for entity, mats in zip(prep.cand.candidates,
+                                                   prep.target_mats)]
         forward = cnn.forward_from_matrices(model.cnn_params, prep.source_mats,
-                                            prep.target_mats, tog.dense_mask)
+                                            prep.target_mats, tog.dense_mask,
+                                            target_memo)
         fc = forward.fc
     dense_part = fc @ model.w_dense
     sparse_part = np.zeros((T, Q))
@@ -211,10 +227,12 @@ class ScoredCandidate:
     marginal_prob: float
 
 
-def infer(model: Model, prep: PreparedMention) -> list:
+def infer(model: Model, prep: PreparedMention, memo: dict = None) -> list:
     """Marginal distribution over candidates, sorted by probability
-    descending with ties broken by entity id."""
-    table = score_pairs(model, prep)
+    descending with ties broken by entity id.  ``memo`` is as for
+    ``score_pairs``: one per model, used only while its weights are
+    frozen."""
+    table = score_pairs(model, prep, memo)
     Pt, _ = marginals_from_scores(table.S)
     out = [ScoredCandidate(entity=entity, marginal_prob=float(p))
            for entity, p in zip(table.candidates, Pt)]
@@ -348,7 +366,7 @@ def prepare_corpus(model: Model, kb: KnowledgeBase, table: EmbeddingTable,
     """Prepare every labeled mention once; reused across epochs and
     shared by every toggle setting of ``model.config``."""
     tfidf = TfIdfModel.from_kb(kb)
-    targets = TargetCache(kb, table, model.config)
+    targets = TargetCache(kb, table, model.config, tfidf)
     prepared = []
     n_unlabeled = 0
     for doc in docs:

@@ -32,17 +32,24 @@ def fnv1a64(text: str) -> int:
 class FeatureVocabulary:
     """Maps feature strings to integer indices by hashing.
 
-    index = fnv1a64(feature) mod capacity: stateless, identical across
-    runs and platforms; collisions are accepted.
+    index = fnv1a64(feature) mod capacity: identical across runs and
+    platforms; collisions are accepted.  Each feature string is hashed
+    once per vocabulary and its index remembered, since most strings
+    recur across mentions.
     """
 
     def __init__(self, capacity: int = 2 ** 20):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
+        self._index = {}
 
     def index_of(self, feature: str) -> int:
-        return fnv1a64(feature) % self.capacity
+        idx = self._index.get(feature)
+        if idx is None:
+            idx = fnv1a64(feature) % self.capacity
+            self._index[feature] = idx
+        return idx
 
 
 @dataclass
@@ -165,6 +172,14 @@ def features_e(kb: KnowledgeBase, query: Query, entity, tfidf_cosine: float,
 # tf-idf over the knowledge-base article corpus
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class TfIdfBag:
+    """A text's tf-idf weights (case-folded token -> positive weight)
+    and their Euclidean norm."""
+    weights: dict
+    norm: float
+
+
 class TfIdfModel:
     """Bag-of-words tf-idf with raw term counts.
 
@@ -198,20 +213,22 @@ class TfIdfModel:
             return 0.0
         return max(0.0, math.log(self.corpus_size / (1 + self.df.get(token, 0))))
 
-    def _weights(self, tokens) -> dict:
-        tf = Counter(t.lower() for t in tokens)
-        out = {}
-        for tok, count in tf.items():
+    def bag(self, tokens) -> TfIdfBag:
+        """A text's weights, computed once so that every cosine it takes
+        part in reuses them."""
+        weights = {}
+        for tok, count in Counter(t.lower() for t in tokens).items():
             w = count * self.idf(tok)
             if w > 0.0:
-                out[tok] = w
-        return out
+                weights[tok] = w
+        return TfIdfBag(weights,
+                        math.sqrt(sum(w * w for w in weights.values())))
 
-    def cosine(self, a_tokens, b_tokens) -> float:
-        """Cosine of tf-idf weighted bags; 0 when either side is empty or
+    def cosine(self, a: TfIdfBag, b: TfIdfBag) -> float:
+        """Cosine of two bags from ``bag``; 0 when either side is empty or
         carries no positive weight."""
-        wa = self._weights(a_tokens)
-        wb = self._weights(b_tokens)
+        wa = a.weights
+        wb = b.weights
         if not wa or not wb:
             return 0.0
         dot = 0.0
@@ -220,6 +237,4 @@ class TfIdfModel:
                 dot += w * wb[tok]
         if dot == 0.0:
             return 0.0
-        na = math.sqrt(sum(w * w for w in wa.values()))
-        nb = math.sqrt(sum(w * w for w in wb.values()))
-        return min(1.0, max(0.0, dot / (na * nb)))
+        return min(1.0, max(0.0, dot / (a.norm * b.norm)))

@@ -210,7 +210,8 @@ def brute_force_marginals(world):
                     kb.title(entity), kb.body(entity), doc_cap=cfg.doc_cap)
                 feats = entity_feature_strings(
                     kb, q, entity,
-                    tfidf.cosine(doc_surf, [t.surface for t in body_toks]))
+                    tfidf.cosine(tfidf.bag(doc_surf),
+                                 tfidf.bag([t.surface for t in body_toks])))
             else:
                 feats = []
             if tog.use_sparse:

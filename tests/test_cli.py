@@ -1,7 +1,10 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from convlink import model as model_mod
@@ -212,3 +215,71 @@ def test_filter_row_out_of_range_is_data_error(workspace, tmp_path):
                 "--granularity", "src_document",
                 "--filter-row", "999", "--top-n", "3"])
     assert code == 2
+
+
+def test_link_memoizes_target_vectors(workspace, tmp_path, monkeypatch):
+    model_path = str(tmp_path / "model.bin")
+    assert run(["-q", "train", "--kb", workspace["kb"],
+                "--embeddings", workspace["embeddings"],
+                "--corpus", workspace["train"], "--out", model_path,
+                "--epochs", "1", "--seed", "0", "--k", "4", "--ell", "5"]) == 0
+    memos = []
+    real = model_mod.infer
+
+    def spy(m, prep, memo=None):
+        memos.append(memo)
+        return real(m, prep, memo)
+
+    monkeypatch.setattr(model_mod, "infer", spy)
+    assert run(["-q", "link", "--model", model_path, "--kb", workspace["kb"],
+                "--embeddings", workspace["embeddings"],
+                "--corpus", workspace["test"],
+                "--out", str(tmp_path / "preds.jsonl")]) == 0
+    assert len(memos) == 8
+    memo = memos[0]
+    assert memo and all(m is memo for m in memos)     # one memo per call
+    for entity, vectors in memo.items():
+        assert set(vectors) == {"tgt_title", "tgt_document"}, entity
+        for v in vectors.values():
+            assert isinstance(v, np.ndarray) and v.shape == (4,)
+
+
+# Prediction files that are not link output, each with its line number
+MALFORMED_PREDICTIONS = {
+    "bad-json": ('{"doc_id": "x", "span": [0, 1], "entity": "y"', 1),
+    "not-object": ("[1, 2]", 1),
+    "missing-span": ('{"doc_id": "x", "entity": "y"}', 1),
+    "span-null": ('{"doc_id": "x", "span": null, "entity": "y"}', 1),
+    "span-not-integers": ('{"doc_id": "x", "span": ["0", 1], "entity": "y"}',
+                          1),
+    "span-one-integer": ('{"doc_id": "x", "span": [0, 1], "entity": "y"}\n'
+                         '{"doc_id": "x", "span": [3], "entity": "y"}', 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_PREDICTIONS))
+def test_malformed_predictions_are_data_error(workspace, tmp_path, capsys,
+                                             kind):
+    text, lineno = MALFORMED_PREDICTIONS[kind]
+    preds = str(tmp_path / "preds.jsonl")
+    with open(preds, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    code = run(["-q", "evaluate", "--kb", workspace["kb"],
+                "--embeddings", workspace["embeddings"],
+                "--corpus", workspace["test"], "--predictions", preds])
+    assert code == 2
+    assert "error: %s:%d: " % (preds, lineno) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script", ["gradient_check.py",
+                                    "run_synthetic_ablation.py"])
+def test_script_runs_from_any_directory(tmp_path, script):
+    # the scripts find src/ and tests/ themselves, without PYTHONPATH
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scripts", script)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, path, "--help"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout

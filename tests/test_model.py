@@ -7,9 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from convlink import cnn
 from convlink.binfile import read_framed, write_framed
 from convlink.config import GRANULARITIES, FeatureToggles, ModelConfig
-from convlink.errors import ChecksumError, LoadError, TrainingError, VersionError
+from convlink.errors import (CacheError, ChecksumError, LoadError,
+                             TrainingError, VersionError)
 from convlink.kb import NULL_ENTITY, KnowledgeBase
 from convlink.model import (MODEL_MAGIC, MODEL_VERSION, AdadeltaState, Model,
                             infer, load_model, loss_and_grad,
@@ -329,6 +331,63 @@ def micro_model(seed=0, toggles=None, d=6):
                          top_k=5, hash_capacity=2 ** 16, init_seed=seed,
                          toggles=toggles or FeatureToggles())
     return Model.initialize(config)
+
+
+def memo_world(toggles=None):
+    """A model with random dense weights and the prepared mentions of
+    the micro corpus: each has EA, EB and NULL as candidates."""
+    kb, docs = micro_corpus()
+    table = micro_table()
+    m = micro_model(seed=4, toggles=toggles)
+    m.w_dense = np.random.default_rng(4).normal(size=6)
+    tfidf = TfIdfModel.from_kb(kb)
+    preps = [prepare_mention(m, kb, table, tfidf, d, d.mentions[0])
+             for d in docs]
+    for prep in preps:
+        assert sorted(prep.cand.candidates) == sorted(["EA", "EB",
+                                                       NULL_ENTITY])
+    return m, preps
+
+
+class TestTargetMemo:
+    @pytest.mark.parametrize("name", ["full", "cnn-only", "pair:ment*title"])
+    def test_memo_gives_bit_identical_marginals(self, name):
+        m, preps = memo_world(dict(ABLATION_TOGGLES)[name])
+        memo = {}
+        for prep in preps:
+            want = [(s.entity, s.marginal_prob) for s in infer(m, prep)]
+            got = [(s.entity, s.marginal_prob) for s in infer(m, prep, memo)]
+            assert got == want
+        # only the banks the mask needs are encoded and memoized
+        needed = ({"tgt_title"} if name == "pair:ment*title"
+                  else {"tgt_title", "tgt_document"})
+        assert sorted(memo) == ["EA", "EB"]
+        for vectors in memo.values():
+            assert set(vectors) == needed
+            assert all(v.shape == (m.config.k,) for v in vectors.values())
+
+    def test_targets_encoded_once_per_entity(self, monkeypatch):
+        m, preps = memo_world()
+        calls = []
+        real = cnn._encode
+        monkeypatch.setattr(cnn, "_encode", lambda bank, X: (
+            calls.append(bank.granularity) or real(bank, X)))
+        memo = {}
+        for prep in preps:
+            infer(m, prep, memo)
+        assert sorted(g for g in calls if g.startswith("tgt_")) == \
+            ["tgt_document"] * 2 + ["tgt_title"] * 2
+        assert len(calls) == 4 + 3 * len(preps)
+
+    def test_memoized_forward_cannot_backpropagate(self):
+        m, preps = memo_world()
+        table = score_pairs(m, preps[0], {})
+        assert table.forward.memoized
+        with pytest.raises(CacheError):
+            cnn.backward(m.cnn_params, table.forward, np.ones_like(table.fc))
+        # the same mention without a memo backpropagates
+        fresh = score_pairs(m, preps[0]).forward
+        cnn.backward(m.cnn_params, fresh, np.ones_like(table.fc))
 
 
 class TestTrain:

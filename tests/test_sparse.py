@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convlink import sparse
 from convlink.kb import NULL_ENTITY, generate_queries
 from convlink.sparse import (FeatureVocabulary, SparseVector, TfIdfModel,
                              entity_feature_strings, features_e, features_q,
@@ -24,6 +26,20 @@ class TestHashing:
         for f in ["q:flag=is_original", "e:count_bucket=3", "e:null"]:
             assert v1.index_of(f) == v2.index_of(f)
             assert 0 <= v1.index_of(f) < 2 ** 20
+
+    def test_each_feature_hashed_once(self, monkeypatch):
+        calls = []
+
+        def counting_hash(text):
+            calls.append(text)
+            return fnv1a64(text)
+
+        monkeypatch.setattr(sparse, "fnv1a64", counting_hash)
+        vocab = FeatureVocabulary(1000)
+        for _ in range(3):
+            for f in ["e:null", "q:first=floyd"]:
+                assert vocab.index_of(f) == fnv1a64(f) % 1000
+        assert calls == ["e:null", "q:first=floyd"]
 
     def test_sparse_vector_merges_duplicates(self):
         v = FeatureVocabulary(1)   # force total collision
@@ -80,6 +96,10 @@ class TestQueryFeatures:
             assert any("mlen=%s" % bucket in f for f in feats)
 
 
+def bag_cosine(tfidf, a_tokens, b_tokens):
+    return tfidf.cosine(tfidf.bag(a_tokens), tfidf.bag(b_tokens))
+
+
 @pytest.fixture
 def tfidf3():
     # hand-worked fixture: 3 documents
@@ -92,22 +112,23 @@ def tfidf3():
 
 class TestTfIdf:
     def test_identical_inputs(self, tfidf3):
-        assert tfidf3.cosine(["banana", "durian"], ["banana", "durian"]) == \
-            pytest.approx(1.0, abs=1e-12)
+        got = bag_cosine(tfidf3, ["banana", "durian"], ["banana", "durian"])
+        assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_inputs(self, tfidf3):
-        assert tfidf3.cosine(["banana"], ["cherry"]) == 0.0
+        assert bag_cosine(tfidf3, ["banana"], ["cherry"]) == 0.0
 
     def test_empty_inputs(self, tfidf3):
-        assert tfidf3.cosine([], ["banana"]) == 0.0
-        assert tfidf3.cosine([], []) == 0.0
+        assert bag_cosine(tfidf3, [], ["banana"]) == 0.0
+        assert bag_cosine(tfidf3, [], []) == 0.0
 
     def test_hand_computed_values(self, tfidf3):
         # overlap only through zero-weight "apple": cosine is 0
-        assert tfidf3.cosine(["apple", "banana"], ["apple", "cherry"]) == 0.0
+        assert bag_cosine(tfidf3, ["apple", "banana"],
+                          ["apple", "cherry"]) == 0.0
         # a = {banana: 2w, durian: w}, b = {banana: w}
         # cos = 2w^2 / (w sqrt(5) * w) = 2/sqrt(5)
-        got = tfidf3.cosine(["banana", "banana", "durian"], ["banana"])
+        got = bag_cosine(tfidf3, ["banana", "banana", "durian"], ["banana"])
         assert got == pytest.approx(0.8944271909999159, abs=1e-12)
         # idf spot checks
         assert tfidf3.idf("apple") == 0.0
@@ -122,7 +143,32 @@ class TestTfIdf:
     def test_range(self, a, b):
         tfidf = TfIdfModel.from_documents(
             [["apple", "banana"], ["apple", "cherry"], ["durian"]])
-        assert 0.0 <= tfidf.cosine(a, b) <= 1.0
+        assert 0.0 <= bag_cosine(tfidf, a, b) <= 1.0
+
+    @given(st.lists(st.sampled_from(["Apple", "banana", "cherry", "durian"]),
+                    max_size=8),
+           st.lists(st.sampled_from(["apple", "Banana", "cherry", "durian"]),
+                    max_size=8))
+    @settings(max_examples=200)
+    def test_bags_match_cosine_of_token_lists(self, a, b):
+        # the cosine computed from the token lists in one pass must equal
+        # the cosine of precomputed bags bit for bit
+        tfidf = TfIdfModel.from_documents(
+            [["apple", "banana"], ["apple", "cherry"], ["durian"]])
+
+        def weights(tokens):
+            tf = Counter(t.lower() for t in tokens)
+            return {t: c * tfidf.idf(t) for t, c in tf.items()
+                    if c * tfidf.idf(t) > 0.0}
+
+        wa, wb = weights(a), weights(b)
+        want = 0.0
+        dot = sum(w * wb[t] for t, w in wa.items() if t in wb)
+        if wa and wb and dot != 0.0:
+            na = math.sqrt(sum(w * w for w in wa.values()))
+            nb = math.sqrt(sum(w * w for w in wb.values()))
+            want = min(1.0, max(0.0, dot / (na * nb)))
+        assert bag_cosine(tfidf, a, b) == want
 
 
 class TestEntityFeatures:
@@ -179,7 +225,7 @@ class TestEntityFeatures:
         for entity in ["Pink_Floyd", "Gavin_Floyd", "Obama"]:
             doc = ["english", "rock", "band", "zz"]
             body = small_kb.body(entity).split()
-            cos = tfidf.cosine(doc, body)
+            cos = bag_cosine(tfidf, doc, body)
             feats = entity_feature_strings(small_kb, q, entity, cos)
             buckets = [f for f in feats if f.startswith("e:tfidf_bucket=")]
             assert buckets == ["e:tfidf_bucket=%d" % tfidf_bucket(cos)]
