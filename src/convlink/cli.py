@@ -15,9 +15,9 @@ import sys
 from . import evalharness, kb as kb_mod, model as model_mod, synthetic
 from .config import GRANULARITIES, ModelConfig, toggles_from_name
 from .embeddings import load_word2vec
-from .errors import ConvlinkError, UsageError
+from .errors import ConvlinkError, FormatError, UsageError
 from .sparse import TfIdfModel
-from .textproc import load_corpus
+from .textproc import load_corpus, read_jsonl, string_field
 
 log = logging.getLogger("convlink")
 
@@ -112,14 +112,21 @@ def _load_inputs(args, with_model):
 
 
 def _cmd_ingest(args) -> int:
-    def read_jsonl(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    yield json.loads(line)
+    def articles():
+        for where, rec in read_jsonl(args.articles):
+            for key in ("id", "title", "body"):
+                string_field(rec, key, where)
+            if not rec["title"].strip():
+                raise FormatError("%s: title must be non-empty" % where)
+            yield rec
 
-    knowledge = kb_mod.KnowledgeBase.ingest(read_jsonl(args.articles),
-                                            read_jsonl(args.anchors))
+    def anchors():
+        for where, rec in read_jsonl(args.anchors):
+            for key in ("anchor_text", "entity_id"):
+                string_field(rec, key, where)
+            yield rec
+
+    knowledge = kb_mod.KnowledgeBase.ingest(articles(), anchors())
     if knowledge.skipped_anchors:
         log.warning("skipped %d anchors naming unknown entities",
                     knowledge.skipped_anchors)

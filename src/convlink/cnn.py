@@ -81,15 +81,8 @@ class CnnParams:
         return next(iter(self.banks.values())).k
 
     @property
-    def ell(self):
-        return next(iter(self.banks.values())).ell
-
-    @property
     def d(self):
         return next(iter(self.banks.values())).d
-
-    def zero_gradients(self) -> dict:
-        return {g: np.zeros_like(b.M) for g, b in self.banks.items()}
 
 
 def pad_to_width(X: np.ndarray, ell: int) -> np.ndarray:
@@ -219,7 +212,8 @@ def forward_from_matrices(params: CnnParams, source_mats: dict, target_mats,
 
 def backward(params: CnnParams, cache: ForwardCache,
              upstream: np.ndarray) -> dict:
-    """Gradient of ``sum(upstream * fc)`` w.r.t. every filter bank.
+    """Gradient of ``sum(upstream * fc)`` w.r.t. each filter bank that
+    the mask's cosine slots compare; the other banks get no entry.
 
     ``upstream`` is (T, 6), one row per candidate.  The source-side
     topic gradients are summed over candidates before they reach the
@@ -238,7 +232,8 @@ def backward(params: CnnParams, cache: ForwardCache,
     if upstream.shape != cache.fc.shape:
         raise DimensionError("upstream gradient must be %s, got %s"
                              % (cache.fc.shape, upstream.shape))
-    grads = params.zero_gradients()
+    grads = {g: np.zeros_like(params.banks[g].M)
+             for g in needed_granularities(cache.mask)}
     d_source = {g: np.zeros(params.k) for g in cache.source}
     for ti, tgt in enumerate(cache.targets):
         if tgt is None:

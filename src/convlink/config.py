@@ -56,12 +56,15 @@ class FeatureToggles:
     """
 
     use_sparse: bool = True
-    use_dense: bool = True
     dense_mask: tuple = ALL_PAIRS_MASK
 
     def __post_init__(self):
         if len(self.dense_mask) != N_DENSE:
             raise ValueError("dense_mask must have %d entries" % N_DENSE)
+
+    @property
+    def use_dense(self) -> bool:
+        return any(self.dense_mask)
 
     @classmethod
     def full(cls) -> "FeatureToggles":
@@ -69,11 +72,11 @@ class FeatureToggles:
 
     @classmethod
     def sparse_only(cls) -> "FeatureToggles":
-        return cls(use_sparse=True, use_dense=False)
+        return cls(use_sparse=True, dense_mask=(False,) * N_DENSE)
 
     @classmethod
     def cnn_only(cls, mask: tuple = ALL_PAIRS_MASK) -> "FeatureToggles":
-        return cls(use_sparse=False, use_dense=True, dense_mask=tuple(mask))
+        return cls(use_sparse=False, dense_mask=tuple(mask))
 
     @classmethod
     def cnn_pair(cls, src: str, tgt: str) -> "FeatureToggles":

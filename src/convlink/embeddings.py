@@ -1,9 +1,9 @@
-"""Fixed word-vector tables in word2vec interchange format.
+"""Fixed word-vector tables in word2vec text format.
 
 Vectors are frozen after loading: the matrix is marked read-only and no
 code path in the package mutates it.  Lookup is total -- unknown tokens
 resolve to a shared all-zeros vector so they contribute nothing to any
-convolution window, and the padding vector is likewise all zeros.
+convolution window.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ class EmbeddingTable:
     dim: int
     vocab: dict                 # token -> row index
     vectors: np.ndarray         # (len(vocab), dim), read-only float64
-    pad_vector: np.ndarray = field(init=False)
     oov_vector: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -31,9 +30,7 @@ class EmbeddingTable:
                 "vector matrix shape %s does not match vocab size %d and dim %d"
                 % (self.vectors.shape, len(self.vocab), self.dim))
         self.vectors.setflags(write=False)
-        self.pad_vector = np.zeros(self.dim)
         self.oov_vector = np.zeros(self.dim)
-        self.pad_vector.setflags(write=False)
         self.oov_vector.setflags(write=False)
 
     def __contains__(self, token: str) -> bool:
@@ -62,22 +59,6 @@ class EmbeddingTable:
         return misses / len(tokens)
 
 
-def load_word2vec(path, fmt: str = "text") -> EmbeddingTable:
-    """Read a word2vec interchange file.
-
-    Text format: a header line ``<count> <dim>`` followed by one line per
-    word, ``token v1 ... v<dim>``.  Binary format: the same header line,
-    then for each word the token bytes up to a space followed by ``dim``
-    little-endian float32 values.  Duplicate tokens keep the first
-    occurrence.  A NaN or infinite component is a format error.
-    """
-    if fmt == "text":
-        return _load_text(path)
-    if fmt == "binary":
-        return _load_binary(path)
-    raise ValueError("format must be 'text' or 'binary'")
-
-
 def _parse_header(line, path):
     parts = line.split()
     if len(parts) != 2:
@@ -94,7 +75,12 @@ def _parse_header(line, path):
     return count, dim
 
 
-def _load_text(path) -> EmbeddingTable:
+def load_word2vec(path) -> EmbeddingTable:
+    """Read a word2vec text file: a header line ``<count> <dim>``
+    followed by one line per word, ``token v1 ... v<dim>``.  Duplicate
+    tokens keep the first occurrence.  A NaN or infinite component is a
+    format error.
+    """
     vocab = {}
     rows = []
     seen = 0
@@ -129,42 +115,5 @@ def _load_text(path) -> EmbeddingTable:
         raise FormatError(
             "%s: header declares %d rows but file contains %d"
             % (path, count, seen))
-    matrix = np.stack(rows) if rows else np.zeros((0, dim))
-    return EmbeddingTable(dim=dim, vocab=vocab, vectors=matrix)
-
-
-def _load_binary(path) -> EmbeddingTable:
-    vocab = {}
-    rows = []
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8", errors="replace")
-        if not header:
-            raise FormatError("%s: empty file" % path)
-        count, dim = _parse_header(header, path)
-        vec_bytes = 4 * dim
-        for i in range(count):
-            token_bytes = bytearray()
-            while True:
-                ch = fh.read(1)
-                if not ch:
-                    raise FormatError("%s: truncated at entry %d" % (path, i + 1))
-                if ch == b" ":
-                    break
-                if ch != b"\n":
-                    token_bytes.extend(ch)
-            raw = fh.read(vec_bytes)
-            if len(raw) != vec_bytes:
-                raise FormatError("%s: truncated vector at entry %d" % (path, i + 1))
-            vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            if not np.isfinite(vec).all():
-                raise FormatError("%s: non-finite vector component at entry %d"
-                                  % (path, i + 1))
-            token = token_bytes.decode("utf-8", errors="replace")
-            if token in vocab:
-                continue
-            vocab[token] = len(rows)
-            rows.append(vec)
-        if fh.read(1) not in (b"", b"\n"):
-            raise FormatError("%s: trailing data after %d entries" % (path, count))
     matrix = np.stack(rows) if rows else np.zeros((0, dim))
     return EmbeddingTable(dim=dim, vocab=vocab, vectors=matrix)

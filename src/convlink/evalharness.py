@@ -16,6 +16,7 @@ from .kb import KnowledgeBase
 from .model import (Model, TargetCache, fit, infer, prepare_corpus,
                     prepare_mention)
 from .sparse import TfIdfModel
+from .textproc import read_jsonl, string_field
 
 
 @dataclass
@@ -143,26 +144,15 @@ def load_predictions(path) -> list:
     """Read a ``link`` output file: one JSON object per line with a
     ``doc_id``, an ``entity`` and a ``span`` of two integers."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = "%s:%d" % (path, lineno)
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError("%s: invalid JSON: %s" % (where, exc))
-            if not isinstance(rec, dict):
-                raise FormatError("%s: a prediction must be an object" % where)
-            for key in ("doc_id", "span", "entity"):
-                if key not in rec:
-                    raise FormatError("%s: missing field %r" % (where, key))
-            span = rec["span"]
-            if (not isinstance(span, list) or len(span) != 2
-                    or any(type(x) is not int for x in span)):
-                raise FormatError("%s: span must be two integers, got %s"
-                                  % (where, json.dumps(span)))
-            records.append(rec)
+    for where, rec in read_jsonl(path):
+        string_field(rec, "doc_id", where)
+        string_field(rec, "entity", where)
+        span = rec.get("span")
+        if (not isinstance(span, list) or len(span) != 2
+                or any(type(x) is not int for x in span)):
+            raise FormatError("%s: span must be two integers, got %s"
+                              % (where, json.dumps(span)))
+        records.append(rec)
     return records
 
 
@@ -194,7 +184,7 @@ def run_ablation(base_config: ModelConfig, train_docs, test_docs,
     the test split.  Both splits are prepared once for all
     configurations.  Returns (EvalReport, dict name -> trained Model)."""
     preparer = Model.initialize(base_config)
-    prepared, _ = prepare_corpus(preparer, kb, table, train_docs)
+    prepared = prepare_corpus(preparer, kb, table, train_docs)
     trained = {}
     for name, toggles in configs:
         if log is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .binfile import read_framed, write_framed
@@ -73,7 +73,6 @@ class Query:
 @dataclass
 class CandidateSet:
     candidates: list                      # entity ids, NULL_ENTITY last
-    provenance: dict = field(default_factory=dict)  # entity -> {query text -> count}
 
     def __post_init__(self):
         if NULL_ENTITY not in self.candidates:
@@ -89,10 +88,6 @@ class KnowledgeBase:
         self.entities = entities            # id -> {"title": str, "body": str}
         self.anchor_index = anchor_index    # anchor -> {entity id -> count}
         self.skipped_anchors = skipped_anchors
-        self.total_links = {}
-        for counts in anchor_index.values():
-            for ent, c in counts.items():
-                self.total_links[ent] = self.total_links.get(ent, 0) + c
         self._rank_cache = {}
 
     @classmethod
@@ -287,15 +282,14 @@ def candidates_for(kb: KnowledgeBase, queries, top_k: int = 30) -> CandidateSet:
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     ordered = []
-    provenance = {}
+    seen = set()
     for q in queries:
-        for eid, count in kb.ranked_entities(q.text)[:top_k]:
-            if eid not in provenance:
+        for eid, _ in kb.ranked_entities(q.text)[:top_k]:
+            if eid not in seen:
                 ordered.append(eid)
-                provenance[eid] = {}
-            provenance[eid][q.text] = count
+                seen.add(eid)
     ordered.append(NULL_ENTITY)
-    return CandidateSet(candidates=ordered, provenance=provenance)
+    return CandidateSet(candidates=ordered)
 
 
 # ---------------------------------------------------------------------------

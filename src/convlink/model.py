@@ -32,7 +32,7 @@ from .sparse import FeatureVocabulary, SparseVector, TfIdfModel
 from .textproc import Document, Mention, extract_target_views, extract_views
 
 MODEL_MAGIC = b"CLMD1"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 @dataclass
@@ -90,7 +90,6 @@ class TargetCache:
 class PreparedMention:
     """Everything about one mention that depends neither on the weights
     nor on the feature toggles."""
-    doc_id: str
     mention: Mention
     queries: list
     cand: CandidateSet
@@ -137,8 +136,8 @@ def prepare_mention(model: Model, kb: KnowledgeBase, table: EmbeddingTable,
     gold_index = None
     if mention.gold_entity is not None and mention.gold_entity in cand.candidates:
         gold_index = cand.candidates.index(mention.gold_entity)
-    return PreparedMention(doc_id=doc.doc_id, mention=mention, queries=queries,
-                           cand=cand, source_mats=cnn.embed_views(table, views),
+    return PreparedMention(mention=mention, queries=queries, cand=cand,
+                           source_mats=cnn.embed_views(table, views),
                            target_mats=target_mats, fq=fq, fe=fe,
                            gold_index=gold_index)
 
@@ -244,7 +243,7 @@ def infer(model: Model, prep: PreparedMention, memo: dict = None) -> list:
 class GradBundle:
     sparse: dict                 # feature index -> gradient
     dense: np.ndarray            # (6,)
-    banks: dict                  # granularity -> dM
+    banks: dict                  # granularity -> dM, masked-out banks absent
 
 
 def loss_and_grad(model: Model, prep: PreparedMention):
@@ -294,11 +293,10 @@ def loss_and_grad(model: Model, prep: PreparedMention):
     t_coefs[ti_gold] -= 1.0
     g_dense = (t_coefs[:, np.newaxis] * table.fc).sum(axis=0) * mask
 
+    g_banks = {}
     if tog.use_dense:
         g_banks = cnn.backward(model.cnn_params, table.forward,
                                t_coefs[:, np.newaxis] * (model.w_dense * mask))
-    else:
-        g_banks = model.cnn_params.zero_gradients()
     return loss, GradBundle(sparse=g_sparse, dense=g_dense, banks=g_banks)
 
 
@@ -350,41 +348,31 @@ class AdadeltaState:
 class TrainReport:
     epochs: list = field(default_factory=list)
     n_mentions: int = 0
-    n_unlabeled: int = 0
     mean_queries_per_mention: float = 0.0
     oov_rate: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {"epochs": self.epochs, "n_mentions": self.n_mentions,
-                "n_unlabeled": self.n_unlabeled,
-                "mean_queries_per_mention": self.mean_queries_per_mention,
-                "oov_rate": self.oov_rate}
-
 
 def prepare_corpus(model: Model, kb: KnowledgeBase, table: EmbeddingTable,
-                   docs):
+                   docs) -> list:
     """Prepare every labeled mention once; reused across epochs and
     shared by every toggle setting of ``model.config``."""
     tfidf = TfIdfModel.from_kb(kb)
     targets = TargetCache(kb, table, model.config, tfidf)
     prepared = []
-    n_unlabeled = 0
     for doc in docs:
         for mention in doc.mentions:
-            if mention.gold_entity is None:
-                n_unlabeled += 1
-                continue
-            prepared.append(prepare_mention(model, kb, table, tfidf, doc,
-                                            mention, targets))
-    return prepared, n_unlabeled
+            if mention.gold_entity is not None:
+                prepared.append(prepare_mention(model, kb, table, tfidf, doc,
+                                                mention, targets))
+    return prepared
 
 
 def train(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
           epochs: int, rho: float = 0.95, eps: float = 1e-6, seed: int = 0,
           log=None):
     """Prepare ``docs`` and ``fit`` the model on them."""
-    prepared, n_unlabeled = prepare_corpus(model, kb, table, docs)
-    report = TrainReport(n_mentions=len(prepared), n_unlabeled=n_unlabeled)
+    prepared = prepare_corpus(model, kb, table, docs)
+    report = TrainReport(n_mentions=len(prepared))
     if prepared:
         report.mean_queries_per_mention = (
             sum(len(p.queries) for p in prepared) / len(prepared))
@@ -420,7 +408,8 @@ def fit(model: Model, prepared: list, epochs: int, rho: float = 0.95,
                 continue
             loss, grads = out
             if not math.isfinite(loss):
-                raise TrainingError("non-finite loss on doc %r" % prep.doc_id)
+                raise TrainingError("non-finite loss on doc %r"
+                                    % prep.mention.doc_id)
             state.apply(model, grads)
             total += loss
             used += 1

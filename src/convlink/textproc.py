@@ -146,17 +146,65 @@ def extract_target_views(title: str, body: str, *, doc_cap: int = 2000):
 #   {"doc_id": str,
 #    "tokens": [str | {"surface": str, "pos": str?, "ner": str?}, ...],
 #    "mentions": [{"start": int, "end": int, "gold_entity": str?}, ...]}
+# with 0 <= start < end <= len(tokens).
 # ---------------------------------------------------------------------------
 
+def read_jsonl(path):
+    """Yield ``("<path>:<line>", record)`` for each non-blank line of a
+    JSON-lines file; a line that is not a JSON object is a format error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = "%s:%d" % (path, lineno)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError("%s: invalid JSON: %s" % (where, exc))
+            if not isinstance(rec, dict):
+                raise FormatError("%s: a record must be a JSON object" % where)
+            yield where, rec
+
+
+def string_field(rec: dict, key: str, where: str) -> str:
+    """``rec[key]``, which must be present and a string."""
+    if key not in rec:
+        raise FormatError("%s: missing field %r" % (where, key))
+    value = rec[key]
+    if not isinstance(value, str):
+        raise FormatError("%s: field %r must be a string, got %s"
+                          % (where, key, json.dumps(value)))
+    return value
+
+
 def _token_from_json(obj, where):
-    if isinstance(obj, str):
-        return Token(obj)
-    if isinstance(obj, dict):
-        try:
+    try:
+        if isinstance(obj, str):
+            return Token(obj)
+        if isinstance(obj, dict) and isinstance(obj.get("surface"), str):
             return Token(obj["surface"], obj.get("pos"), obj.get("ner"))
-        except (KeyError, ValueError) as exc:
-            raise FormatError("%s: bad token record: %s" % (where, exc))
-    raise FormatError("%s: token must be a string or object" % where)
+    except ValueError as exc:
+        raise FormatError("%s: bad token: %s" % (where, exc))
+    raise FormatError("%s: a token must be a string or an object with a "
+                      "string surface" % where)
+
+
+def _mention_from_json(obj, doc_id, n_tokens, where):
+    if not isinstance(obj, dict):
+        raise FormatError("%s: a mention must be an object" % where)
+    start, end = obj.get("start"), obj.get("end")
+    if type(start) is not int or type(end) is not int:
+        raise FormatError("%s: mention start and end must be integers, "
+                          "got %s and %s"
+                          % (where, json.dumps(start), json.dumps(end)))
+    if not 0 <= start < end <= n_tokens:
+        raise FormatError("%s: span [%d, %d) invalid for document of %d "
+                          "tokens" % (where, start, end, n_tokens))
+    gold = obj.get("gold_entity")
+    if gold is not None and not isinstance(gold, str):
+        raise FormatError("%s: gold_entity must be a string or null, got %s"
+                          % (where, json.dumps(gold)))
+    return Mention(doc_id, start, end, gold)
 
 
 def _token_to_json(tok: Token):
@@ -172,27 +220,17 @@ def _token_to_json(tok: Token):
 
 def load_corpus(path) -> list:
     docs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = "%s:%d" % (path, lineno)
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError("%s: invalid JSON: %s" % (where, exc))
-            try:
-                doc_id = rec["doc_id"]
-                tokens = [_token_from_json(t, where) for t in rec["tokens"]]
-                mentions = [
-                    Mention(doc_id, int(m["start"]), int(m["end"]),
-                            m.get("gold_entity"))
-                    for m in rec.get("mentions", [])
-                ]
-            except (KeyError, TypeError) as exc:
-                raise FormatError("%s: missing or malformed field: %s"
-                                  % (where, exc))
-            docs.append(Document(doc_id, tokens, mentions))
+    for where, rec in read_jsonl(path):
+        doc_id = string_field(rec, "doc_id", where)
+        raw_tokens = rec.get("tokens")
+        raw_mentions = rec.get("mentions", [])
+        if not isinstance(raw_tokens, list) or not isinstance(raw_mentions,
+                                                              list):
+            raise FormatError("%s: tokens and mentions must be lists" % where)
+        tokens = [_token_from_json(t, where) for t in raw_tokens]
+        mentions = [_mention_from_json(m, doc_id, len(tokens), where)
+                    for m in raw_mentions]
+        docs.append(Document(doc_id, tokens, mentions))
     return docs
 
 

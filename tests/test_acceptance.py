@@ -308,8 +308,8 @@ def test_criterion_8_query_generation(synth):
                    and {"pink floyd", "floyd"} <= texts_floyd)
 
     model = Model.initialize(synth["config"])
-    prepared, _ = prepare_corpus(model, synth["kb"], synth["table"],
-                                 synth["test"])
+    prepared = prepare_corpus(model, synth["kb"], synth["table"],
+                              synth["test"])
     mean_q = sum(len(p.queries) for p in prepared) / len(prepared)
     ok = ok_examples and 4.0 <= mean_q <= 15.0
     _report(8, "query generation", ok,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from convlink import model as model_mod
-from convlink.binfile import write_framed
+from convlink.binfile import read_framed, write_framed
 from convlink.cli import run
 from convlink.config import FeatureToggles, ModelConfig
 from convlink.kb import KB_MAGIC, KB_VERSION
@@ -103,6 +103,95 @@ def test_non_finite_embedding_is_data_error(workspace, tmp_path, capsys):
     assert code == 2
     assert ("%s:2: non-finite vector component" % embeddings
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_model_version_is_data_error(workspace, tmp_path, capsys,
+                                         version):
+    # retraining is the only upgrade path for older model files
+    model_path = str(tmp_path / "model.bin")
+    model_mod.save_model(model_mod.Model.initialize(
+        ModelConfig(d=8, k=4, ell=5)), model_path)
+    _, payload = read_framed(model_path, model_mod.MODEL_MAGIC,
+                             (model_mod.MODEL_VERSION,))
+    write_framed(model_path, model_mod.MODEL_MAGIC, version, payload)
+    code = run(["-q", "link", "--model", model_path, "--kb", workspace["kb"],
+                "--embeddings", workspace["embeddings"],
+                "--corpus", workspace["test"],
+                "--out", str(tmp_path / "preds.jsonl")])
+    assert code == 2
+    assert ("error: %s: unsupported format version %d" % (model_path, version)
+            in capsys.readouterr().err)
+
+
+# KB source records that ingest-kb rejects: (file, line 2 of that file)
+MALFORMED_KB_SOURCES = {
+    "article-array": ("articles", "[1, 2]"),
+    "article-bad-json": ("articles", '{"id": "E9", "title": "T"'),
+    "article-missing-body": ("articles", '{"id": "E9", "title": "T"}'),
+    "article-title-number": ("articles",
+                             '{"id": "E9", "title": 5, "body": ""}'),
+    "article-title-blank": ("articles",
+                            '{"id": "E9", "title": " ", "body": ""}'),
+    "anchor-entity-number": ("anchors",
+                             '{"anchor_text": "x", "entity_id": 3}'),
+    "anchor-missing-text": ("anchors", '{"entity_id": "E1"}'),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_KB_SOURCES))
+def test_malformed_kb_source_is_data_error(tmp_path, capsys, kind):
+    bad_file, bad_line = MALFORMED_KB_SOURCES[kind]
+    lines = {"articles": '{"id": "E1", "title": "T1", "body": "b"}',
+             "anchors": '{"anchor_text": "t", "entity_id": "E1"}'}
+    paths = {}
+    for name, first in lines.items():
+        paths[name] = str(tmp_path / (name + ".jsonl"))
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(first + "\n")
+            if name == bad_file:
+                fh.write(bad_line + "\n")
+    code = run(["-q", "ingest-kb", "--articles", paths["articles"],
+                "--anchors", paths["anchors"],
+                "--out", str(tmp_path / "kb.bin")])
+    assert code == 2
+    assert "error: %s:2: " % paths[bad_file] in capsys.readouterr().err
+
+
+# Corpus records that load_corpus rejects, each on line 2
+MALFORMED_CORPORA = {
+    "record-array": '["d", ["a"]]',
+    "doc-id-number": '{"doc_id": 5, "tokens": ["a"]}',
+    "tokens-string": '{"doc_id": "d", "tokens": "abc", "mentions": []}',
+    "token-empty": '{"doc_id": "d", "tokens": ["a", ""]}',
+    "token-surface-number": '{"doc_id": "d", "tokens": [{"surface": 7}]}',
+    "mention-not-object": ('{"doc_id": "d", "tokens": ["a"], '
+                           '"mentions": [[0, 1]]}'),
+    "span-floats": ('{"doc_id": "d", "tokens": ["a", "b"], '
+                    '"mentions": [{"start": 0.7, "end": 1.9}]}'),
+    "span-bool": ('{"doc_id": "d", "tokens": ["a", "b"], '
+                  '"mentions": [{"start": false, "end": 1}]}'),
+    "span-out-of-range": ('{"doc_id": "d", "tokens": ["a", "b", "c"], '
+                          '"mentions": [{"start": 2, "end": 7}]}'),
+    "span-empty": ('{"doc_id": "d", "tokens": ["a", "b"], '
+                   '"mentions": [{"start": 1, "end": 1}]}'),
+    "gold-number": ('{"doc_id": "d", "tokens": ["a"], '
+                    '"mentions": [{"start": 0, "end": 1, "gold_entity": 3}]}'),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_CORPORA))
+def test_malformed_corpus_is_data_error(workspace, tmp_path, capsys, kind):
+    corpus = str(tmp_path / "corpus.jsonl")
+    with open(corpus, "w", encoding="utf-8") as fh:
+        fh.write('{"doc_id": "ok", "tokens": ["a"], "mentions": []}\n')
+        fh.write(MALFORMED_CORPORA[kind] + "\n")
+    code = run(["-q", "train", "--kb", workspace["kb"],
+                "--embeddings", workspace["embeddings"], "--corpus", corpus,
+                "--out", str(tmp_path / "model.bin"), "--epochs", "0",
+                "--k", "4"])
+    assert code == 2
+    assert "error: %s:2: " % corpus in capsys.readouterr().err
 
 
 def test_evaluate_requires_model_or_predictions(workspace):
@@ -254,6 +343,7 @@ MALFORMED_PREDICTIONS = {
                           1),
     "span-one-integer": ('{"doc_id": "x", "span": [0, 1], "entity": "y"}\n'
                          '{"doc_id": "x", "span": [3], "entity": "y"}', 2),
+    "doc-id-list": ('{"doc_id": ["x"], "span": [0, 1], "entity": "y"}', 1),
 }
 
 

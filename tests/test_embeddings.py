@@ -23,7 +23,6 @@ def test_oov_is_all_zeros(tmp_path):
     table = load_word2vec(write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n"))
     assert np.array_equal(table.lookup("zzz-not-present"), [0.0, 0.0, 0.0])
     assert np.array_equal(table.oov_vector, np.zeros(3))
-    assert np.array_equal(table.pad_vector, np.zeros(3))
 
 
 def test_lowercase_fallback(tmp_path):
@@ -97,46 +96,9 @@ def test_oov_rate_exact(tmp_path):
     assert table.oov_rate(["A"]) == 0.0  # lowercase fallback counts as hit
 
 
-def test_binary_roundtrip(tmp_path):
-    import struct
-    path = tmp_path / "vec.bin"
-    with open(path, "wb") as fh:
-        fh.write(b"2 3\n")
-        fh.write(b"a " + struct.pack("<3f", 1, 0, 0) + b"\n")
-        fh.write(b"b " + struct.pack("<3f", 0, 1, 0) + b"\n")
-    table = load_word2vec(path, fmt="binary")
-    assert table.dim == 3
-    assert np.array_equal(table.lookup("a"), [1.0, 0.0, 0.0])
-    assert np.array_equal(table.lookup("b"), [0.0, 1.0, 0.0])
-
-
-def test_binary_truncation_rejected(tmp_path):
-    import struct
-    path = tmp_path / "vec.bin"
-    with open(path, "wb") as fh:
-        fh.write(b"2 3\n")
-        fh.write(b"a " + struct.pack("<3f", 1, 0, 0))
-    with pytest.raises(FormatError):
-        load_word2vec(path, fmt="binary")
-
-
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_text_non_finite_component_names_line(tmp_path, bad):
     path = write(tmp_path, "2 3\na 1 0 0\nb 0 %s 0\n" % bad)
     with pytest.raises(FormatError) as err:
         load_word2vec(path)
     assert str(err.value) == "%s:3: non-finite vector component" % path
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_binary_non_finite_component_names_entry(tmp_path, bad):
-    import struct
-    path = tmp_path / "vec.bin"
-    with open(path, "wb") as fh:
-        fh.write(b"2 3\n")
-        fh.write(b"a " + struct.pack("<3f", 1, 0, 0) + b"\n")
-        fh.write(b"b " + struct.pack("<3f", 0, bad, 0) + b"\n")
-    with pytest.raises(FormatError) as err:
-        load_word2vec(path, fmt="binary")
-    assert str(err.value) == ("%s: non-finite vector component at entry 2"
-                              % path)

@@ -19,7 +19,6 @@ class TestIngest:
              {"anchor_text": "floyd", "entity_id": "E1"},
              {"anchor_text": "floyd", "entity_id": "E2"}])
         assert kb.anchor_index["floyd"] == {"E1": 2, "E2": 1}
-        assert kb.total_links == {"E1": 2, "E2": 1}
 
     def test_duplicate_article_id(self):
         with pytest.raises(IngestError):
@@ -40,14 +39,6 @@ class TestIngest:
             [{"id": "E1", "title": "T1", "body": ""}],
             [{"anchor_text": "  Pink   FLOYD ", "entity_id": "E1"}])
         assert kb.anchor_index == {"pink floyd": {"E1": 1}}
-
-    def test_total_links_sums_over_anchors(self):
-        kb = KnowledgeBase.ingest(
-            [{"id": "E1", "title": "T1", "body": ""}],
-            [{"anchor_text": "a", "entity_id": "E1"},
-             {"anchor_text": "b", "entity_id": "E1"},
-             {"anchor_text": "b", "entity_id": "E1"}])
-        assert kb.total_links["E1"] == 3
 
 
 class TestGenerateQueries:
@@ -135,12 +126,6 @@ class TestCandidates:
         cand = candidates_for(kb, generate_queries(toks("anything")))
         assert cand.candidates == [NULL_ENTITY]
 
-    def test_provenance_records_counts(self, small_kb):
-        queries = generate_queries(toks("Pink", "Floyd"))
-        cand = candidates_for(small_kb, queries)
-        assert cand.provenance["Pink_Floyd"]["pink floyd"] == 40
-        assert cand.provenance["Gavin_Floyd"]["floyd"] == 5
-
     @given(st.data())
     @settings(max_examples=60)
     def test_monotone_and_union(self, data):
@@ -170,7 +155,6 @@ class TestPersistence:
         loaded = load_kb(path)
         assert loaded.entities == small_kb.entities
         assert loaded.anchor_index == small_kb.anchor_index
-        assert loaded.total_links == small_kb.total_links
 
     def test_magic_check(self, small_kb, tmp_path):
         path = tmp_path / "kb.bin"

@@ -9,7 +9,9 @@ import pytest
 
 from convlink import cnn
 from convlink.binfile import read_framed, write_framed
-from convlink.config import GRANULARITIES, FeatureToggles, ModelConfig
+from convlink.config import (GRANULARITIES, N_DENSE, FeatureToggles,
+                             ModelConfig, needed_granularities,
+                             toggles_from_name)
 from convlink.errors import (CacheError, ChecksumError, LoadError,
                              TrainingError, VersionError)
 from convlink.kb import NULL_ENTITY, KnowledgeBase
@@ -449,6 +451,37 @@ class TestTrain:
         assert report.epochs[0]["n_examples"] == 3
 
 
+class TestMaskedBanks:
+    @pytest.mark.parametrize("name,toggles", ABLATION_TOGGLES)
+    def test_gradients_only_for_compared_banks(self, name, toggles):
+        w = tiny_world(seed=21, toggles=toggles)
+        _, grads = loss_and_grad(w.model, w.prep)
+        # sparse-only compares no bank and gets an empty dict
+        assert set(grads.banks) == needed_granularities(toggles.dense_mask)
+
+    @pytest.mark.parametrize("name,toggles", ABLATION_TOGGLES)
+    def test_fit_leaves_masked_banks_bit_identical(self, name, toggles):
+        kb, docs = micro_corpus()
+        m = micro_model(seed=2, toggles=toggles)
+        before = {g: m.cnn_params.banks[g].M.copy() for g in GRANULARITIES}
+        train(m, docs, kb, micro_table(), epochs=2, seed=0)
+        needed = needed_granularities(toggles.dense_mask)
+        for g in GRANULARITIES:
+            after = m.cnn_params.banks[g].M
+            assert (after.tobytes() == before[g].tobytes()) == (
+                g not in needed), g
+        if not needed:
+            assert m.w_dense.tobytes() == np.zeros(N_DENSE).tobytes()
+
+    def test_use_dense_follows_the_mask(self):
+        assert FeatureToggles.sparse_only() == FeatureToggles(
+            use_sparse=True, dense_mask=(False,) * N_DENSE)
+        assert not FeatureToggles.sparse_only().use_dense
+        assert toggles_from_name("pair:src_mention*tgt_title").use_dense
+        with pytest.raises(TypeError):
+            FeatureToggles(use_dense=False)
+
+
 class TestAdadelta:
     def test_update_formulas(self):
         # one dense step against the recurrences computed by hand
@@ -456,8 +489,7 @@ class TestAdadelta:
         state = AdadeltaState(m, rho=0.9, eps=1e-6)
         from convlink.model import GradBundle
         g = np.array([1.0, -2.0, 0.0, 0.5, 0.0, 0.0])
-        bundle = GradBundle(sparse={7: 2.0}, dense=g.copy(),
-                            banks=m.cnn_params.zero_gradients())
+        bundle = GradBundle(sparse={7: 2.0}, dense=g.copy(), banks={})
         state.apply(m, bundle)
         eg2 = 0.1 * g * g
         dx = -np.sqrt((0.0 + 1e-6) / (eg2 + 1e-6)) * g
@@ -474,7 +506,7 @@ class TestAdadelta:
         m = micro_model()
         # train a little and inspect the state via a fresh run
         from convlink.model import prepare_corpus, AdadeltaState, loss_and_grad
-        prepared, _ = prepare_corpus(m, kb, table, docs)
+        prepared = prepare_corpus(m, kb, table, docs)
         state = AdadeltaState(m)
         for prep in prepared:
             loss, grads = loss_and_grad(m, prep)
@@ -521,14 +553,18 @@ class TestSaveLoad:
             load_model(path)
 
     def test_version_1_file_rejected(self, tmp_path):
-        # version 1 headers carried the vocabulary mode this format dropped
+        # version 1 headers carried the vocabulary mode and version 2
+        # headers the use_dense toggle, both dropped from this format
         m = micro_model()
         path = tmp_path / "model.bin"
         save_model(m, path)
         _, payload = read_framed(path, MODEL_MAGIC, (MODEL_VERSION,))
-        write_framed(path, MODEL_MAGIC, 1, payload)
-        with pytest.raises(VersionError):
-            load_model(path)
+        for version in (1, 2):
+            write_framed(path, MODEL_MAGIC, version, payload)
+            with pytest.raises(VersionError) as err:
+                load_model(path)
+            assert str(err.value) == ("%s: unsupported format version %d"
+                                      % (path, version))
 
     @pytest.mark.parametrize("kind", sorted(MALFORMED_MODEL_HEADERS))
     def test_malformed_header_names_file(self, tmp_path, kind):
@@ -548,6 +584,8 @@ class TestSaveLoad:
         (hlen,) = struct.unpack_from("<I", payload, 0)
         header = json.loads(payload[4:4 + hlen].decode("utf-8"))
         assert sorted(header) == ["config", "n_sparse"]
+        assert sorted(header["config"]["toggles"]) == ["dense_mask",
+                                                       "use_sparse"]
         assert "vocab_mode" not in header["config"]
         assert load_model(path).vocab.capacity == m.config.hash_capacity
 
