@@ -9,7 +9,6 @@ and the filter-topic purity diagnostic.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -23,7 +22,7 @@ from convlink.evalharness import (correct_by_kind, most_topical_filter,
                                   run_ablation)
 from convlink.kb import KnowledgeBase
 from convlink.synthetic import SyntheticSpec, generate
-from convlink.textproc import load_corpus
+from convlink.textproc import load_corpus, read_jsonl
 
 
 def log(msg):
@@ -48,12 +47,11 @@ def main():
     data = generate(spec, args.out)
     log("generated corpus in %.1fs" % (time.time() - t0))
 
-    def read_jsonl(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
+    def records(path):
+        return (rec for _, rec in read_jsonl(path))
 
-    kb = KnowledgeBase.ingest(read_jsonl(data.paths["articles.jsonl"]),
-                              read_jsonl(data.paths["anchors.jsonl"]))
+    kb = KnowledgeBase.ingest(records(data.paths["articles.jsonl"]),
+                              records(data.paths["anchors.jsonl"]))
     table = load_word2vec(data.paths["embeddings.txt"])
     train_docs = load_corpus(data.paths["train.jsonl"])
     test_docs = load_corpus(data.paths["test.jsonl"])

@@ -15,8 +15,7 @@ import sys
 from . import evalharness, kb as kb_mod, model as model_mod, synthetic
 from .config import GRANULARITIES, ModelConfig, toggles_from_name
 from .embeddings import load_word2vec
-from .errors import ConvlinkError, FormatError, UsageError
-from .sparse import TfIdfModel
+from .errors import ConvlinkError, FormatError, IngestError, UsageError
 from .textproc import load_corpus, read_jsonl, string_field
 
 log = logging.getLogger("convlink")
@@ -112,7 +111,10 @@ def _load_inputs(args, with_model):
 
 
 def _cmd_ingest(args) -> int:
+    where = args.articles       # location of the article being ingested
+
     def articles():
+        nonlocal where
         for where, rec in read_jsonl(args.articles):
             for key in ("id", "title", "body"):
                 string_field(rec, key, where)
@@ -126,7 +128,10 @@ def _cmd_ingest(args) -> int:
                 string_field(rec, key, where)
             yield rec
 
-    knowledge = kb_mod.KnowledgeBase.ingest(articles(), anchors())
+    try:
+        knowledge = kb_mod.KnowledgeBase.ingest(articles(), anchors())
+    except IngestError as exc:      # raised while reading the articles
+        raise IngestError("%s: %s" % (where, exc)) from None
     if knowledge.skipped_anchors:
         log.warning("skipped %d anchors naming unknown entities",
                     knowledge.skipped_anchors)
@@ -196,14 +201,12 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_link(args) -> int:
     knowledge, table, docs, m = _load_inputs(args, with_model=True)
-    tfidf = TfIdfModel.from_kb(knowledge)
-    targets = model_mod.TargetCache(knowledge, table, m.config, tfidf)
+    targets = model_mod.TargetCache(knowledge, table, m.config)
     memo = {}       # entity -> target topic vectors under m's frozen weights
     with open(args.out, "w", encoding="utf-8") as fh:
         for doc in docs:
             for mention in doc.mentions:
-                prep = model_mod.prepare_mention(m, knowledge, table, tfidf,
-                                                 doc, mention, targets)
+                prep = model_mod.prepare_mention(targets, doc, mention)
                 top = model_mod.infer(m, prep, memo)[0]
                 fh.write(json.dumps({
                     "doc_id": doc.doc_id,

@@ -3,6 +3,7 @@ scoring, and filter inspection."""
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import asdict, dataclass, field, replace
 
@@ -13,9 +14,8 @@ from .config import ModelConfig
 from .embeddings import EmbeddingTable
 from .errors import FormatError
 from .kb import KnowledgeBase
-from .model import (Model, TargetCache, fit, infer, prepare_corpus,
-                    prepare_mention)
-from .sparse import TfIdfModel
+from .model import (Model, TargetCache, fit, infer, labeled_mentions,
+                    prepare_corpus, prepare_mention)
 from .textproc import read_jsonl, string_field
 
 
@@ -49,13 +49,6 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _labeled_mentions(docs):
-    for doc in docs:
-        for mention in doc.mentions:
-            if mention.gold_entity is not None:
-                yield doc, mention
-
-
 def evaluate(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
              configs=None) -> EvalReport:
     """Deterministic top-1 accuracy over all gold-annotated mentions.
@@ -63,10 +56,11 @@ def evaluate(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
     ``configs`` is a list of (name, FeatureToggles) pairs, evaluated as
     feature subsets of the given model, or (name, Model) pairs, scored as
     they are; by default the model's own toggles are used.  Each mention
-    is prepared once, with ``model``, for all configs, so a listed Model
-    must have ``model``'s config apart from its toggles.  Mentions whose
-    gold entity misses the candidate set score as wrong; gold ids absent
-    from the KB are listed in the report rather than raised.
+    is prepared once, under ``model``'s config, for all configs, so a
+    listed Model must have ``model``'s config apart from its toggles.
+    Mentions whose gold entity misses the candidate set score as wrong;
+    gold ids absent from the KB are listed in the report rather than
+    raised.
     """
     if configs is None:
         configs = [("model", model.config.toggles)]
@@ -74,15 +68,15 @@ def evaluate(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
                else replace(model, config=model.config.with_toggles(c))
                for _, c in configs]
     report = EvalReport()
-    pairs = list(_labeled_mentions(docs))
+    pairs = list(labeled_mentions(docs))
     for doc, mention in pairs:
         if mention.gold_entity not in kb.entities:
             report.missing_entities.append(mention.gold_entity)
-    oov_rate = table.oov_rate([t.surface for doc, _ in pairs
-                               for t in doc.tokens])
+    oov_rate = table.oov_rate([t.surface for doc in docs for t in doc.tokens])
     n = len(pairs)
-    for (name, _), results in zip(
-            configs, _score_mentions(model, scorers, pairs, kb, table)):
+    targets = TargetCache(kb, table, model.config)
+    for (name, _), results in zip(configs,
+                                  _score_mentions(targets, scorers, pairs)):
         n_correct = sum(1 for r in results if r[0])
         n_in_cand = sum(1 for r in results if r[1])
         mean_q = (sum(r[2] for r in results) / n) if n else 0.0
@@ -99,22 +93,19 @@ def evaluate(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
     return report
 
 
-def _score_mentions(model: Model, scorers, pairs, kb: KnowledgeBase,
-                    table: EmbeddingTable) -> list:
+def _score_mentions(targets: TargetCache, scorers, pairs) -> list:
     """Per scorer, (top-1 correct, gold in candidates, query count) per
-    (doc, mention) pair.  Each mention is prepared once, with ``model``,
+    (doc, mention) pair.  Each mention is prepared once, in ``targets``,
     scored by every scorer and dropped.  Each scorer keeps its own memo
     of target topic vectors, since scorers differ in weights and mask."""
     for m in scorers:
-        if m.config.with_toggles(model.config.toggles) != model.config:
+        if m.config.with_toggles(targets.config.toggles) != targets.config:
             raise ValueError("a scored model's config differs from the "
-                             "preparing model's beyond its toggles")
-    tfidf = TfIdfModel.from_kb(kb)
-    targets = TargetCache(kb, table, model.config, tfidf)
+                             "preparing config beyond its toggles")
     results = [[] for _ in scorers]
     memos = [{} for _ in scorers]
     for doc, mention in pairs:
-        prep = prepare_mention(model, kb, table, tfidf, doc, mention, targets)
+        prep = prepare_mention(targets, doc, mention)
         for m, memo, out in zip(scorers, memos, results):
             top = infer(m, prep, memo)[0]
             out.append((top.entity == mention.gold_entity,
@@ -130,9 +121,10 @@ def correct_by_kind(model: Model, docs, kb: KnowledgeBase,
     a synthetic corpus's ``metadata["documents"]``; every evaluated
     document must have one.
     """
-    pairs = list(_labeled_mentions(docs))
+    pairs = list(labeled_mentions(docs))
     counts = {}
-    [results] = _score_mentions(model, [model], pairs, kb, table)
+    [results] = _score_mentions(TargetCache(kb, table, model.config),
+                                [model], pairs)
     for (doc, _), (correct, _, _) in zip(pairs, results):
         kind = doc_kinds[doc.doc_id]
         n_correct, n = counts.get(kind, (0, 0))
@@ -165,7 +157,7 @@ def score_predictions(docs, prediction_records) -> EvalRow:
         by_span[(rec["doc_id"], int(span[0]), int(span[1]))] = rec["entity"]
     n = 0
     n_correct = 0
-    for doc, mention in _labeled_mentions(docs):
+    for doc, mention in labeled_mentions(docs):
         n += 1
         pred = by_span.get((doc.doc_id, mention.start, mention.end))
         if pred == mention.gold_entity:
@@ -183,8 +175,7 @@ def run_ablation(base_config: ModelConfig, train_docs, test_docs,
     """Train one system per feature configuration and evaluate each on
     the test split.  Both splits are prepared once for all
     configurations.  Returns (EvalReport, dict name -> trained Model)."""
-    preparer = Model.initialize(base_config)
-    prepared = prepare_corpus(preparer, kb, table, train_docs)
+    prepared = prepare_corpus(TargetCache(kb, table, base_config), train_docs)
     trained = {}
     for name, toggles in configs:
         if log is not None:
@@ -192,7 +183,9 @@ def run_ablation(base_config: ModelConfig, train_docs, test_docs,
         m = Model.initialize(base_config.with_toggles(toggles))
         fit(m, prepared, epochs, rho=rho, eps=eps, seed=seed, log=log)
         trained[name] = m
-    report = evaluate(preparer, test_docs, kb, table,
+    # the test split is prepared once, under the first model's config,
+    # which differs from the others' only in its toggles
+    report = evaluate(next(iter(trained.values())), test_docs, kb, table,
                       configs=list(trained.items()))
     return report, trained
 
@@ -201,6 +194,35 @@ def run_ablation(base_config: ModelConfig, train_docs, test_docs,
 # Filter inspection
 # ---------------------------------------------------------------------------
 
+def _windowed(docs, table: EmbeddingTable, ell: int):
+    """(n-gram per window, window matrix) of each document at least
+    ``ell`` tokens long."""
+    for doc in docs:
+        surfaces = [t.surface for t in doc.tokens]
+        if len(surfaces) >= ell:
+            ngrams = [" ".join(surfaces[j:j + ell])
+                      for j in range(len(surfaces) - ell + 1)]
+            yield ngrams, cnn.window_matrix(table.lookup_sequence(surfaces),
+                                            ell)
+
+
+def _top_ngrams(bank: cnn.FilterBank, filter_row: int, windowed,
+                top_n: int) -> list:
+    row = bank.M[filter_row]
+    best = {}       # lowercased n-gram -> (activation, n-gram)
+    for ngrams, W in windowed:
+        acts = W @ row
+        for j in np.nonzero(acts > 0.0)[0]:
+            ngram = ngrams[j]
+            key = ngram.lower()
+            act = float(acts[j])
+            if act > best.get(key, (-1.0, ""))[0]:
+                best[key] = (act, ngram)
+    top = heapq.nsmallest(top_n, best.items(),
+                          key=lambda kv: (-kv[1][0], kv[0]))
+    return [(ngram, act) for _, (act, ngram) in top]
+
+
 def inspect_filters(model: Model, docs, table: EmbeddingTable,
                     granularity: str, filter_row: int, top_n: int) -> list:
     """Top-activating n-grams for one filter row, scanned pre-pooling.
@@ -208,28 +230,15 @@ def inspect_filters(model: Model, docs, table: EmbeddingTable,
     Every width-ell window in the corpus is scored with
     max(0, M[row] . window); zero activations are dropped and surviving
     n-grams are deduplicated by lowercased surface (keeping the max).
-    Documents shorter than the filter width are skipped.
+    Documents shorter than the filter width are skipped.  A row outside
+    [0, k) is an IndexError.
     """
     bank = model.cnn_params.banks[granularity]
-    row = bank.M[filter_row]      # IndexError for out-of-range rows
-    ell = bank.ell
-    best = {}
-    for doc in docs:
-        surfaces = [t.surface for t in doc.tokens]
-        if len(surfaces) < ell:
-            continue
-        X = table.lookup_sequence(surfaces)
-        W = cnn.window_matrix(X, ell)
-        acts = W @ row
-        for j in np.nonzero(acts > 0.0)[0]:
-            ngram = " ".join(surfaces[j:j + ell])
-            key = ngram.lower()
-            act = float(acts[j])
-            if act > best.get(key, (-1.0, ""))[0]:
-                best[key] = (act, ngram)
-    ranked = sorted(((act, ngram) for act, ngram in best.values()),
-                    key=lambda kv: (-kv[0], kv[1].lower()))
-    return [(ngram, act) for act, ngram in ranked[:top_n]]
+    if not 0 <= filter_row < bank.k:
+        raise IndexError("filter row %d is outside [0, %d)"
+                         % (filter_row, bank.k))
+    return _top_ngrams(bank, filter_row, _windowed(docs, table, bank.ell),
+                       top_n)
 
 
 def topic_purity(ngrams, topic_vocab: dict):
@@ -255,11 +264,13 @@ def most_topical_filter(model: Model, docs, table: EmbeddingTable,
                         topic_vocab: dict, granularity: str = "src_document",
                         top_n: int = 10):
     """Scan every filter row and return (row, topic, purity, ngrams) for
-    the row whose top activations are purest."""
+    the row whose top activations are purest.  Each document's windows
+    are built once for all rows."""
+    bank = model.cnn_params.banks[granularity]
+    windowed = list(_windowed(docs, table, bank.ell))
     best = (None, None, -1.0, [])
-    for row in range(model.cnn_params.k):
-        ngrams = [ng for ng, _ in inspect_filters(model, docs, table,
-                                                  granularity, row, top_n)]
+    for row in range(bank.k):
+        ngrams = [ng for ng, _ in _top_ngrams(bank, row, windowed, top_n)]
         if not ngrams:
             continue
         topic, purity = topic_purity(ngrams, topic_vocab)

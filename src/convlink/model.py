@@ -41,10 +41,6 @@ class Model:
     w_sparse: dict                  # feature index -> weight
     w_dense: np.ndarray             # (6,)
     cnn_params: cnn.CnnParams
-    vocab: FeatureVocabulary = field(init=False)
-
-    def __post_init__(self):
-        self.vocab = FeatureVocabulary(self.config.hash_capacity)
 
     @classmethod
     def initialize(cls, config: ModelConfig) -> "Model":
@@ -55,15 +51,18 @@ class Model:
 
 
 class TargetCache:
-    """Article-body tf-idf bags and embedded target views, shared across
-    mentions."""
+    """Weight-free context that mentions are prepared in: the KB, the
+    embedding table, the config, the KB's tf-idf model and the hashed
+    feature vocabulary, plus each entity's body tf-idf bag and embedded
+    target views, built on first use and shared across mentions."""
 
     def __init__(self, kb: KnowledgeBase, table: EmbeddingTable,
-                 config: ModelConfig, tfidf: TfIdfModel):
+                 config: ModelConfig):
         self.kb = kb
         self.table = table
         self.config = config
-        self.tfidf = tfidf
+        self.tfidf = TfIdfModel.from_kb(kb)
+        self.vocab = FeatureVocabulary(config.hash_capacity)
         self._cache = {}
 
     def get(self, entity: str):
@@ -100,44 +99,41 @@ class PreparedMention:
     gold_index: Optional[int]            # index into cand.candidates, or None
 
 
-def prepare_mention(model: Model, kb: KnowledgeBase, table: EmbeddingTable,
-                    tfidf: TfIdfModel, doc: Document, mention: Mention,
-                    targets: TargetCache = None) -> PreparedMention:
+def prepare_mention(targets: TargetCache, doc: Document,
+                    mention: Mention) -> PreparedMention:
     """Queries, candidates, sparse vectors and embedded views of one
     mention.  The result is shared by every model whose config differs
-    from ``model.config`` only in its toggles."""
-    cfg = model.config
+    from ``targets.config`` only in its toggles."""
+    cfg = targets.config
+    vocab = targets.vocab
+    tfidf = targets.tfidf
     views = extract_views(doc.tokens, mention,
                           context_window=cfg.context_window,
                           doc_cap=cfg.doc_cap)
     queries = generate_queries(views.mention_tokens)
-    cand = candidates_for(kb, queries, top_k=cfg.top_k)
-    if targets is None:
-        targets = TargetCache(kb, table, cfg, tfidf)
+    cand = candidates_for(targets.kb, queries, top_k=cfg.top_k)
     doc_bag = tfidf.bag([t.surface for t in views.document_tokens])
-    fq = [sparse.features_q(views.mention_tokens, q, model.vocab)
-          for q in queries]
+    fq = [sparse.features_q(views.mention_tokens, q, vocab) for q in queries]
     target_mats = []
     fe = []
     for entity in cand.candidates:
         tgt = targets.get(entity)
         if tgt is None:
             target_mats.append(None)
-            fe.append([SparseVector.from_features([sparse.NULL_FEATURE],
-                                                  model.vocab)
+            fe.append([SparseVector.from_features([sparse.NULL_FEATURE], vocab)
                        for _ in queries])
             continue
         body_bag, mats = tgt
         target_mats.append(mats)
         cos = tfidf.cosine(doc_bag, body_bag)
-        fe.append([sparse.features_e(kb, q, entity, cos, model.vocab)
+        fe.append([sparse.features_e(targets.kb, q, entity, cos, vocab)
                    for q in queries])
 
     gold_index = None
     if mention.gold_entity is not None and mention.gold_entity in cand.candidates:
         gold_index = cand.candidates.index(mention.gold_entity)
     return PreparedMention(mention=mention, queries=queries, cand=cand,
-                           source_mats=cnn.embed_views(table, views),
+                           source_mats=cnn.embed_views(targets.table, views),
                            target_mats=target_mats, fq=fq, fe=fe,
                            gold_index=gold_index)
 
@@ -352,26 +348,27 @@ class TrainReport:
     oov_rate: float = 0.0
 
 
-def prepare_corpus(model: Model, kb: KnowledgeBase, table: EmbeddingTable,
-                   docs) -> list:
-    """Prepare every labeled mention once; reused across epochs and
-    shared by every toggle setting of ``model.config``."""
-    tfidf = TfIdfModel.from_kb(kb)
-    targets = TargetCache(kb, table, model.config, tfidf)
-    prepared = []
+def labeled_mentions(docs):
+    """(doc, mention) for every mention with a gold entity, in corpus
+    order."""
     for doc in docs:
         for mention in doc.mentions:
             if mention.gold_entity is not None:
-                prepared.append(prepare_mention(model, kb, table, tfidf, doc,
-                                                mention, targets))
-    return prepared
+                yield doc, mention
+
+
+def prepare_corpus(targets: TargetCache, docs) -> list:
+    """Prepare every labeled mention once; reused across epochs and
+    shared by every toggle setting of ``targets.config``."""
+    return [prepare_mention(targets, doc, mention)
+            for doc, mention in labeled_mentions(docs)]
 
 
 def train(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
           epochs: int, rho: float = 0.95, eps: float = 1e-6, seed: int = 0,
           log=None):
     """Prepare ``docs`` and ``fit`` the model on them."""
-    prepared = prepare_corpus(model, kb, table, docs)
+    prepared = prepare_corpus(TargetCache(kb, table, model.config), docs)
     report = TrainReport(n_mentions=len(prepared))
     if prepared:
         report.mean_queries_per_mention = (

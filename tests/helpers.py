@@ -11,9 +11,8 @@ from convlink.binfile import read_framed, write_framed
 from convlink.config import FeatureToggles, ModelConfig
 from convlink.embeddings import EmbeddingTable
 from convlink.kb import KnowledgeBase
-from convlink.model import (MODEL_MAGIC, MODEL_VERSION, Model,
+from convlink.model import (MODEL_MAGIC, MODEL_VERSION, Model, TargetCache,
                             prepare_mention, score_pairs)
-from convlink.sparse import TfIdfModel
 from convlink.textproc import Document, Mention, Token
 
 
@@ -139,8 +138,8 @@ def tiny_world(seed, d=4, k=3, ell=2, toggles=None, gold="E1",
         doc_tokens = toks(*(words[:pos] + ["Ones"] + words[pos:]))
         mention = Mention("doc-%d" % seed, pos, pos + 1, gold)
         doc = Document(mention.doc_id, doc_tokens, [mention])
-        tfidf = TfIdfModel.from_kb(kb)
-        prep = prepare_mention(model, kb, table, tfidf, doc, mention)
+        targets = TargetCache(kb, table, config)
+        prep = prepare_mention(targets, doc, mention)
         assert len(prep.queries) == 2
         assert len(prep.cand.candidates) == 3
         for iv, vec in enumerate(prep.fq + [v for row in prep.fe for v in row]):
@@ -153,8 +152,9 @@ def tiny_world(seed, d=4, k=3, ell=2, toggles=None, gold="E1",
             norms = [np.linalg.norm(v) for _, _, v in encs]
             if min(gaps) <= min_kink_gap or min(norms) <= 1e-6:
                 continue
-        return SimpleNamespace(model=model, kb=kb, table=table, tfidf=tfidf,
-                               doc=doc, mention=mention, prep=prep)
+        return SimpleNamespace(model=model, kb=kb, table=table,
+                               targets=targets, doc=doc, mention=mention,
+                               prep=prep)
     raise AssertionError("could not build a kink-free tiny world")
 
 
@@ -178,11 +178,12 @@ def brute_force_marginals(world):
     from convlink.config import COSINE_PAIRS
     from convlink.kb import NULL_ENTITY
     from convlink.sparse import (NULL_FEATURE, entity_feature_strings,
-                                 query_feature_strings)
+                                 fnv1a64, query_feature_strings)
     from convlink.textproc import extract_target_views, extract_views
     from test_cnn import reference_encode
 
-    model, kb, table, tfidf = world.model, world.kb, world.table, world.tfidf
+    model, kb, table = world.model, world.kb, world.table
+    tfidf = world.targets.tfidf
     prep, mention = world.prep, world.mention
     cfg = model.config
     tog = cfg.toggles
@@ -217,7 +218,7 @@ def brute_force_marginals(world):
             if tog.use_sparse:
                 feats = feats + query_feature_strings(views.mention_tokens, q)
             for f in feats:
-                s += model.w_sparse.get(model.vocab.index_of(f), 0.0)
+                s += model.w_sparse.get(fnv1a64(f) % cfg.hash_capacity, 0.0)
             if tog.use_dense and entity != NULL_ENTITY:
                 title_toks, body_toks = extract_target_views(
                     kb.title(entity), kb.body(entity), doc_cap=cfg.doc_cap)

@@ -21,10 +21,10 @@ from convlink.embeddings import load_word2vec
 from convlink.evalharness import (correct_by_kind, most_topical_filter,
                                   run_ablation)
 from convlink.kb import KnowledgeBase, generate_queries
-from convlink.model import (Model, infer, load_model, loss_and_grad,
-                            marginals_from_scores, prepare_corpus,
-                            prepare_mention, save_model, score_pairs, train)
-from convlink.sparse import TfIdfModel
+from convlink.model import (Model, TargetCache, infer, load_model,
+                            loss_and_grad, marginals_from_scores,
+                            prepare_corpus, prepare_mention, save_model,
+                            score_pairs, train)
 from convlink.synthetic import SyntheticSpec, generate
 from convlink.textproc import load_corpus
 from helpers import brute_force_marginals, tiny_world, toks
@@ -279,16 +279,13 @@ def test_criterion_7_determinism_and_roundtrip(synth, ablation, tmp_path):
     mpath = tmp_path / "full.bin"
     save_model(full_model, mpath)
     reloaded = load_model(mpath)
-    tfidf = TfIdfModel.from_kb(synth["kb"])
+    targets_a = TargetCache(synth["kb"], synth["table"], full_model.config)
+    targets_b = TargetCache(synth["kb"], synth["table"], reloaded.config)
     same_preds = True
     for doc in synth["test"]:
         for mention in doc.mentions:
-            a = infer(full_model,
-                      prepare_mention(full_model, synth["kb"], synth["table"],
-                                      tfidf, doc, mention))
-            b = infer(reloaded,
-                      prepare_mention(reloaded, synth["kb"], synth["table"],
-                                      tfidf, doc, mention))
+            a = infer(full_model, prepare_mention(targets_a, doc, mention))
+            b = infer(reloaded, prepare_mention(targets_b, doc, mention))
             if [(s.entity, s.marginal_prob) for s in a] != \
                     [(s.entity, s.marginal_prob) for s in b]:
                 same_preds = False
@@ -307,9 +304,9 @@ def test_criterion_8_query_generation(synth):
     ok_examples = ("barack obama" in texts_obama
                    and {"pink floyd", "floyd"} <= texts_floyd)
 
-    model = Model.initialize(synth["config"])
-    prepared = prepare_corpus(model, synth["kb"], synth["table"],
-                              synth["test"])
+    prepared = prepare_corpus(
+        TargetCache(synth["kb"], synth["table"], synth["config"]),
+        synth["test"])
     mean_q = sum(len(p.queries) for p in prepared) / len(prepared)
     ok = ok_examples and 4.0 <= mean_q <= 15.0
     _report(8, "query generation", ok,

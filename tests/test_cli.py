@@ -158,6 +158,21 @@ def test_malformed_kb_source_is_data_error(tmp_path, capsys, kind):
     assert "error: %s:2: " % paths[bad_file] in capsys.readouterr().err
 
 
+def test_duplicate_article_id_names_file_and_line(tmp_path, capsys):
+    articles = str(tmp_path / "articles.jsonl")
+    anchors = str(tmp_path / "anchors.jsonl")
+    with open(articles, "w", encoding="utf-8") as fh:
+        fh.write('{"id": "E1", "title": "T1", "body": "b"}\n'
+                 '{"id": "E1", "title": "T2", "body": "c"}\n')
+    with open(anchors, "w", encoding="utf-8") as fh:
+        fh.write('{"anchor_text": "t", "entity_id": "E1"}\n')
+    code = run(["-q", "ingest-kb", "--articles", articles,
+                "--anchors", anchors, "--out", str(tmp_path / "kb.bin")])
+    assert code == 2
+    assert ("error: %s:2: duplicate entity id 'E1'" % articles
+            in capsys.readouterr().err)
+
+
 # Corpus records that load_corpus rejects, each on line 2
 MALFORMED_CORPORA = {
     "record-array": '["d", ["a"]]',
@@ -292,18 +307,21 @@ def test_inspect_filters_cli(workspace, tmp_path, capsys):
         assert len(ngram.split()) == 5
 
 
-def test_filter_row_out_of_range_is_data_error(workspace, tmp_path):
+def test_filter_row_out_of_range_is_data_error(workspace, tmp_path, capsys):
     model_path = str(tmp_path / "model.bin")
     run(["-q", "train", "--kb", workspace["kb"],
          "--embeddings", workspace["embeddings"],
          "--corpus", workspace["train"], "--out", model_path,
          "--epochs", "0", "--seed", "0", "--k", "4", "--ell", "5"])
-    code = run(["-q", "inspect-filters", "--model", model_path,
-                "--embeddings", workspace["embeddings"],
-                "--corpus", workspace["train"],
-                "--granularity", "src_document",
-                "--filter-row", "999", "--top-n", "3"])
-    assert code == 2
+    for row in ("999", "-1"):
+        code = run(["-q", "inspect-filters", "--model", model_path,
+                    "--embeddings", workspace["embeddings"],
+                    "--corpus", workspace["train"],
+                    "--granularity", "src_document",
+                    "--filter-row", row, "--top-n", "3"])
+        assert code == 2, row
+        assert ("error: filter row %s is outside [0, 4)" % row
+                in capsys.readouterr().err)
 
 
 def test_link_memoizes_target_vectors(workspace, tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from convlink.evalharness import (EvalRow, evaluate, inspect_filters,
                                   topic_purity)
 from convlink.kb import KnowledgeBase
 from convlink.model import Model, save_model, train
+from convlink.sparse import FeatureVocabulary
 from convlink.embeddings import load_word2vec
 from convlink.synthetic import (MENTION_PREFIX, MENTION_SUFFIX,
                                 SyntheticSpec, generate)
@@ -158,7 +159,8 @@ class TestEvaluate:
     def test_always_null_scores_zero(self):
         kb, docs, table = oracle_corpus()
         m = eval_model(FeatureToggles.sparse_only())
-        m.w_sparse[m.vocab.index_of("e:null")] = 100.0
+        vocab = FeatureVocabulary(m.config.hash_capacity)
+        m.w_sparse[vocab.index_of("e:null")] = 100.0
         report = evaluate(m, docs, kb, table)
         row = report.rows[0]
         assert row.accuracy == 0.0
@@ -168,12 +170,25 @@ class TestEvaluate:
         kb, docs, table = oracle_corpus()
         m = eval_model(FeatureToggles.sparse_only())
         # exact title match plus link counts identify the gold everywhere
-        m.w_sparse[m.vocab.index_of("e:title=exact")] = 50.0
-        m.w_sparse[m.vocab.index_of("e:null")] = -50.0
+        vocab = FeatureVocabulary(m.config.hash_capacity)
+        m.w_sparse[vocab.index_of("e:title=exact")] = 50.0
+        m.w_sparse[vocab.index_of("e:null")] = -50.0
         report = evaluate(m, docs, kb, table)
         row = report.rows[0]
         assert row.gold_recall == pytest.approx(2 / 3)
         assert row.accuracy == row.gold_recall
+
+    def test_oov_rate_counts_each_document_once(self):
+        # d0 (in vocabulary, two mentions) and d1 (all OOV, one mention)
+        # are the same length: half of the corpus tokens miss
+        kb, _, table = oracle_corpus()
+        docs = [Document("d0", toks("xx", "Alpha", "yy"),
+                         [Mention("d0", 1, 2, "EA"),
+                          Mention("d0", 0, 1, "EA")]),
+                Document("d1", toks("qq", "Zeta", "rr"),
+                         [Mention("d1", 1, 2, "EB")])]
+        row = evaluate(eval_model(), docs, kb, table).rows[0]
+        assert row.oov_rate == 0.5
 
     def test_missing_gold_listed_not_fatal(self):
         kb, docs, table = oracle_corpus()

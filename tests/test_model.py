@@ -16,10 +16,9 @@ from convlink.errors import (CacheError, ChecksumError, LoadError,
                              TrainingError, VersionError)
 from convlink.kb import NULL_ENTITY, KnowledgeBase
 from convlink.model import (MODEL_MAGIC, MODEL_VERSION, AdadeltaState, Model,
-                            infer, load_model, loss_and_grad,
-                            marginals_from_scores, prepare_mention,
-                            save_model, score_pairs, train)
-from convlink.sparse import TfIdfModel
+                            TargetCache, infer, load_model, loss_and_grad,
+                            marginals_from_scores, prepare_corpus,
+                            prepare_mention, save_model, score_pairs, train)
 from convlink.textproc import Document, Mention
 from helpers import (ABLATION_TOGGLES, MALFORMED_MODEL_HEADERS,
                      brute_force_marginals, rewrite_model_header, tiny_world,
@@ -41,7 +40,7 @@ class TestScorePairs:
     def test_single_null_candidate(self):
         w = tiny_world(seed=2)
         kb = KnowledgeBase.ingest([{"id": "E9", "title": "X", "body": ""}], [])
-        prep = prepare_mention(w.model, kb, w.table, TfIdfModel.from_kb(kb),
+        prep = prepare_mention(TargetCache(kb, w.table, w.model.config),
                                w.doc, w.mention)
         assert prep.cand.candidates == [NULL_ENTITY]
         scored = infer(w.model, prep)
@@ -259,8 +258,8 @@ class TestAblationConsistency:
         sparse_only = replace(
             w.model, config=w.model.config.with_toggles(
                 FeatureToggles.sparse_only()))
-        prep_sparse = prepare_mention(sparse_only, w.kb, w.table, w.tfidf,
-                                      w.doc, w.mention)
+        prep_sparse = prepare_mention(
+            TargetCache(w.kb, w.table, sparse_only.config), w.doc, w.mention)
         zeroed = replace(w.model)
         zeroed.w_dense = np.zeros(6)
         a = infer(sparse_only, prep_sparse)
@@ -275,7 +274,7 @@ class TestAblationConsistency:
         w = tiny_world(seed=11, toggles=FeatureToggles.cnn_only())
         # the preparation carries every sparse feature, each with a weight
         assert all(len(vec) for vec in w.prep.fq)
-        null_idx = w.model.vocab.index_of("e:null")
+        null_idx = w.targets.vocab.index_of("e:null")
         # with the dense part zeroed, S is the sparse part alone: the NULL
         # indicator on the NULL row and nothing elsewhere
         S = score_pairs(replace(w.model, w_dense=np.zeros(6)), w.prep).S
@@ -342,9 +341,8 @@ def memo_world(toggles=None):
     table = micro_table()
     m = micro_model(seed=4, toggles=toggles)
     m.w_dense = np.random.default_rng(4).normal(size=6)
-    tfidf = TfIdfModel.from_kb(kb)
-    preps = [prepare_mention(m, kb, table, tfidf, d, d.mentions[0])
-             for d in docs]
+    targets = TargetCache(kb, table, m.config)
+    preps = [prepare_mention(targets, d, d.mentions[0]) for d in docs]
     for prep in preps:
         assert sorted(prep.cand.candidates) == sorted(["EA", "EB",
                                                        NULL_ENTITY])
@@ -505,8 +503,7 @@ class TestAdadelta:
         table = micro_table()
         m = micro_model()
         # train a little and inspect the state via a fresh run
-        from convlink.model import prepare_corpus, AdadeltaState, loss_and_grad
-        prepared = prepare_corpus(m, kb, table, docs)
+        prepared = prepare_corpus(TargetCache(kb, table, m.config), docs)
         state = AdadeltaState(m)
         for prep in prepared:
             loss, grads = loss_and_grad(m, prep)
@@ -523,11 +520,12 @@ class TestSaveLoad:
         path = tmp_path / "model.bin"
         save_model(m, path)
         m2 = load_model(path)
-        tfidf = TfIdfModel.from_kb(kb)
+        t1 = TargetCache(kb, table, m.config)
+        t2 = TargetCache(kb, table, m2.config)
         for doc in docs:
             for mention in doc.mentions:
-                p1 = prepare_mention(m, kb, table, tfidf, doc, mention)
-                p2 = prepare_mention(m2, kb, table, tfidf, doc, mention)
+                p1 = prepare_mention(t1, doc, mention)
+                p2 = prepare_mention(t2, doc, mention)
                 r1 = infer(m, p1)
                 r2 = infer(m2, p2)
                 assert [(s.entity, s.marginal_prob) for s in r1] == \
@@ -587,7 +585,6 @@ class TestSaveLoad:
         assert sorted(header["config"]["toggles"]) == ["dense_mask",
                                                        "use_sparse"]
         assert "vocab_mode" not in header["config"]
-        assert load_model(path).vocab.capacity == m.config.hash_capacity
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.bin"

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from convlink import model
 from helpers import tiny_world
 
 TRACING_PATH = os.path.join(os.path.dirname(os.path.dirname(
@@ -33,12 +34,18 @@ def test_traced_target_exists(owner_path, attr, name):
     assert vars(owner).get(attr) is not None, name
 
 
-def test_prepare_hook_fields_exist():
-    # perfbench/run.py's _prepare_hook reads these from prepare_mention's
-    # model argument and result
+def test_prepare_hook_fields_exist(monkeypatch):
+    # perfbench/run.py's _prepare_hook reads these from the first
+    # positional argument and the result of each prepare_mention call
     w = tiny_world(seed=3)
-    assert isinstance(w.model.config.toggles.use_sparse, bool)
-    assert len(w.prep.queries) == 2
-    assert len(w.prep.cand.candidates) == 3
-    assert w.prep.mention.gold_entity == "E1"
-    assert w.prep.gold_index == w.prep.cand.candidates.index("E1")
+    calls = []
+    real = model.prepare_mention
+    monkeypatch.setattr(model, "prepare_mention",
+                        lambda *args: calls.append(args) or real(*args))
+    [prep] = model.prepare_corpus(w.targets, [w.doc])
+    [args] = calls
+    assert isinstance(args[0].config.toggles.use_sparse, bool)
+    assert len(prep.queries) == 2
+    assert len(prep.cand.candidates) == 3
+    assert prep.mention.gold_entity == "E1"
+    assert prep.gold_index == prep.cand.candidates.index("E1")
