@@ -18,8 +18,7 @@ sys.path.insert(0, os.path.join(
 
 from convlink.config import FeatureToggles, ModelConfig
 from convlink.embeddings import load_word2vec
-from convlink.evalharness import (correct_by_kind, most_topical_filter,
-                                  run_ablation)
+from convlink.evalharness import evaluate, most_topical_filter, run_ablation
 from convlink.kb import KnowledgeBase
 from convlink.synthetic import SyntheticSpec, generate
 from convlink.textproc import load_corpus, read_jsonl
@@ -88,11 +87,13 @@ def main():
     print()
     print("%-36s" % "correct by document kind"
           + "".join(" %18s" % kind for kind in kinds))
-    for row in report.rows:
-        counts = correct_by_kind(trained[row.config_name], test_docs, kb,
-                                 table, doc_kinds)
+    by_kind = [evaluate(list(trained.items()),
+                        [d for d in test_docs if doc_kinds[d.doc_id] == kind],
+                        kb, table).rows for kind in kinds]
+    for i, row in enumerate(report.rows):
         print("%-36s" % row.config_name + "".join(
-            " %18s" % ("%d/%d" % counts.get(kind, (0, 0))) for kind in kinds))
+            " %18s" % ("%d/%d" % (rows[i].n_correct, rows[i].n_mentions))
+            for rows in by_kind))
 
     t0 = time.time()
     row, topic, purity, ngrams = most_topical_filter(

@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 
 from . import evalharness, kb as kb_mod, model as model_mod, synthetic
 from .config import GRANULARITIES, ModelConfig, toggles_from_name
@@ -183,10 +184,11 @@ def _cmd_evaluate(args) -> int:
         if not args.model:
             raise UsageError("evaluate needs --model or --predictions")
         m = model_mod.load_model(args.model)
-        configs = None
+        models = [("model", m)]
         if args.config:
-            configs = [(name, toggles_from_name(name)) for name in args.config]
-        report = evalharness.evaluate(m, docs, knowledge, table, configs=configs)
+            models = [(name, replace(m, config=m.config.with_toggles(
+                toggles_from_name(name)))) for name in args.config]
+        report = evalharness.evaluate(models, docs, knowledge, table)
     text = report.to_jsonl()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -202,18 +204,15 @@ def _cmd_evaluate(args) -> int:
 def _cmd_link(args) -> int:
     knowledge, table, docs, m = _load_inputs(args, with_model=True)
     targets = model_mod.TargetCache(knowledge, table, m.config)
-    memo = {}       # entity -> target topic vectors under m's frozen weights
+    pairs = ((doc, mention) for doc in docs for mention in doc.mentions)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            for mention in doc.mentions:
-                prep = model_mod.prepare_mention(targets, doc, mention)
-                top = model_mod.infer(m, prep, memo)[0]
-                fh.write(json.dumps({
-                    "doc_id": doc.doc_id,
-                    "span": [mention.start, mention.end],
-                    "entity": top.entity,
-                    "prob": top.marginal_prob,
-                }, sort_keys=True) + "\n")
+        for prep, [top] in model_mod.link(targets, [m], pairs):
+            fh.write(json.dumps({
+                "doc_id": prep.mention.doc_id,
+                "span": [prep.mention.start, prep.mention.end],
+                "entity": top.entity,
+                "prob": top.marginal_prob,
+            }, sort_keys=True) + "\n")
     log.info("wrote predictions to %s", args.out)
     return 0
 

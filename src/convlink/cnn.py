@@ -150,8 +150,8 @@ class ForwardCache:
     ``source`` maps each source granularity the mask needs to its
     (windows, pre-activations, topic vector); ``targets`` holds the same
     for each candidate's target views, or None for NULL.  ``fc`` is the
-    (T, 6) matrix of cosine features.  A ``memoized`` pass took its
-    target topic vectors from a memo and has no target windows or
+    (T, 6) matrix of cosine features.  A ``memoized`` pass may have
+    taken target topic vectors from a memo, without their windows or
     pre-activations (both None), so it cannot be backpropagated.
     """
     params: CnnParams
@@ -172,32 +172,32 @@ def forward_from_matrices(params: CnnParams, source_mats: dict, target_mats,
     matrix; ``target_mats`` holds one such dict per candidate, or None
     for the NULL candidate, whose six features stay zero.
 
-    ``target_memo``, for frozen weights only, holds one dict per
-    candidate (None for NULL) that maps target granularity to topic
-    vector; it is normally the candidate entity's entry in a memo shared
-    by many mentions.  A target view is then encoded only when its
-    vector is missing from the dict, and the vector is stored there.
+    Each candidate's needed target views are encoded unless its memo
+    dict already maps the granularity to a topic vector, and the
+    vectors encoded are stored there.  ``target_memo``, for frozen
+    weights only, holds those dicts (None for NULL); each is normally
+    the candidate entity's entry in a memo shared by many mentions.
+    Without it every candidate gets a fresh dict, so every view is
+    encoded.
     """
     mask = tuple(mask)
     needed = needed_granularities(mask)
+    memoized = target_memo is not None
+    if not memoized:
+        target_memo = [{} for _ in target_mats]
 
-    def encode_views(mats):
-        return {g: _encode(params.banks[g], X)
-                for g, X in mats.items() if g in needed}
-
-    def memo_views(mats, memo):
+    def encode_missing(mats, memo):
+        out = {}
         for g, X in mats.items():
-            if g in needed and g not in memo:
-                memo[g] = _encode(params.banks[g], X)[2]
-        return {g: (None, None, memo[g]) for g in mats if g in needed}
+            if g in needed:
+                out[g] = ((None, None, memo[g]) if g in memo
+                          else _encode(params.banks[g], X))
+                memo[g] = out[g][2]
+        return out
 
-    source = encode_views(source_mats)
-    if target_memo is None:
-        targets = [None if mats is None else encode_views(mats)
-                   for mats in target_mats]
-    else:
-        targets = [None if mats is None else memo_views(mats, memo)
-                   for mats, memo in zip(target_mats, target_memo)]
+    source = encode_missing(source_mats, {})
+    targets = [None if mats is None else encode_missing(mats, memo)
+               for mats, memo in zip(target_mats, target_memo)]
     fc = np.zeros((len(targets), N_DENSE))
     for ti, tgt in enumerate(targets):
         if tgt is None:
@@ -206,8 +206,7 @@ def forward_from_matrices(params: CnnParams, source_mats: dict, target_mats,
             if on:
                 fc[ti, i] = cosine(source[src_g][2], tgt[tgt_g][2])
     return ForwardCache(params=params, mask=mask, source=source,
-                        targets=targets, fc=fc,
-                        memoized=target_memo is not None)
+                        targets=targets, fc=fc, memoized=memoized)
 
 
 def backward(params: CnnParams, cache: ForwardCache,

@@ -100,7 +100,7 @@ def load_word2vec(path) -> EmbeddingTable:
                     % (path, lineno, dim, len(parts)))
             token = parts[0]
             try:
-                vec = np.array([float(x) for x in parts[1:]])
+                vec = np.array(parts[1:], dtype=float)
             except ValueError:
                 raise FormatError("%s:%d: non-numeric vector component"
                                   % (path, lineno))

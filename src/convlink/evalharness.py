@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -14,8 +14,8 @@ from .config import ModelConfig
 from .embeddings import EmbeddingTable
 from .errors import FormatError
 from .kb import KnowledgeBase
-from .model import (Model, TargetCache, fit, infer, labeled_mentions,
-                    prepare_corpus, prepare_mention)
+from .model import (Model, TargetCache, fit, labeled_mentions, link,
+                    prepare_corpus)
 from .textproc import read_jsonl, string_field
 
 
@@ -49,24 +49,17 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
-             configs=None) -> EvalReport:
-    """Deterministic top-1 accuracy over all gold-annotated mentions.
+def evaluate(models, docs, kb: KnowledgeBase,
+             table: EmbeddingTable) -> EvalReport:
+    """Deterministic top-1 accuracy of each (name, Model) pair in
+    ``models`` over all gold-annotated mentions, one row per pair.
 
-    ``configs`` is a list of (name, FeatureToggles) pairs, evaluated as
-    feature subsets of the given model, or (name, Model) pairs, scored as
-    they are; by default the model's own toggles are used.  Each mention
-    is prepared once, under ``model``'s config, for all configs, so a
-    listed Model must have ``model``'s config apart from its toggles.
-    Mentions whose gold entity misses the candidate set score as wrong;
-    gold ids absent from the KB are listed in the report rather than
-    raised.
+    Each mention is prepared once, under the first model's config, and
+    scored by every model through ``model.link``, so the models' configs
+    may differ only in their toggles.  Mentions whose gold entity misses
+    the candidate set score as wrong; gold ids absent from the KB are
+    listed in the report rather than raised.
     """
-    if configs is None:
-        configs = [("model", model.config.toggles)]
-    scorers = [c if isinstance(c, Model)
-               else replace(model, config=model.config.with_toggles(c))
-               for _, c in configs]
     report = EvalReport()
     pairs = list(labeled_mentions(docs))
     for doc, mention in pairs:
@@ -74,62 +67,26 @@ def evaluate(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
             report.missing_entities.append(mention.gold_entity)
     oov_rate = table.oov_rate([t.surface for doc in docs for t in doc.tokens])
     n = len(pairs)
-    targets = TargetCache(kb, table, model.config)
-    for (name, _), results in zip(configs,
-                                  _score_mentions(targets, scorers, pairs)):
-        n_correct = sum(1 for r in results if r[0])
-        n_in_cand = sum(1 for r in results if r[1])
-        mean_q = (sum(r[2] for r in results) / n) if n else 0.0
+    targets = TargetCache(kb, table, models[0][1].config)
+    n_correct = [0] * len(models)
+    n_in_cand = n_queries = 0
+    for prep, tops in link(targets, [m for _, m in models], pairs):
+        n_in_cand += prep.gold_index is not None
+        n_queries += len(prep.queries)
+        for i, top in enumerate(tops):
+            n_correct[i] += top.entity == prep.mention.gold_entity
+    for (name, _), correct in zip(models, n_correct):
         report.rows.append(EvalRow(
             config_name=name,
-            accuracy=n_correct / n if n else 0.0,
+            accuracy=correct / n if n else 0.0,
             gold_recall=n_in_cand / n if n else 0.0,
             n_mentions=n,
-            n_correct=n_correct,
+            n_correct=correct,
             n_gold_in_candidates=n_in_cand,
-            mean_queries_per_mention=mean_q,
+            mean_queries_per_mention=n_queries / n if n else 0.0,
             oov_rate=oov_rate,
         ))
     return report
-
-
-def _score_mentions(targets: TargetCache, scorers, pairs) -> list:
-    """Per scorer, (top-1 correct, gold in candidates, query count) per
-    (doc, mention) pair.  Each mention is prepared once, in ``targets``,
-    scored by every scorer and dropped.  Each scorer keeps its own memo
-    of target topic vectors, since scorers differ in weights and mask."""
-    for m in scorers:
-        if m.config.with_toggles(targets.config.toggles) != targets.config:
-            raise ValueError("a scored model's config differs from the "
-                             "preparing config beyond its toggles")
-    results = [[] for _ in scorers]
-    memos = [{} for _ in scorers]
-    for doc, mention in pairs:
-        prep = prepare_mention(targets, doc, mention)
-        for m, memo, out in zip(scorers, memos, results):
-            top = infer(m, prep, memo)[0]
-            out.append((top.entity == mention.gold_entity,
-                        prep.gold_index is not None, len(prep.queries)))
-    return results
-
-
-def correct_by_kind(model: Model, docs, kb: KnowledgeBase,
-                    table: EmbeddingTable, doc_kinds: dict) -> dict:
-    """Top-1 (n_correct, n_mentions) per document kind.
-
-    ``doc_kinds`` maps doc_id -> kind label, e.g. the ``kind`` fields of
-    a synthetic corpus's ``metadata["documents"]``; every evaluated
-    document must have one.
-    """
-    pairs = list(labeled_mentions(docs))
-    counts = {}
-    [results] = _score_mentions(TargetCache(kb, table, model.config),
-                                [model], pairs)
-    for (doc, _), (correct, _, _) in zip(pairs, results):
-        kind = doc_kinds[doc.doc_id]
-        n_correct, n = counts.get(kind, (0, 0))
-        counts[kind] = (n_correct + int(correct), n + 1)
-    return counts
 
 
 def load_predictions(path) -> list:
@@ -183,10 +140,7 @@ def run_ablation(base_config: ModelConfig, train_docs, test_docs,
         m = Model.initialize(base_config.with_toggles(toggles))
         fit(m, prepared, epochs, rho=rho, eps=eps, seed=seed, log=log)
         trained[name] = m
-    # the test split is prepared once, under the first model's config,
-    # which differs from the others' only in its toggles
-    report = evaluate(next(iter(trained.values())), test_docs, kb, table,
-                      configs=list(trained.items()))
+    report = evaluate(list(trained.items()), test_docs, kb, table)
     return report, trained
 
 
@@ -231,8 +185,10 @@ def inspect_filters(model: Model, docs, table: EmbeddingTable,
     max(0, M[row] . window); zero activations are dropped and surviving
     n-grams are deduplicated by lowercased surface (keeping the max).
     Documents shorter than the filter width are skipped.  A row outside
-    [0, k) is an IndexError.
+    [0, k) is an IndexError and a negative ``top_n`` a ValueError.
     """
+    if top_n < 0:
+        raise ValueError("top-n must be at least 0, got %d" % top_n)
     bank = model.cnn_params.banks[granularity]
     if not 0 <= filter_row < bank.k:
         raise IndexError("filter row %d is outside [0, %d)"

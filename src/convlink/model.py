@@ -235,6 +235,24 @@ def infer(model: Model, prep: PreparedMention, memo: dict = None) -> list:
     return out
 
 
+def link(targets: TargetCache, models, pairs):
+    """Yield (prepared mention, top ScoredCandidate per model) for each
+    (doc, mention) pair in order.  Each mention is prepared once, in
+    ``targets``, and scored by every model, so a model's config may
+    differ from ``targets.config`` only in its toggles.  Each model
+    keeps its own memo of target topic vectors, since models differ in
+    weights and mask; their weights must stay frozen meanwhile."""
+    for m in models:
+        if m.config.with_toggles(targets.config.toggles) != targets.config:
+            raise ValueError("a scored model's config differs from the "
+                             "preparing config beyond its toggles")
+    memos = [{} for _ in models]
+    for doc, mention in pairs:
+        prep = prepare_mention(targets, doc, mention)
+        yield prep, [infer(m, prep, memo)[0]
+                     for m, memo in zip(models, memos)]
+
+
 @dataclass
 class GradBundle:
     sparse: dict                 # feature index -> gradient
@@ -313,21 +331,35 @@ class AdadeltaState:
         self.bank_dx2 = {g: np.zeros_like(b.M)
                          for g, b in model.cnn_params.banks.items()}
         self.sparse = {}     # index -> [E[g^2], E[dx^2]]
+        # two work arrays per parameter shape (all banks share one)
+        self._scratch = {x.shape: (np.empty_like(x), np.empty_like(x))
+                         for x in (self.dense_g2, *self.bank_g2.values())}
 
-    def _dense_step(self, g2, dx2, g):
+    def _dense_step(self, x, g2, dx2, g) -> None:
+        """One Adadelta step on ``x`` for gradient ``g``, in place."""
+        a, b = self._scratch[x.shape]
+        np.multiply(g, 1.0 - self.rho, out=a)
+        a *= g
         g2 *= self.rho
-        g2 += (1.0 - self.rho) * g * g
-        dx = -np.sqrt((dx2 + self.eps) / (g2 + self.eps)) * g
+        g2 += a                              # E[g^2]
+        np.add(dx2, self.eps, out=a)
+        np.add(g2, self.eps, out=b)
+        a /= b
+        np.sqrt(a, out=a)
+        np.negative(a, out=a)
+        a *= g                               # dx
+        np.multiply(a, 1.0 - self.rho, out=b)
+        b *= a
         dx2 *= self.rho
-        dx2 += (1.0 - self.rho) * dx * dx
-        return dx
+        dx2 += b                             # E[dx^2]
+        x += a
 
     def apply(self, model: Model, grads: GradBundle) -> None:
-        model.w_dense += self._dense_step(self.dense_g2, self.dense_dx2,
-                                          grads.dense)
+        self._dense_step(model.w_dense, self.dense_g2, self.dense_dx2,
+                         grads.dense)
         for g, dM in grads.banks.items():
-            step = self._dense_step(self.bank_g2[g], self.bank_dx2[g], dM)
-            model.cnn_params.banks[g].M += step
+            self._dense_step(model.cnn_params.banks[g].M, self.bank_g2[g],
+                             self.bank_dx2[g], dM)
         rho, eps = self.rho, self.eps
         for idx, grad in grads.sparse.items():
             st = self.sparse.get(idx)
@@ -388,6 +420,8 @@ def fit(model: Model, prepared: list, epochs: int, rho: float = 0.95,
     Example order is reshuffled each epoch from ``seed``; with a fixed
     seed and corpus the final weights are bit-identical across runs.
     """
+    if epochs < 0:
+        raise ValueError("epochs must be at least 0, got %d" % epochs)
     state = AdadeltaState(model, rho=rho, eps=eps)
     rng = np.random.default_rng(seed)
     in_cand = sum(1 for p in prepared if p.gold_index is not None)

@@ -18,8 +18,7 @@ import pytest
 from convlink import cnn
 from convlink.config import GRANULARITIES, FeatureToggles, ModelConfig
 from convlink.embeddings import load_word2vec
-from convlink.evalharness import (correct_by_kind, most_topical_filter,
-                                  run_ablation)
+from convlink.evalharness import evaluate, most_topical_filter, run_ablation
 from convlink.kb import KnowledgeBase, generate_queries
 from convlink.model import (Model, TargetCache, infer, load_model,
                             loss_and_grad, marginals_from_scores,
@@ -230,11 +229,12 @@ def test_heavy_distractors_mislead_document_view(synth, ablation):
     # document pair there -- by criterion 5's 0.02 margin on their own.
     doc_kinds = {doc_id: rec["kind"] for doc_id, rec
                  in synth["data"].metadata["documents"].items()}
-    heavy = {}
-    for name in ("cnn-only", "pair:doc*doc"):
-        heavy[name] = correct_by_kind(
-            ablation["trained"][name], synth["test"], synth["kb"],
-            synth["table"], doc_kinds)["heavy-distractor"]
+    names = ("cnn-only", "pair:doc*doc")
+    rows = evaluate([(name, ablation["trained"][name]) for name in names],
+                    [doc for doc in synth["test"]
+                     if doc_kinds[doc.doc_id] == "heavy-distractor"],
+                    synth["kb"], synth["table"]).rows
+    heavy = {row.config_name: (row.n_correct, row.n_mentions) for row in rows}
     all_six, doc_doc = heavy["cnn-only"][0], heavy["pair:doc*doc"][0]
     margin = 0.02 * ablation["rows"]["cnn-only"].n_mentions
     ok = all_six > doc_doc and all_six - doc_doc >= margin

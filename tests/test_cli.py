@@ -89,19 +89,33 @@ def test_malformed_model_header_is_data_error(workspace, tmp_path, capsys,
             in capsys.readouterr().err)
 
 
-def test_non_finite_embedding_is_data_error(workspace, tmp_path, capsys):
+def train_with_component(workspace, tmp_path, lineno, value):
+    """Run ``train`` on a copy of the embeddings whose line ``lineno``
+    has ``value`` as its first component; returns (exit code, path)."""
     with open(workspace["embeddings"], encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    fields = lines[1].split()
-    lines[1] = " ".join([fields[0], "nan"] + fields[2:])
+    fields = lines[lineno - 1].split()
+    lines[lineno - 1] = " ".join([fields[0], value] + fields[2:])
     embeddings = str(tmp_path / "embeddings.txt")
     with open(embeddings, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     code = run(["-q", "train", "--kb", workspace["kb"],
                 "--embeddings", embeddings, "--corpus", workspace["train"],
                 "--out", str(tmp_path / "model.bin")])
+    return code, embeddings
+
+
+def test_non_finite_embedding_is_data_error(workspace, tmp_path, capsys):
+    code, embeddings = train_with_component(workspace, tmp_path, 2, "nan")
     assert code == 2
     assert ("%s:2: non-finite vector component" % embeddings
+            in capsys.readouterr().err)
+
+
+def test_non_numeric_embedding_is_data_error(workspace, tmp_path, capsys):
+    code, embeddings = train_with_component(workspace, tmp_path, 3, "0.5x")
+    assert code == 2
+    assert ("%s:3: non-numeric vector component" % embeddings
             in capsys.readouterr().err)
 
 
@@ -322,6 +336,56 @@ def test_filter_row_out_of_range_is_data_error(workspace, tmp_path, capsys):
         assert code == 2, row
         assert ("error: filter row %s is outside [0, 4)" % row
                 in capsys.readouterr().err)
+
+
+def test_negative_top_n_is_data_error(workspace, tmp_path, capsys):
+    model_path = str(tmp_path / "model.bin")
+    model_mod.save_model(model_mod.Model.initialize(
+        ModelConfig(d=8, k=4, ell=5)), model_path)
+    code = run(["-q", "inspect-filters", "--model", model_path,
+                "--embeddings", workspace["embeddings"],
+                "--corpus", workspace["train"],
+                "--filter-row", "0", "--top-n", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: top-n must be at least 0, got -1" in captured.err
+
+
+def test_negative_epochs_is_data_error(workspace, tmp_path, capsys):
+    out = tmp_path / "model.bin"
+    code = run(["-q", "train", "--kb", workspace["kb"],
+                "--embeddings", workspace["embeddings"],
+                "--corpus", workspace["train"], "--out", str(out),
+                "--epochs", "-1", "--k", "4", "--ell", "5"])
+    assert code == 2
+    assert "error: epochs must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unlabeled_mentions_are_linked_not_scored(workspace, tmp_path):
+    with open(workspace["test"], encoding="utf-8") as fh:
+        docs = [json.loads(line) for line in fh][:2]
+    docs[0]["mentions"] = docs[0]["mentions"][:1]
+    docs[1]["mentions"] = [dict(docs[1]["mentions"][0], gold_entity=None)]
+    corpus = str(tmp_path / "corpus.jsonl")
+    with open(corpus, "w", encoding="utf-8") as fh:
+        fh.write("".join(json.dumps(d) + "\n" for d in docs))
+    model_path = str(tmp_path / "model.bin")
+    model_mod.save_model(model_mod.Model.initialize(
+        ModelConfig(d=8, k=4, ell=5)), model_path)
+    common = ["--model", model_path, "--kb", workspace["kb"],
+              "--embeddings", workspace["embeddings"], "--corpus", corpus]
+    preds = str(tmp_path / "preds.jsonl")
+    assert run(["-q", "link", "--out", preds] + common) == 0
+    with open(preds, encoding="utf-8") as fh:
+        linked = [json.loads(line)["doc_id"] for line in fh]
+    assert linked == [docs[0]["doc_id"], docs[1]["doc_id"]]
+    report = str(tmp_path / "report.jsonl")
+    assert run(["-q", "evaluate", "--report", report] + common) == 0
+    with open(report, encoding="utf-8") as fh:
+        row = json.loads(fh.readline())
+    assert row["n_mentions"] == 1
 
 
 def test_link_memoizes_target_vectors(workspace, tmp_path, monkeypatch):

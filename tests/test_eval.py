@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convlink import evalharness
+from convlink import model
 from convlink.config import FeatureToggles, ModelConfig
 from convlink.errors import SpecError
 from convlink.evalharness import (EvalRow, evaluate, inspect_filters,
@@ -161,7 +161,7 @@ class TestEvaluate:
         m = eval_model(FeatureToggles.sparse_only())
         vocab = FeatureVocabulary(m.config.hash_capacity)
         m.w_sparse[vocab.index_of("e:null")] = 100.0
-        report = evaluate(m, docs, kb, table)
+        report = evaluate([("model", m)], docs, kb, table)
         row = report.rows[0]
         assert row.accuracy == 0.0
         assert row.gold_recall == pytest.approx(2 / 3)
@@ -173,7 +173,7 @@ class TestEvaluate:
         vocab = FeatureVocabulary(m.config.hash_capacity)
         m.w_sparse[vocab.index_of("e:title=exact")] = 50.0
         m.w_sparse[vocab.index_of("e:null")] = -50.0
-        report = evaluate(m, docs, kb, table)
+        report = evaluate([("model", m)], docs, kb, table)
         row = report.rows[0]
         assert row.gold_recall == pytest.approx(2 / 3)
         assert row.accuracy == row.gold_recall
@@ -187,22 +187,23 @@ class TestEvaluate:
                           Mention("d0", 0, 1, "EA")]),
                 Document("d1", toks("qq", "Zeta", "rr"),
                          [Mention("d1", 1, 2, "EB")])]
-        row = evaluate(eval_model(), docs, kb, table).rows[0]
+        row = evaluate([("model", eval_model())], docs, kb, table).rows[0]
         assert row.oov_rate == 0.5
 
     def test_missing_gold_listed_not_fatal(self):
         kb, docs, table = oracle_corpus()
-        report = evaluate(eval_model(), docs, kb, table)
+        report = evaluate([("model", eval_model())], docs, kb, table)
         assert "EZ" in report.missing_entities
 
     def test_configs_share_one_preparation(self, monkeypatch):
         kb, docs, table = oracle_corpus()
         calls = []
-        real = evalharness.prepare_mention
-        monkeypatch.setattr(evalharness, "prepare_mention",
+        real = model.prepare_mention
+        monkeypatch.setattr(model, "prepare_mention",
                             lambda *a: calls.append(a) or real(*a))
-        report = evaluate(eval_model(), docs, kb, table,
-                          configs=ABLATION_TOGGLES)
+        report = evaluate([(name, eval_model(toggles))
+                           for name, toggles in ABLATION_TOGGLES],
+                          docs, kb, table)
         assert len(report.rows) == len(ABLATION_TOGGLES)
         assert len(calls) == sum(len(d.mentions) for d in docs)
 
@@ -211,13 +212,14 @@ class TestEvaluate:
         other = eval_model()
         other.config = replace(other.config, top_k=2)
         with pytest.raises(ValueError):
-            evaluate(eval_model(), docs, kb, table, configs=[("x", other)])
+            evaluate([("m", eval_model()), ("x", other)], docs, kb, table)
 
     def test_report_jsonl_parses(self):
         kb, docs, table = oracle_corpus()
-        report = evaluate(eval_model(), docs, kb, table,
-                          configs=[("full", FeatureToggles.full()),
-                                   ("sparse-only", FeatureToggles.sparse_only())])
+        report = evaluate(
+            [("full", eval_model(FeatureToggles.full())),
+             ("sparse-only", eval_model(FeatureToggles.sparse_only()))],
+            docs, kb, table)
         lines = report.to_jsonl().strip().split("\n")
         rows = [json.loads(line) for line in lines]
         names = [r.get("config_name") for r in rows if "config_name" in r]
@@ -244,7 +246,7 @@ class TestEvaluate:
                              toggles=FeatureToggles.sparse_only())
         m = Model.initialize(config)
         m, _ = train(m, train_docs, kb, table, epochs=3, seed=0)
-        report = evaluate(m, test_docs, kb, table)
+        report = evaluate([("model", m)], test_docs, kb, table)
         row = report.rows[0]
         assert row.gold_recall == 1.0
         assert row.accuracy == row.gold_recall
@@ -346,5 +348,5 @@ class TestRunAblation:
             save_model(trained[name], a)
             save_model(alone, b)
             assert a.read_bytes() == b.read_bytes(), name
-            assert evaluate(alone, test_docs, kb, table,
-                            configs=[(name, toggles)]).rows == [row]
+            assert evaluate([(name, alone)], test_docs, kb,
+                            table).rows == [row]
