@@ -70,13 +70,6 @@ def _build_parser() -> _Parser:
     tr.add_argument("--config", default="full",
                     help="full | sparse-only | cnn-only | pair:<src>*<tgt>")
     tr.add_argument("--k", type=int, default=150)
-    tr.add_argument("--ell", type=int, default=5)
-    tr.add_argument("--context-window", type=int, default=10)
-    tr.add_argument("--doc-cap", type=int, default=2000)
-    tr.add_argument("--top-k", type=int, default=30)
-    tr.add_argument("--rho", type=float, default=0.95)
-    tr.add_argument("--eps", type=float, default=1e-6)
-    tr.add_argument("--hash-capacity", type=int, default=2 ** 20)
 
     ev = sub.add_parser("evaluate", help="evaluate a model or predictions")
     add_common(ev, needs_model=False)
@@ -158,15 +151,12 @@ def _cmd_gen(args) -> int:
 def _cmd_train(args) -> int:
     knowledge, table, docs, _ = _load_inputs(args, with_model=False)
     toggles = toggles_from_name(args.config)
-    config = ModelConfig(d=table.dim, k=args.k, ell=args.ell,
-                         context_window=args.context_window,
-                         doc_cap=args.doc_cap, top_k=args.top_k,
-                         hash_capacity=args.hash_capacity,
-                         init_seed=args.seed, toggles=toggles)
+    config = ModelConfig(d=table.dim, k=args.k, init_seed=args.seed,
+                         toggles=toggles)
     m = model_mod.Model.initialize(config)
     m, report = model_mod.train(m, docs, knowledge, table,
-                                epochs=args.epochs, rho=args.rho,
-                                eps=args.eps, seed=args.seed, log=log.info)
+                                epochs=args.epochs, seed=args.seed,
+                                log=log.info)
     model_mod.save_model(m, args.out)
     log.info("trained on %d mentions (%.2f queries/mention, oov %.3f) -> %s",
              report.n_mentions, report.mean_queries_per_mention,

@@ -14,8 +14,8 @@ from .config import ModelConfig
 from .embeddings import EmbeddingTable
 from .errors import FormatError
 from .kb import KnowledgeBase
-from .model import (Model, TargetCache, fit, labeled_mentions, link,
-                    prepare_corpus)
+from .model import (Model, TargetCache, check_epochs, fit, labeled_mentions,
+                    link, prepare_corpus)
 from .textproc import read_jsonl, string_field
 
 
@@ -127,18 +127,18 @@ def score_predictions(docs, prediction_records) -> EvalRow:
 
 def run_ablation(base_config: ModelConfig, train_docs, test_docs,
                  kb: KnowledgeBase, table: EmbeddingTable, configs,
-                 epochs: int, rho: float = 0.95, eps: float = 1e-6,
-                 seed: int = 0, log=None):
+                 epochs: int, seed: int = 0, log=None):
     """Train one system per feature configuration and evaluate each on
     the test split.  Both splits are prepared once for all
     configurations.  Returns (EvalReport, dict name -> trained Model)."""
+    check_epochs(epochs)
     prepared = prepare_corpus(TargetCache(kb, table, base_config), train_docs)
     trained = {}
     for name, toggles in configs:
         if log is not None:
             log("training configuration %r" % name)
         m = Model.initialize(base_config.with_toggles(toggles))
-        fit(m, prepared, epochs, rho=rho, eps=eps, seed=seed, log=log)
+        fit(m, prepared, epochs, seed=seed, log=log)
         trained[name] = m
     report = evaluate(list(trained.items()), test_docs, kb, table)
     return report, trained

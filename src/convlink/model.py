@@ -28,7 +28,7 @@ from .embeddings import EmbeddingTable
 from .errors import LoadError, TrainingError
 from .kb import (NULL_ENTITY, CandidateSet, KnowledgeBase, candidates_for,
                  generate_queries)
-from .sparse import FeatureVocabulary, SparseVector, TfIdfModel
+from .sparse import FeatureTable, FeatureVocabulary, TfIdfModel
 from .textproc import Document, Mention, extract_target_views, extract_views
 
 MODEL_MAGIC = b"CLMD1"
@@ -94,18 +94,16 @@ class PreparedMention:
     cand: CandidateSet
     source_mats: dict                    # granularity -> (n, d)
     target_mats: list                    # per candidate: dict or None (NULL)
-    fq: list                             # per query: SparseVector
-    fe: list                             # [t][q] -> SparseVector
+    features: FeatureTable               # f_Q rows, then f_E rows [t][q]
     gold_index: Optional[int]            # index into cand.candidates, or None
 
 
 def prepare_mention(targets: TargetCache, doc: Document,
                     mention: Mention) -> PreparedMention:
-    """Queries, candidates, sparse vectors and embedded views of one
+    """Queries, candidates, sparse features and embedded views of one
     mention.  The result is shared by every model whose config differs
     from ``targets.config`` only in its toggles."""
     cfg = targets.config
-    vocab = targets.vocab
     tfidf = targets.tfidf
     views = extract_views(doc.tokens, mention,
                           context_window=cfg.context_window,
@@ -113,47 +111,29 @@ def prepare_mention(targets: TargetCache, doc: Document,
     queries = generate_queries(views.mention_tokens)
     cand = candidates_for(targets.kb, queries, top_k=cfg.top_k)
     doc_bag = tfidf.bag([t.surface for t in views.document_tokens])
-    fq = [sparse.features_q(views.mention_tokens, q, vocab) for q in queries]
-    target_mats = []
-    fe = []
-    for entity in cand.candidates:
-        tgt = targets.get(entity)
-        if tgt is None:
-            target_mats.append(None)
-            fe.append([SparseVector.from_features([sparse.NULL_FEATURE], vocab)
-                       for _ in queries])
-            continue
-        body_bag, mats = tgt
-        target_mats.append(mats)
-        cos = tfidf.cosine(doc_bag, body_bag)
-        fe.append([sparse.features_e(targets.kb, q, entity, cos, vocab)
-                   for q in queries])
-
+    tgts = [targets.get(entity) for entity in cand.candidates]
+    cosines = [0.0 if tgt is None else tfidf.cosine(doc_bag, tgt[0])
+               for tgt in tgts]
+    features = sparse.feature_table(targets.kb, views.mention_tokens, queries,
+                                    cand.candidates, cosines, targets.vocab)
     gold_index = None
     if mention.gold_entity is not None and mention.gold_entity in cand.candidates:
         gold_index = cand.candidates.index(mention.gold_entity)
     return PreparedMention(mention=mention, queries=queries, cand=cand,
                            source_mats=cnn.embed_views(targets.table, views),
-                           target_mats=target_mats, fq=fq, fe=fe,
-                           gold_index=gold_index)
+                           target_mats=[None if tgt is None else tgt[1]
+                                        for tgt in tgts],
+                           features=features, gold_index=gold_index)
 
 
-def _sparse_dot(weights: dict, vec: SparseVector) -> float:
-    total = 0.0
-    for idx, val in vec:
-        w = weights.get(idx)
-        if w is not None:
-            total += w * val
-    return total
-
-
-def _sparse_rows(model: Model, prep: PreparedMention):
-    """Candidate rows whose f_E vectors score: every row, or with sparse
-    features off only NULL's, whose indicator is its only signal."""
+def _scoring_rows(model: Model, prep: PreparedMention, x: np.ndarray):
+    """``x``, one value per feature-table row, zeroed on the rows that do
+    not score: with sparse features off only NULL's f_E rows score,
+    since its indicator is its only signal."""
     if model.config.toggles.use_sparse:
-        return range(len(prep.cand.candidates))
-    return [ti for ti, entity in enumerate(prep.cand.candidates)
-            if entity == NULL_ENTITY]
+        return x
+    null = [entity == NULL_ENTITY for entity in prep.cand.candidates]
+    return np.where(np.repeat([False] + null, len(prep.queries)), x, 0.0)
 
 
 @dataclass
@@ -193,15 +173,8 @@ def score_pairs(model: Model, prep: PreparedMention,
                                             target_memo)
         fc = forward.fc
     dense_part = fc @ model.w_dense
-    sparse_part = np.zeros((T, Q))
-    fq_dots = [0.0] * Q
-    if tog.use_sparse:
-        fq_dots = [_sparse_dot(model.w_sparse, v) for v in prep.fq]
-    for ti in _sparse_rows(model, prep):
-        row = prep.fe[ti]
-        for qi in range(Q):
-            sparse_part[ti, qi] = fq_dots[qi] + _sparse_dot(model.w_sparse,
-                                                            row[qi])
+    dots = _scoring_rows(model, prep, prep.features.dots(model.w_sparse))
+    sparse_part = dots[:Q] + dots[Q:].reshape(T, Q)
     S = sparse_part + dense_part[:, np.newaxis]
     return ScoreTable(candidates=prep.cand.candidates, S=S, fc=fc,
                       forward=forward)
@@ -285,22 +258,8 @@ def loss_and_grad(model: Model, prep: PreparedMention):
     coef = Ppair.copy()
     coef[ti_gold] -= Pq_gold
 
-    g_sparse = {}
-
-    def accumulate(vec: SparseVector, c: float):
-        for idx, val in vec:
-            g_sparse[idx] = g_sparse.get(idx, 0.0) + c * val
-
-    if tog.use_sparse:
-        for qi, c in enumerate(coef.sum(axis=0)):
-            if c != 0.0:
-                accumulate(prep.fq[qi], c)
-    for ti in _sparse_rows(model, prep):
-        row_fe = prep.fe[ti]
-        crow = coef[ti]
-        for qi, c in enumerate(crow):
-            if c != 0.0:
-                accumulate(row_fe[qi], c)
+    g_sparse = prep.features.gradient(_scoring_rows(
+        model, prep, np.concatenate([coef.sum(axis=0), coef.ravel()])))
 
     mask = np.array(tog.dense_mask, dtype=float)
     t_coefs = Pt.copy()
@@ -318,12 +277,15 @@ def loss_and_grad(model: Model, prep: PreparedMention):
 # Adadelta training
 # ---------------------------------------------------------------------------
 
+# Adadelta decay rate and conditioning constant (Zeiler 2012)
+RHO = 0.95
+EPS = 1e-6
+
+
 class AdadeltaState:
     """Per-parameter running averages E[g^2] and E[dx^2]."""
 
-    def __init__(self, model: Model, rho: float = 0.95, eps: float = 1e-6):
-        self.rho = rho
-        self.eps = eps
+    def __init__(self, model: Model):
         self.dense_g2 = np.zeros(N_DENSE)
         self.dense_dx2 = np.zeros(N_DENSE)
         self.bank_g2 = {g: np.zeros_like(b.M)
@@ -338,19 +300,19 @@ class AdadeltaState:
     def _dense_step(self, x, g2, dx2, g) -> None:
         """One Adadelta step on ``x`` for gradient ``g``, in place."""
         a, b = self._scratch[x.shape]
-        np.multiply(g, 1.0 - self.rho, out=a)
+        np.multiply(g, 1.0 - RHO, out=a)
         a *= g
-        g2 *= self.rho
+        g2 *= RHO
         g2 += a                              # E[g^2]
-        np.add(dx2, self.eps, out=a)
-        np.add(g2, self.eps, out=b)
+        np.add(dx2, EPS, out=a)
+        np.add(g2, EPS, out=b)
         a /= b
         np.sqrt(a, out=a)
         np.negative(a, out=a)
         a *= g                               # dx
-        np.multiply(a, 1.0 - self.rho, out=b)
+        np.multiply(a, 1.0 - RHO, out=b)
         b *= a
-        dx2 *= self.rho
+        dx2 *= RHO
         dx2 += b                             # E[dx^2]
         x += a
 
@@ -360,15 +322,14 @@ class AdadeltaState:
         for g, dM in grads.banks.items():
             self._dense_step(model.cnn_params.banks[g].M, self.bank_g2[g],
                              self.bank_dx2[g], dM)
-        rho, eps = self.rho, self.eps
         for idx, grad in grads.sparse.items():
             st = self.sparse.get(idx)
             if st is None:
                 st = [0.0, 0.0]
                 self.sparse[idx] = st
-            st[0] = rho * st[0] + (1.0 - rho) * grad * grad
-            dx = -math.sqrt((st[1] + eps) / (st[0] + eps)) * grad
-            st[1] = rho * st[1] + (1.0 - rho) * dx * dx
+            st[0] = RHO * st[0] + (1.0 - RHO) * grad * grad
+            dx = -math.sqrt((st[1] + EPS) / (st[0] + EPS)) * grad
+            st[1] = RHO * st[1] + (1.0 - RHO) * dx * dx
             model.w_sparse[idx] = model.w_sparse.get(idx, 0.0) + dx
 
 
@@ -396,10 +357,15 @@ def prepare_corpus(targets: TargetCache, docs) -> list:
             for doc, mention in labeled_mentions(docs)]
 
 
+def check_epochs(epochs: int) -> None:
+    if epochs < 0:
+        raise ValueError("epochs must be at least 0, got %d" % epochs)
+
+
 def train(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
-          epochs: int, rho: float = 0.95, eps: float = 1e-6, seed: int = 0,
-          log=None):
+          epochs: int, seed: int = 0, log=None):
     """Prepare ``docs`` and ``fit`` the model on them."""
+    check_epochs(epochs)
     prepared = prepare_corpus(TargetCache(kb, table, model.config), docs)
     report = TrainReport(n_mentions=len(prepared))
     if prepared:
@@ -407,22 +373,20 @@ def train(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
             sum(len(p.queries) for p in prepared) / len(prepared))
     all_surfaces = [t.surface for doc in docs for t in doc.tokens]
     report.oov_rate = table.oov_rate(all_surfaces)
-    report.epochs = fit(model, prepared, epochs, rho=rho, eps=eps, seed=seed,
-                        log=log)
+    report.epochs = fit(model, prepared, epochs, seed=seed, log=log)
     return model, report
 
 
-def fit(model: Model, prepared: list, epochs: int, rho: float = 0.95,
-        eps: float = 1e-6, seed: int = 0, log=None) -> list:
+def fit(model: Model, prepared: list, epochs: int, seed: int = 0,
+        log=None) -> list:
     """Adadelta training over single-example minibatches of prepared
     mentions, which are only read; returns one report row per epoch.
 
     Example order is reshuffled each epoch from ``seed``; with a fixed
     seed and corpus the final weights are bit-identical across runs.
     """
-    if epochs < 0:
-        raise ValueError("epochs must be at least 0, got %d" % epochs)
-    state = AdadeltaState(model, rho=rho, eps=eps)
+    check_epochs(epochs)
+    state = AdadeltaState(model)
     rng = np.random.default_rng(seed)
     in_cand = sum(1 for p in prepared if p.gold_index is not None)
     rows = []

@@ -12,6 +12,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .kb import NULL_ENTITY, KnowledgeBase, Query, normalize_anchor
 
@@ -52,27 +55,52 @@ class FeatureVocabulary:
         return idx
 
 
-@dataclass
-class SparseVector:
-    indices: list
-    values: list
-
-    def __iter__(self):
-        return iter(zip(self.indices, self.values))
-
-    def __len__(self):
-        return len(self.indices)
+@dataclass(frozen=True)
+class FeatureTable:
+    """The sparse feature vectors (rows) of one mention as flat arrays of
+    entries, in row order and within a row in ascending index order;
+    both passes below add their terms in that order, from 0.0."""
+    keys: list                  # each hashed index once, ascending
+    slot: np.ndarray            # entry -> position in keys
+    val: np.ndarray             # entry -> value
+    row: np.ndarray             # entry -> row
+    n_rows: int
 
     @classmethod
-    def from_features(cls, features, vocab: FeatureVocabulary,
-                      value: float = 1.0) -> "SparseVector":
-        """Hash feature strings; colliding indices merge by summing."""
-        acc = {}
-        for f in features:
-            idx = vocab.index_of(f)
-            acc[idx] = acc.get(idx, 0.0) + value
-        items = sorted(acc.items())
-        return cls([i for i, _ in items], [v for _, v in items])
+    def from_rows(cls, rows) -> "FeatureTable":
+        """One row per list of hashed indices; an index repeated within
+        a row (colliding features) merges into one entry by summing."""
+        lengths = [len(r) for r in rows]
+        keys = sorted(set(chain.from_iterable(rows)))
+        position = {idx: i for i, idx in enumerate(keys)}
+        slot = np.fromiter(map(position.__getitem__, chain.from_iterable(rows)),
+                           np.intp, sum(lengths))
+        # (row, slot) pairs as one sortable number; unique counts repeats
+        width = max(len(keys), 1)
+        pairs, counts = np.unique(
+            np.repeat(np.arange(len(rows)), lengths) * width + slot,
+            return_counts=True)
+        return cls(keys=keys, slot=pairs % width, val=counts.astype(float),
+                   row=pairs // width, n_rows=len(rows))
+
+    def dots(self, weights: dict) -> np.ndarray:
+        """(n_rows,) dot product of each row with ``weights`` (index ->
+        weight; absent indices weigh 0)."""
+        w = np.array([weights.get(k, 0.0) for k in self.keys])
+        return np.bincount(self.row, weights=w[self.slot] * self.val,
+                           minlength=self.n_rows)
+
+    def gradient(self, coef: np.ndarray) -> dict:
+        """index -> sum of coef[row] * value over its entries: the
+        gradient of ``coef . dots(w)`` with respect to w.  Only indices
+        that an entry with a nonzero coefficient touches are present."""
+        c = coef[self.row]
+        g = np.bincount(self.slot, weights=c * self.val,
+                        minlength=len(self.keys))
+        touched = np.zeros(len(self.keys), dtype=bool)
+        touched[self.slot[c != 0.0]] = True
+        return {k: gk for k, gk, t in zip(self.keys, g.tolist(),
+                                          touched.tolist()) if t}
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +129,9 @@ def query_feature_strings(mention_tokens, query: Query) -> list:
 
 
 def features_q(mention_tokens, query: Query,
-               vocab: FeatureVocabulary) -> SparseVector:
-    return SparseVector.from_features(
-        query_feature_strings(mention_tokens, query), vocab)
+               vocab: FeatureVocabulary) -> list:
+    return [vocab.index_of(f)
+            for f in query_feature_strings(mention_tokens, query)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +191,21 @@ def entity_feature_strings(kb: KnowledgeBase, query: Query, entity,
 
 
 def features_e(kb: KnowledgeBase, query: Query, entity, tfidf_cosine: float,
-               vocab: FeatureVocabulary) -> SparseVector:
-    return SparseVector.from_features(
-        entity_feature_strings(kb, query, entity, tfidf_cosine), vocab)
+               vocab: FeatureVocabulary) -> list:
+    return [vocab.index_of(f)
+            for f in entity_feature_strings(kb, query, entity, tfidf_cosine)]
+
+
+def feature_table(kb: KnowledgeBase, mention_tokens, queries, candidates,
+                  cosines, vocab: FeatureVocabulary) -> FeatureTable:
+    """Q + T*Q rows: the f_Q row of each of the Q queries, then the f_E
+    row of each (candidate, query) pair, candidate-major.  ``cosines``
+    holds each candidate's tf-idf cosine (any value for NULL, whose only
+    feature is its indicator)."""
+    rows = [features_q(mention_tokens, q, vocab) for q in queries]
+    for entity, cos in zip(candidates, cosines):
+        rows.extend(features_e(kb, q, entity, cos, vocab) for q in queries)
+    return FeatureTable.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from convlink.binfile import read_framed, write_framed
-from convlink.config import FeatureToggles, ModelConfig
+from convlink.config import GRANULARITIES, N_DENSE, FeatureToggles, ModelConfig
 from convlink.embeddings import EmbeddingTable
 from convlink.kb import KnowledgeBase
 from convlink.model import (MODEL_MAGIC, MODEL_VERSION, Model, TargetCache,
-                            prepare_mention, score_pairs)
+                            loss_and_grad, prepare_mention, score_pairs)
 from convlink.textproc import Document, Mention, Token
 
 
@@ -101,6 +101,21 @@ def encodings(cache):
             if views is not None for enc in views.values()]
 
 
+def entry_indices(table):
+    """The hashed index of each entry of a FeatureTable, in entry order."""
+    return [table.keys[s] for s in table.slot.tolist()]
+
+
+def table_rows(table):
+    """A FeatureTable's rows as index lists that ``from_rows`` rebuilds
+    it from (a merged entry of value n repeats its index n times)."""
+    rows = [[] for _ in range(table.n_rows)]
+    for idx, v, r in zip(entry_indices(table), table.val.tolist(),
+                         table.row.tolist()):
+        rows[r] += [idx] * int(v)
+    return rows
+
+
 TINY_WORDS = (["w%d" % i for i in range(15)]
               + ["ones", "one", "alpha", "beta", "gamma"])   # 20 tokens
 
@@ -142,10 +157,9 @@ def tiny_world(seed, d=4, k=3, ell=2, toggles=None, gold="E1",
         prep = prepare_mention(targets, doc, mention)
         assert len(prep.queries) == 2
         assert len(prep.cand.candidates) == 3
-        for iv, vec in enumerate(prep.fq + [v for row in prep.fe for v in row]):
-            for idx, _ in vec:
-                if idx not in model.w_sparse:
-                    model.w_sparse[idx] = float(rng.normal() * 0.4)
+        for idx in entry_indices(prep.features):
+            if idx not in model.w_sparse:
+                model.w_sparse[idx] = float(rng.normal() * 0.4)
         if min_kink_gap > 0.0 and model.config.toggles.use_dense:
             encs = encodings(score_pairs(model, prep).forward)
             gaps = [np.min(np.abs(A)) for _, A, _ in encs]
@@ -156,6 +170,41 @@ def tiny_world(seed, d=4, k=3, ell=2, toggles=None, gold="E1",
                                targets=targets, doc=doc, mention=mention,
                                prep=prep)
     raise AssertionError("could not build a kink-free tiny world")
+
+
+def loss_only(model, prep):
+    """The marginal NLL of ``prep``'s gold entity, from scores alone."""
+    S = score_pairs(model, prep).S
+    m = S.max()
+    lse_all = m + math.log(np.exp(S - m).sum())
+    row = S[prep.gold_index]
+    mr = row.max()
+    return lse_all - (mr + math.log(np.exp(row - mr).sum()))
+
+
+def max_fd_relative_error(model, prep, h=1e-5):
+    """Largest relative gap between ``loss_and_grad``'s gradient and a
+    central finite difference of the loss, over every dense weight,
+    sparse weight and filter-bank entry of ``model``."""
+    _, grads = loss_and_grad(model, prep)
+
+    def rel(params, key, analytic):
+        orig = params[key]
+        params[key] = orig + h
+        up = loss_only(model, prep)
+        params[key] = orig - h
+        dn = loss_only(model, prep)
+        params[key] = orig
+        est = (up - dn) / (2 * h)
+        return abs(est - analytic) / max(abs(est), abs(analytic), 1e-6)
+
+    checks = [(model.w_dense, i, grads.dense[i]) for i in range(N_DENSE)]
+    checks += [(model.w_sparse, idx, grads.sparse.get(idx, 0.0))
+               for idx in list(model.w_sparse)]
+    for g in GRANULARITIES:
+        M = model.cnn_params.banks[g].M
+        checks += [(M, rc, grads.banks[g][rc]) for rc in np.ndindex(M.shape)]
+    return max(rel(*check) for check in checks)
 
 
 def plain_cosine(u, w):

@@ -8,25 +8,22 @@ systems exactly once.
 
 import filecmp
 import json
-import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from convlink import cnn
-from convlink.config import GRANULARITIES, FeatureToggles, ModelConfig
+from convlink.config import FeatureToggles, ModelConfig
 from convlink.embeddings import load_word2vec
 from convlink.evalharness import evaluate, most_topical_filter, run_ablation
 from convlink.kb import KnowledgeBase, generate_queries
 from convlink.model import (Model, TargetCache, infer, load_model,
-                            loss_and_grad, marginals_from_scores,
-                            prepare_corpus, prepare_mention, save_model,
-                            score_pairs, train)
+                            prepare_corpus, prepare_mention, save_model, train)
 from convlink.synthetic import SyntheticSpec, generate
 from convlink.textproc import load_corpus
-from helpers import brute_force_marginals, tiny_world, toks
+from helpers import (brute_force_marginals, max_fd_relative_error,
+                     tiny_world, toks)
 
 EPOCHS = 15
 ABLATION_K = 48
@@ -41,59 +38,18 @@ def _report(num, name, ok, detail=""):
 # Criteria 1-3: oracles on random micro-instances
 # ---------------------------------------------------------------------------
 
-def _loss_only(model, prep):
-    S = score_pairs(model, prep).S
-    m = S.max()
-    lse_all = m + math.log(np.exp(S - m).sum())
-    row = S[prep.gold_index]
-    mr = row.max()
-    return lse_all - (mr + math.log(np.exp(row - mr).sum()))
-
-
 def test_criterion_1_gradient_exactness():
     start = time.monotonic()
-    h = 1e-5
     worst = 0.0
     for seed in range(50):
         w = tiny_world(seed=1000 + seed, min_kink_gap=1e-3)
-        model, prep = w.model, w.prep
-        _, grads = loss_and_grad(model, prep)
-
-        def fd(get, setv):
-            orig = get()
-            setv(orig + h)
-            up = _loss_only(model, prep)
-            setv(orig - h)
-            dn = _loss_only(model, prep)
-            setv(orig)
-            return (up - dn) / (2 * h)
-
-        for i in range(6):
-            est = fd(lambda i=i: model.w_dense[i],
-                     lambda v, i=i: model.w_dense.__setitem__(i, v))
-            worst = max(worst, _rel(est, grads.dense[i]))
-        for idx in list(model.w_sparse):
-            est = fd(lambda idx=idx: model.w_sparse[idx],
-                     lambda v, idx=idx: model.w_sparse.__setitem__(idx, v))
-            worst = max(worst, _rel(est, grads.sparse.get(idx, 0.0)))
-        for g in GRANULARITIES:
-            M = model.cnn_params.banks[g].M
-            G = grads.banks[g]
-            for r in range(M.shape[0]):
-                for c in range(M.shape[1]):
-                    est = fd(lambda r=r, c=c, M=M: M[r, c],
-                             lambda v, r=r, c=c, M=M: M.__setitem__((r, c), v))
-                    worst = max(worst, _rel(est, G[r, c]))
+        worst = max(worst, max_fd_relative_error(w.model, w.prep, h=1e-5))
     elapsed = time.monotonic() - start
     ok = worst < 1e-4 and elapsed < 10.0
     _report(1, "gradient exactness", ok,
             "max_rel_err=%.2e elapsed=%.1fs" % (worst, elapsed))
     assert worst < 1e-4
     assert elapsed < 10.0
-
-
-def _rel(fd_val, an_val):
-    return abs(fd_val - an_val) / max(abs(fd_val), abs(an_val), 1e-6)
 
 
 def test_criterion_2_inference_oracle():

@@ -235,7 +235,7 @@ def test_train_epochs_zero_equals_initialized_model(workspace, tmp_path):
                 "--embeddings", workspace["embeddings"],
                 "--corpus", workspace["train"], "--out", out,
                 "--epochs", "0", "--seed", "11",
-                "--k", "4", "--ell", "5"]) == 0
+                "--k", "4"]) == 0
     reference = model_mod.Model.initialize(ModelConfig(
         d=8, k=4, ell=5, init_seed=11, toggles=FeatureToggles.full()))
     ref_path = str(tmp_path / "ref.bin")
@@ -248,7 +248,7 @@ def test_pipeline_train_link_evaluate(workspace, tmp_path):
     assert run(["-q", "train", "--kb", workspace["kb"],
                 "--embeddings", workspace["embeddings"],
                 "--corpus", workspace["train"], "--out", model_path,
-                "--epochs", "1", "--seed", "0", "--k", "4", "--ell", "5"]) == 0
+                "--epochs", "1", "--seed", "0", "--k", "4"]) == 0
 
     preds = str(tmp_path / "preds.jsonl")
     assert run(["-q", "link", "--model", model_path, "--kb", workspace["kb"],
@@ -286,7 +286,7 @@ def test_evaluate_config_subsets(workspace, tmp_path):
     assert run(["-q", "train", "--kb", workspace["kb"],
                 "--embeddings", workspace["embeddings"],
                 "--corpus", workspace["train"], "--out", model_path,
-                "--epochs", "1", "--seed", "0", "--k", "4", "--ell", "5",
+                "--epochs", "1", "--seed", "0", "--k", "4",
                 "--config", "cnn-only"]) == 0
     report_path = str(tmp_path / "report.jsonl")
     assert run(["-q", "evaluate", "--model", model_path,
@@ -307,7 +307,7 @@ def test_inspect_filters_cli(workspace, tmp_path, capsys):
     assert run(["-q", "train", "--kb", workspace["kb"],
                 "--embeddings", workspace["embeddings"],
                 "--corpus", workspace["train"], "--out", model_path,
-                "--epochs", "0", "--seed", "0", "--k", "4", "--ell", "5"]) == 0
+                "--epochs", "0", "--seed", "0", "--k", "4"]) == 0
     assert run(["-q", "inspect-filters", "--model", model_path,
                 "--embeddings", workspace["embeddings"],
                 "--corpus", workspace["train"],
@@ -326,7 +326,7 @@ def test_filter_row_out_of_range_is_data_error(workspace, tmp_path, capsys):
     run(["-q", "train", "--kb", workspace["kb"],
          "--embeddings", workspace["embeddings"],
          "--corpus", workspace["train"], "--out", model_path,
-         "--epochs", "0", "--seed", "0", "--k", "4", "--ell", "5"])
+         "--epochs", "0", "--seed", "0", "--k", "4"])
     for row in ("999", "-1"):
         code = run(["-q", "inspect-filters", "--model", model_path,
                     "--embeddings", workspace["embeddings"],
@@ -352,15 +352,39 @@ def test_negative_top_n_is_data_error(workspace, tmp_path, capsys):
     assert "error: top-n must be at least 0, got -1" in captured.err
 
 
-def test_negative_epochs_is_data_error(workspace, tmp_path, capsys):
+def test_negative_epochs_is_data_error(workspace, tmp_path, capsys,
+                                      monkeypatch):
+    prepared = []
+    real = model_mod.prepare_mention
+
+    def spy(*args):
+        prepared.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model_mod, "prepare_mention", spy)
     out = tmp_path / "model.bin"
     code = run(["-q", "train", "--kb", workspace["kb"],
                 "--embeddings", workspace["embeddings"],
                 "--corpus", workspace["train"], "--out", str(out),
-                "--epochs", "-1", "--k", "4", "--ell", "5"])
+                "--epochs", "-1", "--k", "4"])
     assert code == 2
     assert "error: epochs must be at least 0, got -1" in capsys.readouterr().err
     assert not out.exists()
+    assert prepared == []
+
+
+def test_removed_train_flags_are_usage_errors(workspace, tmp_path):
+    # train sets only --k, --epochs, --seed and --config (plus paths)
+    out = tmp_path / "model.bin"
+    for flag in (["--rho", "0.9"], ["--eps", "1e-8"], ["--ell", "5"],
+                 ["--context-window", "10"], ["--doc-cap", "2000"],
+                 ["--top-k", "30"], ["--hash-capacity", "1048576"]):
+        code = run(["-q", "train", "--kb", workspace["kb"],
+                    "--embeddings", workspace["embeddings"],
+                    "--corpus", workspace["train"], "--out", str(out),
+                    "--epochs", "0", "--k", "4"] + flag)
+        assert code == 1, flag
+        assert not out.exists(), flag
 
 
 def test_unlabeled_mentions_are_linked_not_scored(workspace, tmp_path):
@@ -393,7 +417,7 @@ def test_link_memoizes_target_vectors(workspace, tmp_path, monkeypatch):
     assert run(["-q", "train", "--kb", workspace["kb"],
                 "--embeddings", workspace["embeddings"],
                 "--corpus", workspace["train"], "--out", model_path,
-                "--epochs", "1", "--seed", "0", "--k", "4", "--ell", "5"]) == 0
+                "--epochs", "1", "--seed", "0", "--k", "4"]) == 0
     memos = []
     real = model_mod.infer
 

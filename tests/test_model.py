@@ -19,10 +19,11 @@ from convlink.model import (MODEL_MAGIC, MODEL_VERSION, AdadeltaState, Model,
                             TargetCache, infer, load_model, loss_and_grad,
                             marginals_from_scores, prepare_corpus,
                             prepare_mention, save_model, score_pairs, train)
+from convlink.sparse import FeatureTable
 from convlink.textproc import Document, Mention
 from helpers import (ABLATION_TOGGLES, MALFORMED_MODEL_HEADERS,
-                     brute_force_marginals, rewrite_model_header, tiny_world,
-                     toks)
+                     brute_force_marginals, max_fd_relative_error,
+                     rewrite_model_header, table_rows, tiny_world, toks)
 
 
 class TestScorePairs:
@@ -133,11 +134,11 @@ class TestLossAndGrad:
         w.model.w_dense = np.zeros(6)
         # keep only one query and two candidates in the prepared mention
         prep = w.prep
+        Q = len(prep.queries)
+        rows = table_rows(prep.features)
         prep.queries = prep.queries[:1]
-        prep.fq = prep.fq[:1]
+        prep.features = FeatureTable.from_rows([rows[0], rows[Q], []])
         prep.cand.candidates = prep.cand.candidates[:1] + [NULL_ENTITY]
-        prep.fe = [row[:1] for row in prep.fe[:1]] + [
-            [type(prep.fe[0][0])([], [])]]
         prep.target_mats = prep.target_mats[:1] + [None]
         prep.gold_index = 0
         zero_dense(w.model)
@@ -149,9 +150,11 @@ class TestLossAndGrad:
         # a dedicated indicator on the gold candidate separates it cleanly
         gi = w.prep.gold_index
         boost = 60000
-        for vec in w.prep.fe[gi]:
-            vec.indices.append(boost)
-            vec.values.append(1.0)
+        Q = len(w.prep.queries)
+        rows = table_rows(w.prep.features)
+        for r in range(Q + gi * Q, Q + (gi + 1) * Q):     # gold's f_E rows
+            rows[r].append(boost)
+        w.prep.features = FeatureTable.from_rows(rows)
         w.model.w_sparse[boost] = 40.0
         loss, grads = loss_and_grad(w.model, w.prep)
         assert loss < 1e-4
@@ -183,59 +186,17 @@ class TestLossAndGrad:
 
     def test_finite_differences_all_parameters(self):
         w = tiny_world(seed=8, min_kink_gap=1e-3)
-        model, prep = w.model, w.prep
-        loss0, grads = loss_and_grad(model, prep)
-        h = 1e-5
-
-        def loss_now():
-            return loss_and_grad(model, prep)[0]
-
-        worst = 0.0
-        for i in range(6):
-            orig = model.w_dense[i]
-            model.w_dense[i] = orig + h
-            up = loss_now()
-            model.w_dense[i] = orig - h
-            dn = loss_now()
-            model.w_dense[i] = orig
-            worst = max(worst, _rel((up - dn) / (2 * h), grads.dense[i]))
-        for idx in list(model.w_sparse):
-            orig = model.w_sparse[idx]
-            model.w_sparse[idx] = orig + h
-            up = loss_now()
-            model.w_sparse[idx] = orig - h
-            dn = loss_now()
-            model.w_sparse[idx] = orig
-            worst = max(worst, _rel((up - dn) / (2 * h),
-                                    grads.sparse.get(idx, 0.0)))
-        for g in GRANULARITIES:
-            M = model.cnn_params.banks[g].M
-            for r in range(M.shape[0]):
-                for c in range(M.shape[1]):
-                    orig = M[r, c]
-                    M[r, c] = orig + h
-                    up = loss_now()
-                    M[r, c] = orig - h
-                    dn = loss_now()
-                    M[r, c] = orig
-                    worst = max(worst, _rel((up - dn) / (2 * h),
-                                            grads.banks[g][r, c]))
-        assert worst < 1e-4
+        assert max_fd_relative_error(w.model, w.prep, h=1e-5) < 1e-4
 
     def test_untouched_sparse_index_has_no_gradient(self):
         w = tiny_world(seed=9)
         _, grads = loss_and_grad(w.model, w.prep)
-        active = {idx for vec in w.prep.fq for idx, _ in vec}
-        active |= {idx for row in w.prep.fe for vec in row for idx, _ in vec}
+        active = set(w.prep.features.keys)
         assert set(grads.sparse) <= active
 
 
 def zero_dense(model):
     model.w_dense = np.zeros(6)
-
-
-def _rel(fd, an):
-    return abs(fd - an) / max(abs(fd), abs(an), 1e-6)
 
 
 class TestFcCaching:
@@ -273,7 +234,8 @@ class TestAblationConsistency:
     def test_cnn_only_keeps_null_indicator_only(self):
         w = tiny_world(seed=11, toggles=FeatureToggles.cnn_only())
         # the preparation carries every sparse feature, each with a weight
-        assert all(len(vec) for vec in w.prep.fq)
+        table = w.prep.features
+        assert all(np.bincount(table.row, minlength=table.n_rows))
         null_idx = w.targets.vocab.index_of("e:null")
         # with the dense part zeroed, S is the sparse part alone: the NULL
         # indicator on the NULL row and nothing elsewhere
@@ -484,17 +446,17 @@ class TestAdadelta:
     def test_update_formulas(self):
         # one dense step against the recurrences computed by hand
         m = micro_model()
-        state = AdadeltaState(m, rho=0.9, eps=1e-6)
+        state = AdadeltaState(m)
         from convlink.model import GradBundle
         g = np.array([1.0, -2.0, 0.0, 0.5, 0.0, 0.0])
         bundle = GradBundle(sparse={7: 2.0}, dense=g.copy(), banks={})
         state.apply(m, bundle)
-        eg2 = 0.1 * g * g
+        eg2 = 0.05 * g * g
         dx = -np.sqrt((0.0 + 1e-6) / (eg2 + 1e-6)) * g
         assert np.allclose(m.w_dense, dx, atol=1e-15)
         assert np.allclose(state.dense_g2, eg2, atol=1e-15)
-        assert np.allclose(state.dense_dx2, 0.1 * dx * dx, atol=1e-15)
-        eg2s = 0.1 * 4.0
+        assert np.allclose(state.dense_dx2, 0.05 * dx * dx, atol=1e-15)
+        eg2s = 0.05 * 4.0
         dxs = -math.sqrt(1e-6 / (eg2s + 1e-6)) * 2.0
         assert m.w_sparse[7] == pytest.approx(dxs, abs=1e-15)
 

@@ -1,13 +1,14 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlink import sparse
 from convlink.kb import NULL_ENTITY, generate_queries
-from convlink.sparse import (FeatureVocabulary, SparseVector, TfIdfModel,
+from convlink.sparse import (FeatureTable, FeatureVocabulary, TfIdfModel,
                              entity_feature_strings, features_e, features_q,
                              fnv1a64, query_feature_strings, tfidf_bucket)
 from helpers import toks
@@ -41,11 +42,40 @@ class TestHashing:
                 assert vocab.index_of(f) == fnv1a64(f) % 1000
         assert calls == ["e:null", "q:first=floyd"]
 
-    def test_sparse_vector_merges_duplicates(self):
+    def test_feature_table_merges_duplicates(self):
         v = FeatureVocabulary(1)   # force total collision
-        sv = SparseVector.from_features(["a", "b", "c"], v)
-        assert sv.indices == [0]
-        assert sv.values == [3.0]
+        table = FeatureTable.from_rows([[v.index_of(f) for f in "abc"]])
+        assert table.keys == [0]
+        assert table.val.tolist() == [3.0]
+
+
+class TestFeatureTable:
+    def test_layout(self):
+        table = FeatureTable.from_rows([[9, 2, 9], [], [2, 5]])
+        assert table.keys == [2, 5, 9]
+        assert table.row.tolist() == [0, 0, 2, 2]
+        assert [table.keys[s] for s in table.slot] == [2, 9, 2, 5]
+        assert table.val.tolist() == [1.0, 2.0, 1.0, 1.0]
+
+    @given(st.lists(st.lists(st.integers(0, 30), max_size=6), min_size=1,
+                    max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200)
+    def test_gradient_is_adjoint_of_dots(self, rows, seed):
+        # sum_r coef[r] * dots(w)[r] == sum_k w[k] * gradient(coef)[k]
+        rng = np.random.default_rng(seed)
+        table = FeatureTable.from_rows(rows)
+        w = {k: float(rng.normal()) for k in table.keys}
+        coef = rng.normal(size=len(rows))
+        coef[rng.random(len(rows)) < 0.4] = 0.0
+        grad = table.gradient(coef)
+        lhs = float(coef @ table.dots(w))
+        rhs = sum(w[k] * g for k, g in grad.items())
+        assert abs(lhs - rhs) < 1e-12
+        # only keys that an entry with a nonzero coefficient touches
+        live = {k for r, row in enumerate(rows) if coef[r] != 0.0
+                for k in row}
+        assert set(grad) == live
 
 
 class TestQueryFeatures:
