@@ -55,8 +55,7 @@ def main():
     train_docs = load_corpus(data.paths["train.jsonl"])
     test_docs = load_corpus(data.paths["test.jsonl"])
 
-    config = ModelConfig(d=table.dim, k=args.k, ell=5, context_window=10,
-                         doc_cap=2000, top_k=30, init_seed=args.seed)
+    config = ModelConfig(d=table.dim, k=args.k, init_seed=args.seed)
     configs = [
         ("full", FeatureToggles.full()),
         ("sparse-only", FeatureToggles.sparse_only()),

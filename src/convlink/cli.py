@@ -16,10 +16,22 @@ from dataclasses import replace
 from . import evalharness, kb as kb_mod, model as model_mod, synthetic
 from .config import GRANULARITIES, ModelConfig, toggles_from_name
 from .embeddings import load_word2vec
-from .errors import ConvlinkError, FormatError, IngestError, UsageError
+from .errors import (ConvlinkError, DimensionError, FormatError, IngestError,
+                     UsageError)
 from .textproc import load_corpus, read_jsonl, string_field
 
 log = logging.getLogger("convlink")
+
+
+# gen-synthetic flag -> the SyntheticSpec field it sets and defaults from
+_GEN_FLAGS = {
+    "--seed": "seed", "--n-topics": "n_topics",
+    "--vocab-per-topic": "vocab_per_topic", "--n-entities": "n_entities",
+    "--ambiguity": "mention_ambiguity", "--train-docs": "n_train_docs",
+    "--test-docs": "n_test_docs", "--misleading-fraction": "misleading_fraction",
+    "--muddy-fraction": "muddy_fraction", "--anchor-skew": "anchor_skew",
+    "--embedding-dim": "embedding_dim",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,17 +55,10 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen-synthetic", help="generate a synthetic corpus")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--n-topics", type=int, default=4)
-    gen.add_argument("--vocab-per-topic", type=int, default=60)
-    gen.add_argument("--n-entities", type=int, default=40)
-    gen.add_argument("--ambiguity", type=int, default=2)
-    gen.add_argument("--train-docs", type=int, default=2000)
-    gen.add_argument("--test-docs", type=int, default=400)
-    gen.add_argument("--misleading-fraction", type=float, default=0.5)
-    gen.add_argument("--muddy-fraction", type=float, default=0.25)
-    gen.add_argument("--anchor-skew", type=float, default=4.0)
-    gen.add_argument("--embedding-dim", type=int, default=16)
+    spec = synthetic.SyntheticSpec()
+    for flag, name in _GEN_FLAGS.items():
+        default = getattr(spec, name)
+        gen.add_argument(flag, dest=name, type=type(default), default=default)
 
     def add_common(sp, needs_model):
         sp.add_argument("--kb", required=True)
@@ -73,9 +78,11 @@ def _build_parser() -> _Parser:
 
     ev = sub.add_parser("evaluate", help="evaluate a model or predictions")
     add_common(ev, needs_model=False)
-    ev.add_argument("--model")
-    ev.add_argument("--predictions",
-                    help="score a link output file instead of running the model")
+    source = ev.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model")
+    source.add_argument("--predictions",
+                        help="score a link output file instead of running "
+                             "the model")
     ev.add_argument("--config", action="append", default=None,
                     help="feature configuration to evaluate (repeatable)")
     ev.add_argument("--report", help="write the report to this path")
@@ -96,12 +103,19 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_inputs(args, with_model):
-    knowledge = kb_mod.load_kb(args.kb)
-    table = load_word2vec(args.embeddings)
-    docs = load_corpus(args.corpus)
-    m = model_mod.load_model(args.model) if with_model else None
-    return knowledge, table, docs, m
+def _load_inputs(args):
+    return (kb_mod.load_kb(args.kb), load_word2vec(args.embeddings),
+            load_corpus(args.corpus))
+
+
+def _load_model(args, table):
+    """The model file, checked against the embedding table it runs on."""
+    m = model_mod.load_model(args.model)
+    if m.config.d != table.dim:
+        raise DimensionError(
+            "embeddings %s are %d-wide but model %s expects %d-wide embeddings"
+            % (args.embeddings, table.dim, args.model, m.config.d))
+    return m
 
 
 def _cmd_ingest(args) -> int:
@@ -137,19 +151,15 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_gen(args) -> int:
     spec = synthetic.SyntheticSpec(
-        n_topics=args.n_topics, vocab_per_topic=args.vocab_per_topic,
-        n_entities=args.n_entities, mention_ambiguity=args.ambiguity,
-        n_train_docs=args.train_docs, n_test_docs=args.test_docs,
-        misleading_fraction=args.misleading_fraction,
-        muddy_fraction=args.muddy_fraction, anchor_skew=args.anchor_skew,
-        seed=args.seed, embedding_dim=args.embedding_dim)
+        **{name: getattr(args, name) for name in _GEN_FLAGS.values()})
     data = synthetic.generate(spec, args.out)
     log.info("wrote synthetic corpus to %s", data.out_dir)
     return 0
 
 
 def _cmd_train(args) -> int:
-    knowledge, table, docs, _ = _load_inputs(args, with_model=False)
+    model_mod.check_epochs(args.epochs)
+    knowledge, table, docs = _load_inputs(args)
     toggles = toggles_from_name(args.config)
     config = ModelConfig(d=table.dim, k=args.k, init_seed=args.seed,
                          toggles=toggles)
@@ -165,15 +175,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    knowledge, table, docs, _ = _load_inputs(args, with_model=False)
+    if args.predictions and args.config:
+        raise UsageError("--config cannot be combined with --predictions")
+    knowledge, table, docs = _load_inputs(args)
     if args.predictions:
         records = evalharness.load_predictions(args.predictions)
         row = evalharness.score_predictions(docs, records)
         report = evalharness.EvalReport(rows=[row])
     else:
-        if not args.model:
-            raise UsageError("evaluate needs --model or --predictions")
-        m = model_mod.load_model(args.model)
+        m = _load_model(args, table)
         models = [("model", m)]
         if args.config:
             models = [(name, replace(m, config=m.config.with_toggles(
@@ -192,7 +202,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_link(args) -> int:
-    knowledge, table, docs, m = _load_inputs(args, with_model=True)
+    knowledge, table, docs = _load_inputs(args)
+    m = _load_model(args, table)
     targets = model_mod.TargetCache(knowledge, table, m.config)
     pairs = ((doc, mention) for doc in docs for mention in doc.mentions)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -210,7 +221,7 @@ def _cmd_link(args) -> int:
 def _cmd_inspect(args) -> int:
     table = load_word2vec(args.embeddings)
     docs = load_corpus(args.corpus)
-    m = model_mod.load_model(args.model)
+    m = _load_model(args, table)
     results = evalharness.inspect_filters(m, docs, table, args.granularity,
                                           args.filter_row, args.top_n)
     for ngram, act in results:

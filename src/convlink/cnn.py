@@ -51,15 +51,6 @@ class FilterBank:
         return self.M.shape[0]
 
 
-def init_bank(granularity: str, k: int, ell: int, d: int,
-              rng: np.random.Generator) -> FilterBank:
-    """Uniform(-a, a) with a = sqrt(6 / (d*ell + k)) keeps initial window
-    responses moderate."""
-    a = np.sqrt(6.0 / (d * ell + k))
-    M = rng.uniform(-a, a, size=(k, d * ell))
-    return FilterBank(granularity, M, ell, d)
-
-
 @dataclass
 class CnnParams:
     banks: dict     # granularity -> FilterBank
@@ -73,8 +64,12 @@ class CnnParams:
 
     @classmethod
     def initialize(cls, k: int, ell: int, d: int, seed: int = 0) -> "CnnParams":
+        """Each bank Uniform(-a, a) with a = sqrt(6 / (d*ell + k)), which
+        keeps initial window responses moderate."""
         rng = np.random.default_rng(seed)
-        return cls({g: init_bank(g, k, ell, d, rng) for g in GRANULARITIES})
+        a = np.sqrt(6.0 / (d * ell + k))
+        return cls({g: FilterBank(g, rng.uniform(-a, a, size=(k, d * ell)),
+                                  ell, d) for g in GRANULARITIES})
 
     @property
     def k(self):
@@ -85,54 +80,51 @@ class CnnParams:
         return next(iter(self.banks.values())).d
 
 
-def pad_to_width(X: np.ndarray, ell: int) -> np.ndarray:
-    """Zero-pad a (n, d) sequence symmetrically up to ell rows."""
-    n, d = X.shape
-    if n >= ell:
-        return X
-    missing = ell - n
-    before = missing // 2
-    after = missing - before
-    return np.vstack([np.zeros((before, d)), X, np.zeros((after, d))])
-
-
 def window_matrix(X: np.ndarray, ell: int) -> np.ndarray:
-    """All width-ell windows as rows of concatenated embeddings."""
-    P = pad_to_width(X, ell)
-    n, d = P.shape
-    m = n - ell + 1
-    if m == 1:
+    """All width-ell windows of an (n, d) sequence as rows of concatenated
+    embeddings.  A sequence of at most ell rows is zero-padded
+    symmetrically into one window."""
+    n, d = X.shape
+    if n <= ell:
+        P = np.zeros((ell, d))
+        P[(ell - n) // 2:(ell - n) // 2 + n] = X
         return P.reshape(1, ell * d)
-    view = np.lib.stride_tricks.sliding_window_view(P, (ell, d))
-    return view.reshape(m, ell * d)
+    view = np.lib.stride_tricks.sliding_window_view(X, (ell, d))
+    return view.reshape(n - ell + 1, ell * d)
 
 
-def _encode(bank: FilterBank, sequence: np.ndarray):
-    """Windows, pre-activations (windows x k) and the pooled topic vector
-    of an embedded (n, d) sequence."""
+class Encoding:
+    """One view under one bank: its pooled topic vector and that vector's
+    norm, and its windows and (windows x k) pre-activations, both None
+    for a topic vector taken from a memo."""
+
+    def __init__(self, topic, windows=None, pre=None):
+        self.topic, self.windows, self.pre = topic, windows, pre
+        self.norm = np.linalg.norm(topic)
+
+
+def _encode(bank: FilterBank, sequence: np.ndarray) -> Encoding:
+    """Encode an embedded (n, d) sequence with one filter bank."""
     if sequence.ndim != 2 or sequence.shape[1] != bank.d:
         raise DimensionError(
             "sequence width %s does not match bank dimension %d"
             % (sequence.shape[1:] or "scalar", bank.d))
     W = window_matrix(sequence, bank.ell)
     A = W @ bank.M.T
-    return W, A, np.maximum(A, 0.0).sum(axis=0)
+    return Encoding(np.maximum(A, 0.0).sum(axis=0), W, A)
 
 
 def encode(bank: FilterBank, sequence: np.ndarray) -> np.ndarray:
     """Apply one filter bank to an embedded (n, d) sequence."""
-    return _encode(bank, sequence)[2]
+    return _encode(bank, sequence).topic
 
 
-def cosine(u: np.ndarray, w: np.ndarray) -> float:
-    """Cosine similarity; defined as 0 when either norm is below epsilon."""
-    if u.shape != w.shape:
-        raise DimensionError("topic vectors differ in length")
-    nu = np.linalg.norm(u)
-    nw = np.linalg.norm(w)
-    if nu < COSINE_EPS or nw < COSINE_EPS:
-        return 0.0
-    return float(np.clip(np.dot(u, w) / (nu * nw), -1.0, 1.0))
+def _cosine(u: Encoding, w: Encoding):
+    """Cosine similarity of two topic vectors, or None when either norm
+    is below epsilon: the feature is then 0 and has no gradient."""
+    if u.norm < COSINE_EPS or w.norm < COSINE_EPS:
+        return None
+    return np.dot(u.topic, w.topic) / (u.norm * w.norm)
 
 
 def embed_views(table, views) -> dict:
@@ -148,11 +140,11 @@ class ForwardCache:
     """One mention's forward pass, kept for ``backward``.
 
     ``source`` maps each source granularity the mask needs to its
-    (windows, pre-activations, topic vector); ``targets`` holds the same
-    for each candidate's target views, or None for NULL.  ``fc`` is the
-    (T, 6) matrix of cosine features.  A ``memoized`` pass may have
-    taken target topic vectors from a memo, without their windows or
-    pre-activations (both None), so it cannot be backpropagated.
+    Encoding; ``targets`` holds the same for each candidate's target
+    views, or None for NULL.  ``fc`` is the (T, 6) matrix of cosine
+    features.  A ``memoized`` pass may have taken target topic vectors
+    from a memo, without their windows or pre-activations, so it cannot
+    be backpropagated.
     """
     params: CnnParams
     mask: tuple
@@ -190,9 +182,9 @@ def forward_from_matrices(params: CnnParams, source_mats: dict, target_mats,
         out = {}
         for g, X in mats.items():
             if g in needed:
-                out[g] = ((None, None, memo[g]) if g in memo
+                out[g] = (Encoding(memo[g]) if g in memo
                           else _encode(params.banks[g], X))
-                memo[g] = out[g][2]
+                memo[g] = out[g].topic
         return out
 
     source = encode_missing(source_mats, {})
@@ -203,8 +195,9 @@ def forward_from_matrices(params: CnnParams, source_mats: dict, target_mats,
         if tgt is None:
             continue
         for i, (on, (src_g, tgt_g)) in enumerate(zip(mask, COSINE_PAIRS)):
-            if on:
-                fc[ti, i] = cosine(source[src_g][2], tgt[tgt_g][2])
+            c = _cosine(source[src_g], tgt[tgt_g]) if on else None
+            if c is not None:
+                fc[ti, i] = np.clip(c, -1.0, 1.0)
     return ForwardCache(params=params, mask=mask, source=source,
                         targets=targets, fc=fc, memoized=memoized)
 
@@ -242,13 +235,11 @@ def backward(params: CnnParams, cache: ForwardCache,
             up = upstream[ti, i]
             if not on or up == 0.0:
                 continue
-            u = cache.source[src_g][2]
-            w = tgt[tgt_g][2]
-            nu = np.linalg.norm(u)
-            nw = np.linalg.norm(w)
-            if nu < COSINE_EPS or nw < COSINE_EPS:
+            a, b = cache.source[src_g], tgt[tgt_g]
+            c = _cosine(a, b)
+            if c is None:
                 continue
-            c = np.dot(u, w) / (nu * nw)
+            u, nu, w, nw = a.topic, a.norm, b.topic, b.norm
             d_source[src_g] += up * (w / (nu * nw) - c * u / (nu * nu))
             d_target[tgt_g] += up * (u / (nu * nw) - c * w / (nw * nw))
         _backprop_pooling(grads, tgt, d_target)
@@ -262,5 +253,5 @@ def _backprop_pooling(grads: dict, encodings: dict, dv: dict) -> None:
     for g, dvg in dv.items():
         if not np.any(dvg):
             continue
-        W, A, _ = encodings[g]
-        grads[g] += ((A > 0.0) * dvg[np.newaxis, :]).T @ W
+        enc = encodings[g]
+        grads[g] += ((enc.pre > 0.0) * dvg[np.newaxis, :]).T @ enc.windows

@@ -148,24 +148,22 @@ def run_ablation(base_config: ModelConfig, train_docs, test_docs,
 # Filter inspection
 # ---------------------------------------------------------------------------
 
-def _windowed(docs, table: EmbeddingTable, ell: int):
-    """(n-gram per window, window matrix) of each document at least
-    ``ell`` tokens long."""
+def _windowed(docs, table: EmbeddingTable, bank: cnn.FilterBank):
+    """(n-gram per window, windows x k pre-activations) of each document
+    at least ``bank.ell`` tokens long."""
+    ell = bank.ell
     for doc in docs:
         surfaces = [t.surface for t in doc.tokens]
         if len(surfaces) >= ell:
             ngrams = [" ".join(surfaces[j:j + ell])
                       for j in range(len(surfaces) - ell + 1)]
-            yield ngrams, cnn.window_matrix(table.lookup_sequence(surfaces),
-                                            ell)
+            yield ngrams, cnn._encode(bank, table.lookup_sequence(surfaces)).pre
 
 
-def _top_ngrams(bank: cnn.FilterBank, filter_row: int, windowed,
-                top_n: int) -> list:
-    row = bank.M[filter_row]
+def _top_ngrams(filter_row: int, windowed, top_n: int) -> list:
     best = {}       # lowercased n-gram -> (activation, n-gram)
-    for ngrams, W in windowed:
-        acts = W @ row
+    for ngrams, A in windowed:
+        acts = A[:, filter_row]
         for j in np.nonzero(acts > 0.0)[0]:
             ngram = ngrams[j]
             key = ngram.lower()
@@ -193,8 +191,7 @@ def inspect_filters(model: Model, docs, table: EmbeddingTable,
     if not 0 <= filter_row < bank.k:
         raise IndexError("filter row %d is outside [0, %d)"
                          % (filter_row, bank.k))
-    return _top_ngrams(bank, filter_row, _windowed(docs, table, bank.ell),
-                       top_n)
+    return _top_ngrams(filter_row, _windowed(docs, table, bank), top_n)
 
 
 def topic_purity(ngrams, topic_vocab: dict):
@@ -220,13 +217,13 @@ def most_topical_filter(model: Model, docs, table: EmbeddingTable,
                         topic_vocab: dict, granularity: str = "src_document",
                         top_n: int = 10):
     """Scan every filter row and return (row, topic, purity, ngrams) for
-    the row whose top activations are purest.  Each document's windows
-    are built once for all rows."""
+    the row whose top activations are purest.  Each document is encoded
+    once for all rows."""
     bank = model.cnn_params.banks[granularity]
-    windowed = list(_windowed(docs, table, bank.ell))
+    windowed = list(_windowed(docs, table, bank))
     best = (None, None, -1.0, [])
     for row in range(bank.k):
-        ngrams = [ng for ng, _ in _top_ngrams(bank, row, windowed, top_n)]
+        ngrams = [ng for ng, _ in _top_ngrams(row, windowed, top_n)]
         if not ngrams:
             continue
         topic, purity = topic_purity(ngrams, topic_vocab)

@@ -95,8 +95,7 @@ def toks(*surfaces):
 
 
 def encodings(cache):
-    """Every (windows, pre-activations, topic vector) of a CNN forward
-    pass."""
+    """Every ``cnn.Encoding`` of a CNN forward pass."""
     return [enc for views in [cache.source] + cache.targets
             if views is not None for enc in views.values()]
 
@@ -162,8 +161,8 @@ def tiny_world(seed, d=4, k=3, ell=2, toggles=None, gold="E1",
                 model.w_sparse[idx] = float(rng.normal() * 0.4)
         if min_kink_gap > 0.0 and model.config.toggles.use_dense:
             encs = encodings(score_pairs(model, prep).forward)
-            gaps = [np.min(np.abs(A)) for _, A, _ in encs]
-            norms = [np.linalg.norm(v) for _, _, v in encs]
+            gaps = [np.min(np.abs(enc.pre)) for enc in encs]
+            norms = [enc.norm for enc in encs]
             if min(gaps) <= min_kink_gap or min(norms) <= 1e-6:
                 continue
         return SimpleNamespace(model=model, kb=kb, table=table,

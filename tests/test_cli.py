@@ -3,17 +3,19 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from convlink import model as model_mod
+from convlink import cli, model as model_mod
 from convlink.binfile import read_framed, write_framed
 from convlink.cli import run
 from convlink.config import FeatureToggles, ModelConfig
 from convlink.kb import KB_MAGIC, KB_VERSION
+from convlink.synthetic import SyntheticSpec
 from helpers import (MALFORMED_KB_PAYLOADS, MALFORMED_MODEL_HEADERS,
-                     rewrite_model_header)
+                     rewrite_model_header, write_embeddings)
 
 
 GEN_ARGS = ["--n-topics", "2", "--vocab-per-topic", "12", "--n-entities", "4",
@@ -46,6 +48,16 @@ def test_gen_synthetic_deterministic(tmp_path):
     for name in sorted(os.listdir(a)):
         assert filecmp.cmp(os.path.join(a, name), os.path.join(b, name),
                            shallow=False), name
+
+
+def test_gen_synthetic_defaults_are_the_spec_defaults(tmp_path):
+    out = str(tmp_path / "data")
+    assert run(["-q", "gen-synthetic", "--out", out, "--seed", "7",
+                "--train-docs", "24", "--test-docs", "8"]) == 0
+    with open(os.path.join(out, "metadata.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)["spec"]
+    assert spec == asdict(SyntheticSpec(seed=7, n_train_docs=24,
+                                        n_test_docs=8))
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -229,6 +241,45 @@ def test_evaluate_requires_model_or_predictions(workspace):
                 "--corpus", workspace["test"]]) == 1
 
 
+@pytest.mark.parametrize("extra", [["--model", "model.bin"],
+                                   ["--config", "full"]])
+def test_evaluate_predictions_rejects_model_flags(workspace, tmp_path,
+                                                  capsys, extra):
+    preds = str(tmp_path / "preds.jsonl")
+    with open(preds, "w", encoding="utf-8") as fh:
+        fh.write('{"doc_id": "x", "span": [0, 1], "entity": "y"}\n')
+    code = run(["-q", "evaluate", "--kb", workspace["kb"],
+                "--embeddings", workspace["embeddings"],
+                "--corpus", workspace["test"], "--predictions", preds] + extra)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--predictions" in err and extra[0] in err
+
+
+@pytest.mark.parametrize("command", [
+    ["link", "--out", "preds.jsonl"], ["evaluate"],
+    ["evaluate", "--config", "sparse-only"], ["inspect-filters"]],
+    ids=["link", "evaluate", "evaluate-sparse-only", "inspect-filters"])
+def test_model_embedding_width_mismatch_is_data_error(workspace, tmp_path,
+                                                      capsys, monkeypatch,
+                                                      command):
+    model_path = str(tmp_path / "model.bin")
+    model_mod.save_model(model_mod.Model.initialize(
+        ModelConfig(d=8, k=4, ell=5)), model_path)
+    narrow = write_embeddings(str(tmp_path / "narrow.txt"),
+                              {"the": [0.5] * 6, "clubs": [-0.5] * 6})
+    args = ["-q", command[0], "--model", model_path, "--embeddings", narrow,
+            "--corpus", workspace["test"]] + command[1:]
+    if command[0] == "inspect-filters":
+        args += ["--filter-row", "0"]
+    else:
+        args += ["--kb", workspace["kb"]]
+    monkeypatch.chdir(tmp_path)
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert narrow in err and model_path in err
+
+
 def test_train_epochs_zero_equals_initialized_model(workspace, tmp_path):
     out = str(tmp_path / "zero.bin")
     assert run(["-q", "train", "--kb", workspace["kb"],
@@ -354,14 +405,20 @@ def test_negative_top_n_is_data_error(workspace, tmp_path, capsys):
 
 def test_negative_epochs_is_data_error(workspace, tmp_path, capsys,
                                       monkeypatch):
-    prepared = []
-    real = model_mod.prepare_mention
+    calls = {}
 
-    def spy(*args):
-        prepared.append(args)
-        return real(*args)
+    def spy(module, name):
+        real = getattr(module, name)
+        calls[name] = []
 
-    monkeypatch.setattr(model_mod, "prepare_mention", spy)
+        def wrapper(*args):
+            calls[name].append(args)
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(model_mod, "prepare_mention")
+    spy(cli, "load_word2vec")
+    spy(cli, "load_corpus")
     out = tmp_path / "model.bin"
     code = run(["-q", "train", "--kb", workspace["kb"],
                 "--embeddings", workspace["embeddings"],
@@ -370,7 +427,8 @@ def test_negative_epochs_is_data_error(workspace, tmp_path, capsys,
     assert code == 2
     assert "error: epochs must be at least 0, got -1" in capsys.readouterr().err
     assert not out.exists()
-    assert prepared == []
+    assert calls == {"prepare_mention": [], "load_word2vec": [],
+                     "load_corpus": []}
 
 
 def test_removed_train_flags_are_usage_errors(workspace, tmp_path):

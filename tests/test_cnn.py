@@ -121,19 +121,33 @@ class TestEncode:
         assert W.shape == (max(n - ell + 1, 1), ell * 3)
 
 
+def cosine(u, w):
+    """The shared cosine helper on two bare topic vectors."""
+    return cnn._cosine(cnn.Encoding(u), cnn.Encoding(w))
+
+
 class TestCosine:
     def test_self_similarity(self):
         v = np.array([1.0, 2.0, -3.0])
-        assert cnn.cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_antiparallel(self):
         v = np.array([1.0, 2.0, -3.0])
-        assert cnn.cosine(v, -v) == pytest.approx(-1.0, abs=1e-12)
+        assert cosine(v, -v) == pytest.approx(-1.0, abs=1e-12)
 
     def test_zero_guard(self):
+        # inside the guard the helper gives no cosine and the forward
+        # pass writes a 0 feature
         v = np.array([1.0, 2.0, 3.0])
-        assert cnn.cosine(np.zeros(3), v) == 0.0
-        assert cnn.cosine(np.full(3, 1e-14), v) == 0.0
+        assert cosine(np.zeros(3), v) is None
+        assert cosine(np.full(3, 1e-14), v) is None
+        rng = np.random.default_rng(18)
+        params = make_params(rng, k=3)
+        params.banks["src_mention"].M[:] = 0.0
+        cache = cnn.forward_from_matrices(params, *random_mats(rng))
+        assert cache.source["src_mention"].norm == 0.0
+        assert np.array_equal(cache.fc[0, :2], np.zeros(2))
+        assert np.any(cache.fc[0, 2:] != 0.0)
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=100)
@@ -142,9 +156,8 @@ class TestCosine:
         u = rng.normal(size=4)
         w = rng.normal(size=4)
         c = float(rng.uniform(0.01, 100.0))
-        assert cnn.cosine(c * u, w) == pytest.approx(cnn.cosine(u, w),
-                                                     abs=1e-12)
-        assert abs(cnn.cosine(u, w)) <= 1.0
+        assert cosine(c * u, w) == pytest.approx(cosine(u, w), abs=1e-12)
+        assert abs(cosine(u, w)) <= 1.0
 
 
 def make_params(rng, k=3, ell=2, d=4):
@@ -209,8 +222,8 @@ def away_from_kinks(rng, params, min_gap=1e-3):
     for _ in range(200):
         source, targets = random_mats(rng, d=params.d)
         cache = cnn.forward_from_matrices(params, source, targets)
-        gaps = [np.min(np.abs(A)) for _, A, _ in encodings(cache)]
-        norms = [np.linalg.norm(v) for _, _, v in encodings(cache)]
+        gaps = [np.min(np.abs(enc.pre)) for enc in encodings(cache)]
+        norms = [enc.norm for enc in encodings(cache)]
         if min(gaps) > min_gap and min(norms) > 1e-6:
             return (source, targets), cache
     raise AssertionError("could not sample inputs away from ReLU kinks")
