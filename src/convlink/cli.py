@@ -36,7 +36,8 @@ _GEN_FLAGS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        # runs on the parser that failed, so a subcommand shows its usage
+        raise UsageError("%s\n%s" % (message, self.format_usage().rstrip()))
 
 
 def _build_parser() -> _Parser:
@@ -245,7 +246,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        parser.print_usage(sys.stderr)
         return 1
     logging.basicConfig(stream=sys.stderr, format="%(message)s",
                         level=logging.WARNING if args.quiet else logging.INFO)

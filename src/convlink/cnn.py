@@ -34,18 +34,6 @@ class FilterBank:
     ell: int
     d: int
 
-    def __post_init__(self):
-        if self.granularity not in GRANULARITIES:
-            raise ValueError("unknown granularity %r" % self.granularity)
-        if self.ell < 1 or self.d < 1:
-            raise DimensionError("ell and d must be positive")
-        if self.M.ndim != 2 or self.M.shape[0] < 1:
-            raise DimensionError("filter bank must be a (k, d*ell) matrix with k >= 1")
-        if self.M.shape[1] != self.d * self.ell:
-            raise DimensionError(
-                "bank has %d columns, expected d*ell = %d"
-                % (self.M.shape[1], self.d * self.ell))
-
     @property
     def k(self) -> int:
         return self.M.shape[0]
@@ -63,21 +51,22 @@ class CnnParams:
             raise DimensionError("all banks must share k, ell and d")
 
     @classmethod
-    def initialize(cls, k: int, ell: int, d: int, seed: int = 0) -> "CnnParams":
-        """Each bank Uniform(-a, a) with a = sqrt(6 / (d*ell + k)), which
-        keeps initial window responses moderate."""
-        rng = np.random.default_rng(seed)
-        a = np.sqrt(6.0 / (d * ell + k))
-        return cls({g: FilterBank(g, rng.uniform(-a, a, size=(k, d * ell)),
-                                  ell, d) for g in GRANULARITIES})
+    def from_vector(cls, vector: np.ndarray, ell: int, d: int) -> "CnnParams":
+        """The five banks as (k, d*ell) views into consecutive blocks of
+        ``vector``, in GRANULARITIES order: writing a bank writes the
+        vector."""
+        blocks = vector.reshape(len(GRANULARITIES), -1, d * ell)
+        return cls({g: FilterBank(g, M, ell, d)
+                    for g, M in zip(GRANULARITIES, blocks)})
 
-    @property
-    def k(self):
-        return next(iter(self.banks.values())).k
 
-    @property
-    def d(self):
-        return next(iter(self.banks.values())).d
+def initial_weights(k: int, ell: int, d: int, seed: int = 0) -> np.ndarray:
+    """The five banks' starting weights as one vector laid out as for
+    ``CnnParams.from_vector``: Uniform(-a, a) with a = sqrt(6 / (d*ell +
+    k)), which keeps initial window responses moderate."""
+    rng = np.random.default_rng(seed)
+    a = np.sqrt(6.0 / (d * ell + k))
+    return rng.uniform(-a, a, size=len(GRANULARITIES) * k * d * ell)
 
 
 def window_matrix(X: np.ndarray, ell: int) -> np.ndarray:
@@ -103,20 +92,19 @@ class Encoding:
         self.norm = np.linalg.norm(topic)
 
 
-def _encode(bank: FilterBank, sequence: np.ndarray) -> Encoding:
-    """Encode an embedded (n, d) sequence with one filter bank."""
-    if sequence.ndim != 2 or sequence.shape[1] != bank.d:
+def _encode(bank: FilterBank, windows: np.ndarray) -> Encoding:
+    """Encode one view's ``window_matrix`` with one filter bank."""
+    if windows.ndim != 2 or windows.shape[1] != bank.d * bank.ell:
         raise DimensionError(
-            "sequence width %s does not match bank dimension %d"
-            % (sequence.shape[1:] or "scalar", bank.d))
-    W = window_matrix(sequence, bank.ell)
-    A = W @ bank.M.T
-    return Encoding(np.maximum(A, 0.0).sum(axis=0), W, A)
+            "window width %s does not match bank width d*ell = %d"
+            % (windows.shape[1:] or "scalar", bank.d * bank.ell))
+    A = windows @ bank.M.T
+    return Encoding(np.maximum(A, 0.0).sum(axis=0), windows, A)
 
 
 def encode(bank: FilterBank, sequence: np.ndarray) -> np.ndarray:
     """Apply one filter bank to an embedded (n, d) sequence."""
-    return _encode(bank, sequence).topic
+    return _encode(bank, window_matrix(sequence, bank.ell)).topic
 
 
 def _cosine(u: Encoding, w: Encoding):
@@ -127,12 +115,13 @@ def _cosine(u: Encoding, w: Encoding):
     return np.dot(u.topic, w.topic) / (u.norm * w.norm)
 
 
-def embed_views(table, views) -> dict:
-    return {
-        "src_mention": table.lookup_sequence([t.surface for t in views.mention_tokens]),
-        "src_context": table.lookup_sequence([t.surface for t in views.context_tokens]),
-        "src_document": table.lookup_sequence([t.surface for t in views.document_tokens]),
-    }
+def embed_views(table, views, ell: int) -> dict:
+    """Each source view's ``window_matrix`` for filter width ``ell``."""
+    return {g: window_matrix(table.lookup_sequence([t.surface for t in toks]),
+                             ell)
+            for g, toks in (("src_mention", views.mention_tokens),
+                            ("src_context", views.context_tokens),
+                            ("src_document", views.document_tokens))}
 
 
 @dataclass
@@ -154,15 +143,16 @@ class ForwardCache:
     memoized: bool = False
 
 
-def forward_from_matrices(params: CnnParams, source_mats: dict, target_mats,
-                          mask: tuple = ALL_PAIRS_MASK,
+def forward_from_matrices(params: CnnParams, source_windows: dict,
+                          target_windows, mask: tuple = ALL_PAIRS_MASK,
                           target_memo=None) -> ForwardCache:
     """Encode one mention's source views once and every candidate's
     target views, then compare them under ``mask``.
 
-    ``source_mats`` maps source granularity to an (n, d) embedding
-    matrix; ``target_mats`` holds one such dict per candidate, or None
-    for the NULL candidate, whose six features stay zero.
+    ``source_windows`` maps source granularity to a view's
+    ``window_matrix``; ``target_windows`` holds one such dict per
+    candidate, or None for the NULL candidate, whose six features stay
+    zero.
 
     Each candidate's needed target views are encoded unless its memo
     dict already maps the granularity to a topic vector, and the
@@ -176,20 +166,20 @@ def forward_from_matrices(params: CnnParams, source_mats: dict, target_mats,
     needed = needed_granularities(mask)
     memoized = target_memo is not None
     if not memoized:
-        target_memo = [{} for _ in target_mats]
+        target_memo = [{} for _ in target_windows]
 
-    def encode_missing(mats, memo):
+    def encode_missing(views, memo):
         out = {}
-        for g, X in mats.items():
+        for g, W in views.items():
             if g in needed:
                 out[g] = (Encoding(memo[g]) if g in memo
-                          else _encode(params.banks[g], X))
+                          else _encode(params.banks[g], W))
                 memo[g] = out[g].topic
         return out
 
-    source = encode_missing(source_mats, {})
-    targets = [None if mats is None else encode_missing(mats, memo)
-               for mats, memo in zip(target_mats, target_memo)]
+    source = encode_missing(source_windows, {})
+    targets = [None if views is None else encode_missing(views, memo)
+               for views, memo in zip(target_windows, target_memo)]
     fc = np.zeros((len(targets), N_DENSE))
     for ti, tgt in enumerate(targets):
         if tgt is None:
@@ -202,16 +192,16 @@ def forward_from_matrices(params: CnnParams, source_mats: dict, target_mats,
                         targets=targets, fc=fc, memoized=memoized)
 
 
-def backward(params: CnnParams, cache: ForwardCache,
-             upstream: np.ndarray) -> dict:
-    """Gradient of ``sum(upstream * fc)`` w.r.t. each filter bank that
-    the mask's cosine slots compare; the other banks get no entry.
+def backward(params: CnnParams, cache: ForwardCache, upstream: np.ndarray,
+             grad: np.ndarray) -> None:
+    """Add the gradient of ``sum(upstream * fc)`` w.r.t. the five banks
+    into ``grad``, a vector laid out as for ``CnnParams.from_vector``.
+    Only the banks the mask's cosine slots compare get a gradient.
 
     ``upstream`` is (T, 6), one row per candidate.  The source-side
     topic gradients are summed over candidates before they reach the
     source banks.  The ReLU subgradient at exactly zero is taken as
     zero; cosine gradients are zero inside the epsilon guard region.
-    Returns a dict granularity -> dM with the same shapes as the banks.
     """
     if cache is None:
         raise CacheError("backward requires the cached forward pass")
@@ -224,13 +214,13 @@ def backward(params: CnnParams, cache: ForwardCache,
     if upstream.shape != cache.fc.shape:
         raise DimensionError("upstream gradient must be %s, got %s"
                              % (cache.fc.shape, upstream.shape))
-    grads = {g: np.zeros_like(params.banks[g].M)
-             for g in needed_granularities(cache.mask)}
-    d_source = {g: np.zeros(params.k) for g in cache.source}
+    shape = params.banks[GRANULARITIES[0]].M.shape
+    grads = dict(zip(GRANULARITIES, grad.reshape(len(GRANULARITIES), *shape)))
+    d_source = {g: np.zeros(shape[0]) for g in cache.source}
     for ti, tgt in enumerate(cache.targets):
         if tgt is None:
             continue
-        d_target = {g: np.zeros(params.k) for g in tgt}
+        d_target = {g: np.zeros(shape[0]) for g in tgt}
         for i, (on, (src_g, tgt_g)) in enumerate(zip(cache.mask, COSINE_PAIRS)):
             up = upstream[ti, i]
             if not on or up == 0.0:
@@ -244,7 +234,6 @@ def backward(params: CnnParams, cache: ForwardCache,
             d_target[tgt_g] += up * (u / (nu * nw) - c * w / (nw * nw))
         _backprop_pooling(grads, tgt, d_target)
     _backprop_pooling(grads, cache.source, d_source)
-    return grads
 
 
 def _backprop_pooling(grads: dict, encodings: dict, dv: dict) -> None:

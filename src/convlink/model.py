@@ -23,7 +23,8 @@ import numpy as np
 
 from . import cnn, sparse
 from .binfile import read_framed, write_framed
-from .config import GRANULARITIES, ModelConfig, N_DENSE
+from .config import (GRANULARITIES, ModelConfig, N_DENSE,
+                     needed_granularities)
 from .embeddings import EmbeddingTable
 from .errors import LoadError, TrainingError
 from .kb import (NULL_ENTITY, CandidateSet, KnowledgeBase, candidates_for,
@@ -37,24 +38,37 @@ MODEL_VERSION = 3
 
 @dataclass
 class Model:
+    """``theta`` holds every dense parameter: the six cosine weights,
+    then the five banks in GRANULARITIES order.  ``w_dense`` and the
+    banks of ``cnn_params`` are views into it; neither can be rebound."""
     config: ModelConfig
     w_sparse: dict                  # feature index -> weight
-    w_dense: np.ndarray             # (6,)
-    cnn_params: cnn.CnnParams
+    theta: np.ndarray
+
+    def __post_init__(self):
+        self._params = cnn.CnnParams.from_vector(
+            self.theta[N_DENSE:], self.config.ell, self.config.d)
+
+    @property
+    def w_dense(self) -> np.ndarray:
+        return self.theta[:N_DENSE]
+
+    @property
+    def cnn_params(self) -> cnn.CnnParams:
+        return self._params
 
     @classmethod
     def initialize(cls, config: ModelConfig) -> "Model":
-        params = cnn.CnnParams.initialize(config.k, config.ell, config.d,
-                                          seed=config.init_seed)
-        return cls(config=config, w_sparse={}, w_dense=np.zeros(N_DENSE),
-                   cnn_params=params)
+        banks = cnn.initial_weights(config.k, config.ell, config.d,
+                                    seed=config.init_seed)
+        return cls(config, {}, np.concatenate([np.zeros(N_DENSE), banks]))
 
 
 class TargetCache:
     """Weight-free context that mentions are prepared in: the KB, the
     embedding table, the config, the KB's tf-idf model and the hashed
-    feature vocabulary, plus each entity's body tf-idf bag and embedded
-    target views, built on first use and shared across mentions."""
+    feature vocabulary, plus each entity's body tf-idf bag and target
+    views' windows, built on first use and shared across mentions."""
 
     def __init__(self, kb: KnowledgeBase, table: EmbeddingTable,
                  config: ModelConfig):
@@ -66,8 +80,8 @@ class TargetCache:
         self._cache = {}
 
     def get(self, entity: str):
-        """(body TfIdfBag, granularity -> (n, d)) for an entity; None for
-        NULL."""
+        """(body TfIdfBag, granularity -> ``cnn.window_matrix``) for an
+        entity; None for NULL."""
         if entity == NULL_ENTITY:
             return None
         hit = self._cache.get(entity)
@@ -77,10 +91,11 @@ class TargetCache:
                 doc_cap=self.config.doc_cap)
             body = [t.surface for t in body_toks]
             hit = (self.tfidf.bag(body), {
-                "tgt_title": self.table.lookup_sequence(
-                    [t.surface for t in title_toks]),
-                "tgt_document": self.table.lookup_sequence(body),
-            })
+                g: cnn.window_matrix(self.table.lookup_sequence(surfaces),
+                                     self.config.ell)
+                for g, surfaces in (
+                    ("tgt_title", [t.surface for t in title_toks]),
+                    ("tgt_document", body))})
             self._cache[entity] = hit
         return hit
 
@@ -92,15 +107,15 @@ class PreparedMention:
     mention: Mention
     queries: list
     cand: CandidateSet
-    source_mats: dict                    # granularity -> (n, d)
-    target_mats: list                    # per candidate: dict or None (NULL)
+    source_windows: dict                 # granularity -> cnn.window_matrix
+    target_windows: list                 # per candidate: dict or None (NULL)
     features: FeatureTable               # f_Q rows, then f_E rows [t][q]
     gold_index: Optional[int]            # index into cand.candidates, or None
 
 
 def prepare_mention(targets: TargetCache, doc: Document,
                     mention: Mention) -> PreparedMention:
-    """Queries, candidates, sparse features and embedded views of one
+    """Queries, candidates, sparse features and view windows of one
     mention.  The result is shared by every model whose config differs
     from ``targets.config`` only in its toggles."""
     cfg = targets.config
@@ -120,9 +135,10 @@ def prepare_mention(targets: TargetCache, doc: Document,
     if mention.gold_entity is not None and mention.gold_entity in cand.candidates:
         gold_index = cand.candidates.index(mention.gold_entity)
     return PreparedMention(mention=mention, queries=queries, cand=cand,
-                           source_mats=cnn.embed_views(targets.table, views),
-                           target_mats=[None if tgt is None else tgt[1]
-                                        for tgt in tgts],
+                           source_windows=cnn.embed_views(targets.table, views,
+                                                          cfg.ell),
+                           target_windows=[None if tgt is None else tgt[1]
+                                           for tgt in tgts],
                            features=features, gold_index=gold_index)
 
 
@@ -164,13 +180,14 @@ def score_pairs(model: Model, prep: PreparedMention,
     if tog.use_dense:
         target_memo = None
         if memo is not None:
-            target_memo = [None if mats is None
+            target_memo = [None if views is None
                            else memo.setdefault(entity, {})
-                           for entity, mats in zip(prep.cand.candidates,
-                                                   prep.target_mats)]
-        forward = cnn.forward_from_matrices(model.cnn_params, prep.source_mats,
-                                            prep.target_mats, tog.dense_mask,
-                                            target_memo)
+                           for entity, views in zip(prep.cand.candidates,
+                                                    prep.target_windows)]
+        forward = cnn.forward_from_matrices(model.cnn_params,
+                                            prep.source_windows,
+                                            prep.target_windows,
+                                            tog.dense_mask, target_memo)
         fc = forward.fc
     dense_part = fc @ model.w_dense
     dots = _scoring_rows(model, prep, prep.features.dots(model.w_sparse))
@@ -229,8 +246,7 @@ def link(targets: TargetCache, models, pairs):
 @dataclass
 class GradBundle:
     sparse: dict                 # feature index -> gradient
-    dense: np.ndarray            # (6,)
-    banks: dict                  # granularity -> dM, masked-out banks absent
+    theta: np.ndarray            # laid out as Model.theta; masked banks 0
 
 
 def loss_and_grad(model: Model, prep: PreparedMention):
@@ -260,17 +276,18 @@ def loss_and_grad(model: Model, prep: PreparedMention):
 
     g_sparse = prep.features.gradient(_scoring_rows(
         model, prep, np.concatenate([coef.sum(axis=0), coef.ravel()])))
+    if not tog.use_dense:   # no dense weight scores: read-only zeros, no copy
+        return loss, GradBundle(g_sparse, np.broadcast_to(0.0, model.theta.shape))
 
     mask = np.array(tog.dense_mask, dtype=float)
     t_coefs = Pt.copy()
     t_coefs[ti_gold] -= 1.0
-    g_dense = (t_coefs[:, np.newaxis] * table.fc).sum(axis=0) * mask
-
-    g_banks = {}
-    if tog.use_dense:
-        g_banks = cnn.backward(model.cnn_params, table.forward,
-                               t_coefs[:, np.newaxis] * (model.w_dense * mask))
-    return loss, GradBundle(sparse=g_sparse, dense=g_dense, banks=g_banks)
+    g_theta = np.zeros_like(model.theta)
+    g_theta[:N_DENSE] = (t_coefs[:, np.newaxis] * table.fc).sum(axis=0) * mask
+    cnn.backward(model.cnn_params, table.forward,
+                 t_coefs[:, np.newaxis] * (model.w_dense * mask),
+                 g_theta[N_DENSE:])
+    return loss, GradBundle(sparse=g_sparse, theta=g_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +300,25 @@ EPS = 1e-6
 
 
 class AdadeltaState:
-    """Per-parameter running averages E[g^2] and E[dx^2]."""
+    """Per-parameter running averages E[g^2] and E[dx^2]; ``g2`` and
+    ``dx2`` are laid out as ``Model.theta``."""
 
     def __init__(self, model: Model):
-        self.dense_g2 = np.zeros(N_DENSE)
-        self.dense_dx2 = np.zeros(N_DENSE)
-        self.bank_g2 = {g: np.zeros_like(b.M)
-                        for g, b in model.cnn_params.banks.items()}
-        self.bank_dx2 = {g: np.zeros_like(b.M)
-                         for g, b in model.cnn_params.banks.items()}
+        self.g2 = np.zeros_like(model.theta)
+        self.dx2 = np.zeros_like(model.theta)
         self.sparse = {}     # index -> [E[g^2], E[dx^2]]
-        # two work arrays per parameter shape (all banks share one)
-        self._scratch = {x.shape: (np.empty_like(x), np.empty_like(x))
-                         for x in (self.dense_g2, *self.bank_g2.values())}
+        # the blocks of theta that step: w_dense, each bank the mask compares
+        cfg = model.config
+        size = cfg.k * cfg.d * cfg.ell
+        needed = needed_granularities(cfg.toggles.dense_mask)
+        self._blocks = [slice(0, N_DENSE)] + [
+            slice(N_DENSE + i * size, N_DENSE + (i + 1) * size)
+            for i, g in enumerate(GRANULARITIES) if g in needed]
+        self._work = np.empty((2, max(size, N_DENSE)))
 
     def _dense_step(self, x, g2, dx2, g) -> None:
         """One Adadelta step on ``x`` for gradient ``g``, in place."""
-        a, b = self._scratch[x.shape]
+        a, b = self._work[:, :x.size]
         np.multiply(g, 1.0 - RHO, out=a)
         a *= g
         g2 *= RHO
@@ -317,11 +336,9 @@ class AdadeltaState:
         x += a
 
     def apply(self, model: Model, grads: GradBundle) -> None:
-        self._dense_step(model.w_dense, self.dense_g2, self.dense_dx2,
-                         grads.dense)
-        for g, dM in grads.banks.items():
-            self._dense_step(model.cnn_params.banks[g].M, self.bank_g2[g],
-                             self.bank_dx2[g], dM)
+        for s in self._blocks:
+            self._dense_step(model.theta[s], self.g2[s], self.dx2[s],
+                             grads.theta[s])
         for idx, grad in grads.sparse.items():
             st = self.sparse.get(idx)
             if st is None:
@@ -431,13 +448,10 @@ def _model_payload(model: Model) -> bytes:
         "config": model.config.to_dict(),
         "n_sparse": len(model.w_sparse),
     }, sort_keys=True).encode("utf-8")
-    parts = [struct.pack("<I", len(header)), header]
-    parts.append(np.ascontiguousarray(model.w_dense, dtype="<f8").tobytes())
-    for g in GRANULARITIES:
-        M = model.cnn_params.banks[g].M
-        parts.append(np.ascontiguousarray(M, dtype="<f8").tobytes())
-    for idx in sorted(model.w_sparse):
-        parts.append(struct.pack("<Qd", idx, model.w_sparse[idx]))
+    parts = [struct.pack("<I", len(header)), header,
+             model.theta.astype("<f8", copy=False).tobytes()]
+    parts += [struct.pack("<Qd", idx, model.w_sparse[idx])
+              for idx in sorted(model.w_sparse)]
     return b"".join(parts)
 
 
@@ -453,17 +467,10 @@ def load_model(path) -> Model:
         header = json.loads(payload[4:4 + hlen].decode("utf-8"))
         config = ModelConfig.from_dict(header["config"])
         off = 4 + hlen
-        w_dense = np.frombuffer(payload, dtype="<f8", count=N_DENSE,
-                                offset=off).copy()
-        off += N_DENSE * 8
-        banks = {}
-        size = config.k * config.d * config.ell
-        for g in GRANULARITIES:
-            M = np.frombuffer(payload, dtype="<f8", count=size,
-                              offset=off).copy().reshape(config.k,
-                                                         config.d * config.ell)
-            banks[g] = cnn.FilterBank(g, M, config.ell, config.d)
-            off += size * 8
+        n = N_DENSE + len(GRANULARITIES) * config.k * config.d * config.ell
+        theta = np.frombuffer(payload, dtype="<f8", count=n,
+                              offset=off).astype(float)
+        off += n * 8
         w_sparse = {}
         for _ in range(header["n_sparse"]):
             idx, w = struct.unpack_from("<Qd", payload, off)
@@ -474,5 +481,7 @@ def load_model(path) -> Model:
                             % (path, len(payload) - off))
     except (struct.error, KeyError, TypeError, ValueError) as exc:
         raise LoadError("%s: malformed model payload: %s" % (path, exc))
-    return Model(config=config, w_sparse=w_sparse, w_dense=w_dense,
-                 cnn_params=cnn.CnnParams(banks))
+    if not (np.isfinite(theta).all()
+            and all(map(math.isfinite, w_sparse.values()))):
+        raise LoadError("%s: non-finite weight in model payload" % path)
+    return Model(config=config, w_sparse=w_sparse, theta=theta)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from convlink.binfile import read_framed, write_framed
-from convlink.config import GRANULARITIES, N_DENSE, FeatureToggles, ModelConfig
+from convlink.config import FeatureToggles, ModelConfig
 from convlink.embeddings import EmbeddingTable
 from convlink.kb import KnowledgeBase
 from convlink.model import (MODEL_MAGIC, MODEL_VERSION, Model, TargetCache,
@@ -145,7 +145,7 @@ def tiny_world(seed, d=4, k=3, ell=2, toggles=None, gold="E1",
                              top_k=5, hash_capacity=2 ** 16, init_seed=seed,
                              toggles=toggles or FeatureToggles())
         model = Model.initialize(config)
-        model.w_dense = rng.normal(size=6) * 0.8
+        model.w_dense[:] = rng.normal(size=6) * 0.8
         words = [TINY_WORDS[int(i)]
                  for i in rng.integers(len(TINY_WORDS), size=9)]
         pos = int(rng.integers(0, len(words) + 1))
@@ -183,8 +183,9 @@ def loss_only(model, prep):
 
 def max_fd_relative_error(model, prep, h=1e-5):
     """Largest relative gap between ``loss_and_grad``'s gradient and a
-    central finite difference of the loss, over every dense weight,
-    sparse weight and filter-bank entry of ``model``."""
+    central finite difference of the loss, over every entry of
+    ``model.theta`` (dense weights and filter banks) and every sparse
+    weight."""
     _, grads = loss_and_grad(model, prep)
 
     def rel(params, key, analytic):
@@ -197,12 +198,10 @@ def max_fd_relative_error(model, prep, h=1e-5):
         est = (up - dn) / (2 * h)
         return abs(est - analytic) / max(abs(est), abs(analytic), 1e-6)
 
-    checks = [(model.w_dense, i, grads.dense[i]) for i in range(N_DENSE)]
+    checks = [(model.theta, i, grads.theta[i])
+              for i in range(model.theta.size)]
     checks += [(model.w_sparse, idx, grads.sparse.get(idx, 0.0))
                for idx in list(model.w_sparse)]
-    for g in GRANULARITIES:
-        M = model.cnn_params.banks[g].M
-        checks += [(M, rc, grads.banks[g][rc]) for rc in np.ndindex(M.shape)]
     return max(rel(*check) for check in checks)
 
 

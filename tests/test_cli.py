@@ -65,6 +65,19 @@ def test_unknown_flag_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--kb", "a", "--embeddings", "b", "--corpus", "c"],
+    ["train", "--kb", "a", "--embeddings", "b", "--corpus", "c",
+     "--out", "m", "--epochs", "nope"],
+])
+def test_subcommand_parse_error_shows_its_usage(capsys, argv):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "usage: convlink %s " % argv[0] in err
+    assert "{ingest-kb," not in err
+
+
 def test_missing_file_is_data_error(workspace, capsys):
     code = run(["-q", "evaluate", "--model", "/nonexistent/model.bin",
                 "--kb", workspace["kb"],

@@ -165,15 +165,26 @@ def make_params(rng, k=3, ell=2, d=4):
                           for g in GRANULARITIES})
 
 
-def random_views(rng, d, lens):
-    return {g: rng.normal(size=(n, d)) for g, n in lens.items()}
+def random_views(rng, d, lens, ell=2):
+    """The window matrices of random (n, d) views."""
+    return {g: cnn.window_matrix(rng.normal(size=(n, d)), ell)
+            for g, n in lens.items()}
 
 
 def random_mats(rng, d=4, lens=(1, 3, 6, 2, 5)):
-    """Source views and a one-candidate target list."""
+    """Source views and a one-candidate target list, as windows."""
     mats = random_views(rng, d, dict(zip(GRANULARITIES, lens)))
     source = {g: mats.pop(g) for g in GRANULARITIES[:3]}
     return source, [mats]
+
+
+def bank_grads(params, cache, upstream):
+    """``cnn.backward``'s gradient as a dict granularity -> dM, each a
+    view into one flat vector."""
+    shape = (len(GRANULARITIES),) + params.banks["src_mention"].M.shape
+    grad = np.zeros(shape)
+    cnn.backward(params, cache, upstream, grad.ravel())
+    return dict(zip(GRANULARITIES, grad))
 
 
 class TestExtractFc:
@@ -188,9 +199,11 @@ class TestExtractFc:
         views.mention_tokens = toks("pink", "floyd")
         views.context_tokens = toks("pink", "floyd")
         views.document_tokens = toks("pink", "floyd")
-        target = {"tgt_title": table.lookup_sequence(["pink", "floyd"]),
-                  "tgt_document": table.lookup_sequence(["other", "words"])}
-        fc = cnn.forward_from_matrices(params, cnn.embed_views(table, views),
+        target = {g: cnn.window_matrix(table.lookup_sequence(words), 2)
+                  for g, words in (("tgt_title", ["pink", "floyd"]),
+                                   ("tgt_document", ["other", "words"]))}
+        fc = cnn.forward_from_matrices(params,
+                                       cnn.embed_views(table, views, 2),
                                        [target]).fc
         assert fc[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -220,7 +233,7 @@ class TestExtractFc:
 def away_from_kinks(rng, params, min_gap=1e-3):
     """Sample input matrices until no pre-activation sits near zero."""
     for _ in range(200):
-        source, targets = random_mats(rng, d=params.d)
+        source, targets = random_mats(rng, d=params.banks["src_mention"].d)
         cache = cnn.forward_from_matrices(params, source, targets)
         gaps = [np.min(np.abs(enc.pre)) for enc in encodings(cache)]
         norms = [enc.norm for enc in encodings(cache)]
@@ -234,7 +247,7 @@ class TestBackward:
         rng = np.random.default_rng(10)
         params = make_params(rng)
         _, cache = away_from_kinks(rng, params)
-        grads = cnn.backward(params, cache, np.zeros((1, 6)))
+        grads = bank_grads(params, cache, np.zeros((1, 6)))
         assert all(np.array_equal(g, 0 * g) for g in grads.values())
 
     def test_structural_sparsity(self):
@@ -244,7 +257,7 @@ class TestBackward:
         _, cache = away_from_kinks(rng, params)
         upstream = np.zeros((1, 6))
         upstream[0, 0] = 1.0
-        grads = cnn.backward(params, cache, upstream)
+        grads = bank_grads(params, cache, upstream)
         for g in ("src_context", "src_document", "tgt_document"):
             assert np.array_equal(grads[g], np.zeros_like(grads[g]))
         assert np.any(grads["src_mention"] != 0.0)
@@ -260,7 +273,7 @@ class TestBackward:
             return float(np.sum(upstream
                                 * cnn.forward_from_matrices(params, *mats).fc))
 
-        grads = cnn.backward(params, cache, upstream)
+        grads = bank_grads(params, cache, upstream)
         h = 1e-5
         worst = 0.0
         for g in GRANULARITIES:
@@ -285,24 +298,24 @@ class TestBackward:
         other = make_params(rng)
         _, cache = away_from_kinks(rng, params)
         with pytest.raises(CacheError):
-            cnn.backward(other, cache, np.ones((1, 6)))
+            bank_grads(other, cache, np.ones((1, 6)))
         with pytest.raises(CacheError):
-            cnn.backward(params, None, np.ones((1, 6)))
+            bank_grads(params, None, np.ones((1, 6)))
 
     def test_null_state_zero_grads(self):
         rng = np.random.default_rng(14)
         params = make_params(rng)
         source, _ = random_mats(rng)
         cache = cnn.forward_from_matrices(params, source, [None])
-        grads = cnn.backward(params, cache, np.ones((1, 6)))
+        grads = bank_grads(params, cache, np.ones((1, 6)))
         assert all(not np.any(g) for g in grads.values())
 
     @pytest.mark.parametrize("mask", [(True,) * 6,
                                       (True, False, False, False, False, True)])
     def test_batch_equals_single_candidate_calls(self, mask):
         # one pass over T candidates (NULL in the middle) against T passes
-        # over one candidate each, summing their bank gradients; only the
-        # banks the mask compares get a gradient
+        # over one candidate each, summing their bank gradients; the banks
+        # the mask does not compare keep all-zero gradient spans
         rng = np.random.default_rng(17)
         params = make_params(rng)
         source, _ = random_mats(rng)
@@ -311,16 +324,19 @@ class TestBackward:
         targets.insert(1, None)
         upstream = rng.normal(size=(len(targets), 6))
         batch = cnn.forward_from_matrices(params, source, targets, mask)
-        batch_grads = cnn.backward(params, batch, upstream)
+        batch_grads = bank_grads(params, batch, upstream)
         needed = needed_granularities(mask)
-        assert set(batch_grads) == needed
+        assert {g for g, dM in batch_grads.items() if np.any(dM)} == needed
         summed = {g: np.zeros_like(params.banks[g].M) for g in needed}
         for ti, target in enumerate(targets):
             single = cnn.forward_from_matrices(params, source, [target], mask)
             assert np.max(np.abs(single.fc[0] - batch.fc[ti])) < 1e-12
-            for g, dM in cnn.backward(params, single,
-                                      upstream[ti:ti + 1]).items():
-                summed[g] += dM
+            for g, dM in bank_grads(params, single,
+                                    upstream[ti:ti + 1]).items():
+                if g in needed:
+                    summed[g] += dM
+                else:
+                    assert not np.any(dM)
         assert np.array_equal(batch.fc[1], np.zeros(6))
         for g in needed:
             scale = np.max(np.abs(summed[g]))
@@ -330,12 +346,22 @@ class TestBackward:
 
 class TestParams:
     def test_initialization_range_and_determinism(self):
-        p1 = cnn.CnnParams.initialize(k=5, ell=3, d=4, seed=42)
-        p2 = cnn.CnnParams.initialize(k=5, ell=3, d=4, seed=42)
+        w1 = cnn.initial_weights(k=5, ell=3, d=4, seed=42)
+        w2 = cnn.initial_weights(k=5, ell=3, d=4, seed=42)
         bound = np.sqrt(6.0 / (4 * 3 + 5))
-        for g in GRANULARITIES:
-            assert np.array_equal(p1.banks[g].M, p2.banks[g].M)
-            assert np.all(np.abs(p1.banks[g].M) <= bound)
+        assert w1.shape == (len(GRANULARITIES) * 5 * 4 * 3,)
+        assert np.array_equal(w1, w2)
+        assert np.all(np.abs(w1) <= bound)
+
+    def test_one_draw_equals_five_bank_draws(self):
+        # the flat vector keeps the bits of drawing each bank in turn
+        rng = np.random.default_rng(42)
+        a = np.sqrt(6.0 / (4 * 3 + 5))
+        per_bank = [rng.uniform(-a, a, size=(5, 12)) for _ in GRANULARITIES]
+        params = cnn.CnnParams.from_vector(
+            cnn.initial_weights(k=5, ell=3, d=4, seed=42), 3, 4)
+        for g, M in zip(GRANULARITIES, per_bank):
+            assert params.banks[g].M.tobytes() == M.tobytes()
 
     def test_mismatched_banks_rejected(self):
         rng = np.random.default_rng(15)

@@ -16,9 +16,10 @@ from convlink.errors import (CacheError, ChecksumError, LoadError,
                              TrainingError, VersionError)
 from convlink.kb import NULL_ENTITY, KnowledgeBase
 from convlink.model import (MODEL_MAGIC, MODEL_VERSION, AdadeltaState, Model,
-                            TargetCache, infer, load_model, loss_and_grad,
-                            marginals_from_scores, prepare_corpus,
-                            prepare_mention, save_model, score_pairs, train)
+                            TargetCache, _model_payload, infer, load_model,
+                            loss_and_grad, marginals_from_scores,
+                            prepare_corpus, prepare_mention, save_model,
+                            score_pairs, train)
 from convlink.sparse import FeatureTable
 from convlink.textproc import Document, Mention
 from helpers import (ABLATION_TOGGLES, MALFORMED_MODEL_HEADERS,
@@ -30,9 +31,7 @@ class TestScorePairs:
     def test_zero_weights_uniform(self):
         w = tiny_world(seed=1)
         w.model.w_sparse = {}
-        w.model.w_dense = np.zeros(6)
-        w.model.cnn_params = type(w.model.cnn_params)(
-            {g: replace_M(b) for g, b in w.model.cnn_params.banks.items()})
+        w.model.theta[:] = 0.0         # w_dense and every bank
         table = score_pairs(w.model, w.prep)
         assert np.array_equal(table.S, np.zeros_like(table.S))
         pt, _ = marginals_from_scores(table.S)
@@ -47,11 +46,6 @@ class TestScorePairs:
         scored = infer(w.model, prep)
         assert scored[0].entity == NULL_ENTITY
         assert scored[0].marginal_prob == pytest.approx(1.0, abs=1e-12)
-
-
-def replace_M(bank):
-    from convlink.cnn import FilterBank
-    return FilterBank(bank.granularity, np.zeros_like(bank.M), bank.ell, bank.d)
 
 
 class TestInfer:
@@ -72,8 +66,7 @@ class TestInfer:
         assert probs == sorted(probs, reverse=True)
         # exact ties (zero model) resolve lexicographically
         w.model.w_sparse = {}
-        w.model.w_dense = np.zeros(6)
-        tog = w.model.config.toggles
+        w.model.w_dense[:] = 0.0
         scored = infer(w.model, w.prep)
         tied = [s.entity for s in scored
                 if abs(s.marginal_prob - scored[0].marginal_prob) < 1e-15]
@@ -111,9 +104,9 @@ class TestInfer:
             S = score_pairs(w.model, w.prep).S
             best_pair = np.unravel_index(np.argmax(S), S.shape)
             for c in (0.5, 3.0):
-                scaled = replace(w.model)
-                scaled.w_sparse = {i: c * v for i, v in w.model.w_sparse.items()}
-                scaled.w_dense = c * w.model.w_dense
+                scaled = replace(
+                    with_dense(w.model, c * w.model.w_dense),
+                    w_sparse={i: c * v for i, v in w.model.w_sparse.items()})
                 S2 = score_pairs(scaled, w.prep).S
                 assert np.unravel_index(np.argmax(S2), S2.shape) == best_pair
 
@@ -131,7 +124,6 @@ class TestLossAndGrad:
     def test_uniform_two_by_one_is_ln2(self):
         w = tiny_world(seed=4)
         w.model.w_sparse = {}
-        w.model.w_dense = np.zeros(6)
         # keep only one query and two candidates in the prepared mention
         prep = w.prep
         Q = len(prep.queries)
@@ -139,7 +131,7 @@ class TestLossAndGrad:
         prep.queries = prep.queries[:1]
         prep.features = FeatureTable.from_rows([rows[0], rows[Q], []])
         prep.cand.candidates = prep.cand.candidates[:1] + [NULL_ENTITY]
-        prep.target_mats = prep.target_mats[:1] + [None]
+        prep.target_windows = prep.target_windows[:1] + [None]
         prep.gold_index = 0
         zero_dense(w.model)
         loss, grads = loss_and_grad(w.model, prep)
@@ -158,7 +150,7 @@ class TestLossAndGrad:
         w.model.w_sparse[boost] = 40.0
         loss, grads = loss_and_grad(w.model, w.prep)
         assert loss < 1e-4
-        assert np.max(np.abs(grads.dense)) < 1e-3
+        assert np.max(np.abs(grads.theta[:N_DENSE])) < 1e-3
         assert all(abs(g) < 1e-2 for g in grads.sparse.values())
 
     def test_gold_missing_returns_none(self):
@@ -175,7 +167,7 @@ class TestLossAndGrad:
             ind = 1.0 if ti == w.prep.gold_index else 0.0
             expect += (pt[ti] - ind) * table.fc[ti]
         _, grads = loss_and_grad(w.model, w.prep)
-        assert np.max(np.abs(grads.dense - expect)) < 1e-12
+        assert np.max(np.abs(grads.theta[:N_DENSE] - expect)) < 1e-12
 
     def test_loss_matches_brute_force(self):
         for seed in range(10):
@@ -196,7 +188,22 @@ class TestLossAndGrad:
 
 
 def zero_dense(model):
-    model.w_dense = np.zeros(6)
+    model.w_dense[:] = 0.0
+
+
+def with_dense(model, w_dense):
+    """A copy of ``model`` with its own theta, whose cosine weights are
+    ``w_dense``; the sparse weights stay shared."""
+    out = replace(model, theta=model.theta.copy())
+    out.w_dense[:] = w_dense
+    return out
+
+
+def bank_spans(model, theta_like):
+    """granularity -> the (k, d*ell) span of a vector laid out as
+    ``model.theta``."""
+    return cnn.CnnParams.from_vector(theta_like[N_DENSE:], model.config.ell,
+                                     model.config.d).banks
 
 
 class TestFcCaching:
@@ -221,8 +228,7 @@ class TestAblationConsistency:
                 FeatureToggles.sparse_only()))
         prep_sparse = prepare_mention(
             TargetCache(w.kb, w.table, sparse_only.config), w.doc, w.mention)
-        zeroed = replace(w.model)
-        zeroed.w_dense = np.zeros(6)
+        zeroed = with_dense(w.model, np.zeros(6))
         a = infer(sparse_only, prep_sparse)
         b = infer(zeroed, w.prep)
         assert len(a) == len(b)
@@ -239,7 +245,7 @@ class TestAblationConsistency:
         null_idx = w.targets.vocab.index_of("e:null")
         # with the dense part zeroed, S is the sparse part alone: the NULL
         # indicator on the NULL row and nothing elsewhere
-        S = score_pairs(replace(w.model, w_dense=np.zeros(6)), w.prep).S
+        S = score_pairs(with_dense(w.model, np.zeros(6)), w.prep).S
         for ti, entity in enumerate(w.prep.cand.candidates):
             expect = w.model.w_sparse[null_idx] if entity == NULL_ENTITY else 0.0
             assert S[ti].tolist() == [expect] * len(w.prep.queries)
@@ -302,7 +308,7 @@ def memo_world(toggles=None):
     kb, docs = micro_corpus()
     table = micro_table()
     m = micro_model(seed=4, toggles=toggles)
-    m.w_dense = np.random.default_rng(4).normal(size=6)
+    m.w_dense[:] = np.random.default_rng(4).normal(size=6)
     targets = TargetCache(kb, table, m.config)
     preps = [prepare_mention(targets, d, d.mentions[0]) for d in docs]
     for prep in preps:
@@ -332,8 +338,8 @@ class TestTargetMemo:
         m, preps = memo_world()
         calls = []
         real = cnn._encode
-        monkeypatch.setattr(cnn, "_encode", lambda bank, X: (
-            calls.append(bank.granularity) or real(bank, X)))
+        monkeypatch.setattr(cnn, "_encode", lambda bank, W: (
+            calls.append(bank.granularity) or real(bank, W)))
         memo = {}
         for prep in preps:
             infer(m, prep, memo)
@@ -345,11 +351,13 @@ class TestTargetMemo:
         m, preps = memo_world()
         table = score_pairs(m, preps[0], {})
         assert table.forward.memoized
+        grad = np.zeros_like(m.theta[N_DENSE:])
         with pytest.raises(CacheError):
-            cnn.backward(m.cnn_params, table.forward, np.ones_like(table.fc))
+            cnn.backward(m.cnn_params, table.forward, np.ones_like(table.fc),
+                         grad)
         # the same mention without a memo backpropagates
         fresh = score_pairs(m, preps[0]).forward
-        cnn.backward(m.cnn_params, fresh, np.ones_like(table.fc))
+        cnn.backward(m.cnn_params, fresh, np.ones_like(table.fc), grad)
 
 
 class TestTrain:
@@ -397,7 +405,7 @@ class TestTrain:
         kb, docs = micro_corpus(n_docs=2)
         table = micro_table()
         m = micro_model()
-        m.w_dense = np.full(6, np.nan)
+        m.w_dense[:] = np.nan
         with pytest.raises(TrainingError) as err:
             train(m, docs, kb, table, epochs=1, seed=0)
         assert "m" in str(err.value)
@@ -416,8 +424,11 @@ class TestMaskedBanks:
     def test_gradients_only_for_compared_banks(self, name, toggles):
         w = tiny_world(seed=21, toggles=toggles)
         _, grads = loss_and_grad(w.model, w.prep)
-        # sparse-only compares no bank and gets an empty dict
-        assert set(grads.banks) == needed_granularities(toggles.dense_mask)
+        # the banks the mask does not compare keep all-zero spans;
+        # sparse-only compares none
+        spans = bank_spans(w.model, grads.theta)
+        assert {g for g, b in spans.items() if np.any(b.M)} == \
+            needed_granularities(toggles.dense_mask)
 
     @pytest.mark.parametrize("name,toggles", ABLATION_TOGGLES)
     def test_fit_leaves_masked_banks_bit_identical(self, name, toggles):
@@ -449,13 +460,19 @@ class TestAdadelta:
         state = AdadeltaState(m)
         from convlink.model import GradBundle
         g = np.array([1.0, -2.0, 0.0, 0.5, 0.0, 0.0])
-        bundle = GradBundle(sparse={7: 2.0}, dense=g.copy(), banks={})
-        state.apply(m, bundle)
+        banks = m.theta[N_DENSE:].copy()
+        grad = np.zeros_like(m.theta)
+        grad[:N_DENSE] = g
+        state.apply(m, GradBundle(sparse={7: 2.0}, theta=grad))
         eg2 = 0.05 * g * g
         dx = -np.sqrt((0.0 + 1e-6) / (eg2 + 1e-6)) * g
         assert np.allclose(m.w_dense, dx, atol=1e-15)
-        assert np.allclose(state.dense_g2, eg2, atol=1e-15)
-        assert np.allclose(state.dense_dx2, 0.05 * dx * dx, atol=1e-15)
+        assert np.allclose(state.g2[:N_DENSE], eg2, atol=1e-15)
+        assert np.allclose(state.dx2[:N_DENSE], 0.05 * dx * dx, atol=1e-15)
+        # zero bank gradients leave the banks and their accumulators
+        assert m.theta[N_DENSE:].tobytes() == banks.tobytes()
+        assert not np.any(state.g2[N_DENSE:])
+        assert not np.any(state.dx2[N_DENSE:])
         eg2s = 0.05 * 4.0
         dxs = -math.sqrt(1e-6 / (eg2s + 1e-6)) * 2.0
         assert m.w_sparse[7] == pytest.approx(dxs, abs=1e-15)
@@ -470,8 +487,105 @@ class TestAdadelta:
         for prep in prepared:
             loss, grads = loss_and_grad(m, prep)
             state.apply(m, grads)
-        assert np.all(state.dense_g2 >= 0) and np.all(state.dense_dx2 >= 0)
+        assert np.all(state.g2 >= 0) and np.all(state.dx2 >= 0)
         assert all(v[0] >= 0 and v[1] >= 0 for v in state.sparse.values())
+
+
+class TestThetaLayout:
+    def test_dense_weights_and_banks_are_views_of_theta(self):
+        m = micro_model(seed=1)
+        cfg = m.config
+        size = cfg.k * cfg.d * cfg.ell
+        assert m.theta.shape == (N_DENSE + len(GRANULARITIES) * size,)
+        assert np.shares_memory(m.w_dense, m.theta)
+        for i, g in enumerate(GRANULARITIES):
+            M = m.cnn_params.banks[g].M
+            assert np.shares_memory(M, m.theta)
+            start = N_DENSE + i * size
+            assert M.ravel().tobytes() == \
+                m.theta[start:start + size].tobytes()
+
+    def test_stale_assignments_fail(self):
+        m = micro_model()
+        with pytest.raises(AttributeError):
+            m.w_dense = np.ones(N_DENSE)
+        with pytest.raises(AttributeError):
+            m.cnn_params = m.cnn_params
+        assert not np.any(m.w_dense)
+
+    def test_payload_fixed_block_is_theta(self, tmp_path):
+        kb, docs = micro_corpus()
+        m, _ = train(micro_model(), docs, kb, micro_table(), epochs=1, seed=0)
+        path = tmp_path / "model.bin"
+        save_model(m, path)
+        _, payload = read_framed(path, MODEL_MAGIC, (MODEL_VERSION,))
+        (hlen,) = struct.unpack_from("<I", payload, 0)
+        start = 4 + hlen
+        assert payload[start:start + m.theta.nbytes] == m.theta.tobytes()
+        assert len(payload) == start + m.theta.nbytes + 16 * len(m.w_sparse)
+        assert load_model(path).theta.tobytes() == m.theta.tobytes()
+
+    def test_sparse_only_gradient_allocates_no_theta(self):
+        # no dense weight scores, so the gradient is one shared zero
+        w = tiny_world(seed=21, toggles=FeatureToggles.sparse_only())
+        _, grads = loss_and_grad(w.model, w.prep)
+        assert grads.theta.shape == w.model.theta.shape
+        assert grads.theta.strides == (0,) and not np.any(grads.theta)
+
+    @pytest.mark.parametrize("where", ["w_dense", "bank", "sparse"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected_on_load(self, tmp_path, where, value):
+        m = micro_model()
+        m.w_sparse[5] = 0.5
+        if where == "w_dense":
+            m.w_dense[2] = value
+        elif where == "bank":
+            m.theta[-1] = value
+        else:
+            m.w_sparse[5] = value
+        path = tmp_path / "model.bin"
+        # a well-framed file with a valid checksum
+        write_framed(path, MODEL_MAGIC, MODEL_VERSION, _model_payload(m))
+        with pytest.raises(LoadError) as err:
+            load_model(path)
+        assert str(err.value) == \
+            "%s: non-finite weight in model payload" % path
+
+
+class TestPreparedWindows:
+    def test_long_views_share_memory_with_embedded_rows(self, monkeypatch):
+        # every view longer than ell keeps a strided view of its embedded
+        # rows, not a copy
+        from convlink.embeddings import EmbeddingTable
+        embedded = []
+        real = EmbeddingTable.lookup_sequence
+        monkeypatch.setattr(EmbeddingTable, "lookup_sequence",
+                            lambda self, surfaces: embedded.append(
+                                real(self, surfaces)) or embedded[-1])
+        m, preps = memo_world()
+        ell = m.config.ell
+        views = [W for prep in preps
+                 for W in prep.source_windows.values()]
+        views += [W for prep in preps for tgt in prep.target_windows
+                  if tgt is not None for W in tgt.values()]
+        long_views = [W for W in views if W.shape[0] > 1]
+        assert long_views
+        for W in long_views:
+            assert any(X.shape[0] > ell and np.shares_memory(W, X)
+                       for X in embedded)
+
+    def test_target_cache_builds_windows_once_per_entity(self, monkeypatch):
+        calls = []
+        real = cnn.window_matrix
+        monkeypatch.setattr(cnn, "window_matrix", lambda X, ell: (
+            calls.append(X.shape) or real(X, ell)))
+        m, preps = memo_world()
+        # three source views per mention, two target views per entity
+        assert len(calls) == 3 * len(preps) + 2 * 2
+        for prep in preps[1:]:
+            for a, b in zip(preps[0].target_windows, prep.target_windows):
+                if a is not None:
+                    assert all(a[g] is b[g] for g in a)
 
 
 class TestSaveLoad:
