@@ -101,6 +101,7 @@ def _build_parser() -> _Parser:
                      choices=list(GRANULARITIES))
     ins.add_argument("--filter-row", type=int, required=True)
     ins.add_argument("--top-n", type=int, default=10)
+    p.subcommands = sub.choices
     return p
 
 
@@ -243,7 +244,10 @@ _COMMANDS = {
 def run(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:       # argparse hands a subcommand's leftovers back
+            parser.subcommands[args.command].error(
+                "unrecognized arguments: %s" % " ".join(extra))
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -39,31 +39,18 @@ class FilterBank:
         return self.M.shape[0]
 
 
-@dataclass
-class CnnParams:
-    banks: dict     # granularity -> FilterBank
-
-    def __post_init__(self):
-        if set(self.banks) != set(GRANULARITIES):
-            raise ValueError("need exactly one bank per granularity")
-        dims = {(b.k, b.ell, b.d) for b in self.banks.values()}
-        if len(dims) != 1:
-            raise DimensionError("all banks must share k, ell and d")
-
-    @classmethod
-    def from_vector(cls, vector: np.ndarray, ell: int, d: int) -> "CnnParams":
-        """The five banks as (k, d*ell) views into consecutive blocks of
-        ``vector``, in GRANULARITIES order: writing a bank writes the
-        vector."""
-        blocks = vector.reshape(len(GRANULARITIES), -1, d * ell)
-        return cls({g: FilterBank(g, M, ell, d)
-                    for g, M in zip(GRANULARITIES, blocks)})
+def bank_views(vector: np.ndarray, ell: int, d: int) -> dict:
+    """Granularity -> FilterBank whose M is a (k, d*ell) view into
+    consecutive blocks of ``vector``, in GRANULARITIES order: writing a
+    bank writes the vector."""
+    blocks = vector.reshape(len(GRANULARITIES), -1, d * ell)
+    return {g: FilterBank(g, M, ell, d) for g, M in zip(GRANULARITIES, blocks)}
 
 
 def initial_weights(k: int, ell: int, d: int, seed: int = 0) -> np.ndarray:
     """The five banks' starting weights as one vector laid out as for
-    ``CnnParams.from_vector``: Uniform(-a, a) with a = sqrt(6 / (d*ell +
-    k)), which keeps initial window responses moderate."""
+    ``bank_views``: Uniform(-a, a) with a = sqrt(6 / (d*ell + k)), which
+    keeps initial window responses moderate."""
     rng = np.random.default_rng(seed)
     a = np.sqrt(6.0 / (d * ell + k))
     return rng.uniform(-a, a, size=len(GRANULARITIES) * k * d * ell)
@@ -128,14 +115,14 @@ def embed_views(table, views, ell: int) -> dict:
 class ForwardCache:
     """One mention's forward pass, kept for ``backward``.
 
-    ``source`` maps each source granularity the mask needs to its
-    Encoding; ``targets`` holds the same for each candidate's target
-    views, or None for NULL.  ``fc`` is the (T, 6) matrix of cosine
-    features.  A ``memoized`` pass may have taken target topic vectors
+    ``banks`` are the filter banks it ran, by granularity.  ``source``
+    maps each source granularity the mask needs to its Encoding;
+    ``targets`` holds the same for each candidate's target views, or
+    None for NULL.  ``fc`` is the (T, 6) matrix of cosine features.  A ``memoized`` pass may have taken target topic vectors
     from a memo, without their windows or pre-activations, so it cannot
     be backpropagated.
     """
-    params: CnnParams
+    banks: dict
     mask: tuple
     source: dict
     targets: list
@@ -143,11 +130,12 @@ class ForwardCache:
     memoized: bool = False
 
 
-def forward_from_matrices(params: CnnParams, source_windows: dict,
+def forward_from_matrices(banks: dict, source_windows: dict,
                           target_windows, mask: tuple = ALL_PAIRS_MASK,
                           target_memo=None) -> ForwardCache:
     """Encode one mention's source views once and every candidate's
-    target views, then compare them under ``mask``.
+    target views with ``banks`` (granularity -> FilterBank), then
+    compare them under ``mask``.
 
     ``source_windows`` maps source granularity to a view's
     ``window_matrix``; ``target_windows`` holds one such dict per
@@ -173,7 +161,7 @@ def forward_from_matrices(params: CnnParams, source_windows: dict,
         for g, W in views.items():
             if g in needed:
                 out[g] = (Encoding(memo[g]) if g in memo
-                          else _encode(params.banks[g], W))
+                          else _encode(banks[g], W))
                 memo[g] = out[g].topic
         return out
 
@@ -188,15 +176,16 @@ def forward_from_matrices(params: CnnParams, source_windows: dict,
             c = _cosine(source[src_g], tgt[tgt_g]) if on else None
             if c is not None:
                 fc[ti, i] = np.clip(c, -1.0, 1.0)
-    return ForwardCache(params=params, mask=mask, source=source,
+    return ForwardCache(banks=banks, mask=mask, source=source,
                         targets=targets, fc=fc, memoized=memoized)
 
 
-def backward(params: CnnParams, cache: ForwardCache, upstream: np.ndarray,
+def backward(cache: ForwardCache, upstream: np.ndarray,
              grad: np.ndarray) -> None:
-    """Add the gradient of ``sum(upstream * fc)`` w.r.t. the five banks
-    into ``grad``, a vector laid out as for ``CnnParams.from_vector``.
-    Only the banks the mask's cosine slots compare get a gradient.
+    """Add the gradient of ``sum(upstream * fc)`` w.r.t. the banks of
+    the forward pass into ``grad``, a vector laid out as for
+    ``bank_views``.  Only the banks the mask's cosine slots compare get
+    a gradient.
 
     ``upstream`` is (T, 6), one row per candidate.  The source-side
     topic gradients are summed over candidates before they reach the
@@ -205,8 +194,6 @@ def backward(params: CnnParams, cache: ForwardCache, upstream: np.ndarray,
     """
     if cache is None:
         raise CacheError("backward requires the cached forward pass")
-    if cache.params is not params:
-        raise CacheError("forward pass was computed for different parameters")
     if cache.memoized:
         raise CacheError("forward pass used memoized target vectors and "
                          "kept no target windows")
@@ -214,13 +201,13 @@ def backward(params: CnnParams, cache: ForwardCache, upstream: np.ndarray,
     if upstream.shape != cache.fc.shape:
         raise DimensionError("upstream gradient must be %s, got %s"
                              % (cache.fc.shape, upstream.shape))
-    shape = params.banks[GRANULARITIES[0]].M.shape
-    grads = dict(zip(GRANULARITIES, grad.reshape(len(GRANULARITIES), *shape)))
-    d_source = {g: np.zeros(shape[0]) for g in cache.source}
+    bank = cache.banks[GRANULARITIES[0]]
+    grads = bank_views(grad, bank.ell, bank.d)
+    d_source = {g: np.zeros(bank.k) for g in cache.source}
     for ti, tgt in enumerate(cache.targets):
         if tgt is None:
             continue
-        d_target = {g: np.zeros(shape[0]) for g in tgt}
+        d_target = {g: np.zeros(bank.k) for g in tgt}
         for i, (on, (src_g, tgt_g)) in enumerate(zip(cache.mask, COSINE_PAIRS)):
             up = upstream[ti, i]
             if not on or up == 0.0:
@@ -238,9 +225,9 @@ def backward(params: CnnParams, cache: ForwardCache, upstream: np.ndarray,
 
 def _backprop_pooling(grads: dict, encodings: dict, dv: dict) -> None:
     """Chain topic-vector gradients through sum pooling and the ReLU
-    into the banks that produced them."""
+    into ``grads``, one gradient FilterBank per granularity."""
     for g, dvg in dv.items():
         if not np.any(dvg):
             continue
         enc = encodings[g]
-        grads[g] += ((enc.pre > 0.0) * dvg[np.newaxis, :]).T @ enc.windows
+        grads[g].M += ((enc.pre > 0.0) * dvg[np.newaxis, :]).T @ enc.windows

@@ -188,7 +188,7 @@ def inspect_filters(model: Model, docs, table: EmbeddingTable,
     """
     if top_n < 0:
         raise ValueError("top-n must be at least 0, got %d" % top_n)
-    bank = model.cnn_params.banks[granularity]
+    bank = model.banks[granularity]
     if not 0 <= filter_row < bank.k:
         raise IndexError("filter row %d is outside [0, %d)"
                          % (filter_row, bank.k))
@@ -220,7 +220,7 @@ def most_topical_filter(model: Model, docs, table: EmbeddingTable,
     """Scan every filter row and return (row, topic, purity, ngrams) for
     the row whose top activations are purest.  Each document is encoded
     once for all rows."""
-    bank = model.cnn_params.banks[granularity]
+    bank = model.banks[granularity]
     windowed = list(_windowed(docs, table, bank))
     best = (None, None, -1.0, [])
     for row in range(bank.k):

@@ -34,28 +34,30 @@ from .textproc import Document, Mention, extract_target_views, extract_views
 
 MODEL_MAGIC = b"CLMD1"
 MODEL_VERSION = 3
+SPARSE_ENTRY = np.dtype([("idx", "<u8"), ("w", "<f8")])
 
 
 @dataclass
 class Model:
     """``theta`` holds every dense parameter: the six cosine weights,
     then the five banks in GRANULARITIES order.  ``w_dense`` and the
-    banks of ``cnn_params`` are views into it; neither can be rebound."""
+    ``banks`` (granularity -> cnn.FilterBank) are views into it;
+    neither can be rebound."""
     config: ModelConfig
     w_sparse: dict                  # feature index -> weight
     theta: np.ndarray
 
     def __post_init__(self):
-        self._params = cnn.CnnParams.from_vector(
-            self.theta[N_DENSE:], self.config.ell, self.config.d)
+        self._banks = cnn.bank_views(self.theta[N_DENSE:], self.config.ell,
+                                     self.config.d)
 
     @property
     def w_dense(self) -> np.ndarray:
         return self.theta[:N_DENSE]
 
     @property
-    def cnn_params(self) -> cnn.CnnParams:
-        return self._params
+    def banks(self) -> dict:
+        return self._banks
 
     @classmethod
     def initialize(cls, config: ModelConfig) -> "Model":
@@ -154,9 +156,7 @@ def _scoring_rows(model: Model, prep: PreparedMention, x: np.ndarray):
 
 @dataclass
 class ScoreTable:
-    candidates: list
     S: np.ndarray                 # (T, Q) pair scores
-    fc: np.ndarray                # (T, 6) dense features (zeros when unused)
     forward: Optional[cnn.ForwardCache]   # None when dense features are off
 
 
@@ -172,29 +172,23 @@ def score_pairs(model: Model, prep: PreparedMention,
     scores are bit-identical with and without it, but a memoized
     forward pass cannot be backpropagated.
     """
-    tog = model.config.toggles
     T = len(prep.cand.candidates)
     Q = len(prep.queries)
-    forward = None
-    fc = np.zeros((T, N_DENSE))
-    if tog.use_dense:
-        target_memo = None
-        if memo is not None:
-            target_memo = [None if views is None
-                           else memo.setdefault(entity, {})
-                           for entity, views in zip(prep.cand.candidates,
-                                                    prep.target_windows)]
-        forward = cnn.forward_from_matrices(model.cnn_params,
-                                            prep.source_windows,
-                                            prep.target_windows,
-                                            tog.dense_mask, target_memo)
-        fc = forward.fc
-    dense_part = fc @ model.w_dense
     dots = _scoring_rows(model, prep, prep.features.dots(model.w_sparse))
-    sparse_part = dots[:Q] + dots[Q:].reshape(T, Q)
-    S = sparse_part + dense_part[:, np.newaxis]
-    return ScoreTable(candidates=prep.cand.candidates, S=S, fc=fc,
-                      forward=forward)
+    S = dots[:Q] + dots[Q:].reshape(T, Q)
+    tog = model.config.toggles
+    if not tog.use_dense:
+        return ScoreTable(S=S, forward=None)
+    target_memo = None
+    if memo is not None:
+        target_memo = [None if views is None else memo.setdefault(entity, {})
+                       for entity, views in zip(prep.cand.candidates,
+                                                prep.target_windows)]
+    forward = cnn.forward_from_matrices(model.banks, prep.source_windows,
+                                        prep.target_windows, tog.dense_mask,
+                                        target_memo)
+    S += (forward.fc @ model.w_dense)[:, np.newaxis]
+    return ScoreTable(S=S, forward=forward)
 
 
 def marginals_from_scores(S: np.ndarray):
@@ -220,7 +214,7 @@ def infer(model: Model, prep: PreparedMention, memo: dict = None) -> list:
     table = score_pairs(model, prep, memo)
     Pt, _ = marginals_from_scores(table.S)
     out = [ScoredCandidate(entity=entity, marginal_prob=float(p))
-           for entity, p in zip(table.candidates, Pt)]
+           for entity, p in zip(prep.cand.candidates, Pt)]
     out.sort(key=lambda s: (-s.marginal_prob, s.entity))
     return out
 
@@ -283,9 +277,9 @@ def loss_and_grad(model: Model, prep: PreparedMention):
     t_coefs = Pt.copy()
     t_coefs[ti_gold] -= 1.0
     g_theta = np.zeros_like(model.theta)
-    g_theta[:N_DENSE] = (t_coefs[:, np.newaxis] * table.fc).sum(axis=0) * mask
-    cnn.backward(model.cnn_params, table.forward,
-                 t_coefs[:, np.newaxis] * (model.w_dense * mask),
+    fc = table.forward.fc
+    g_theta[:N_DENSE] = (t_coefs[:, np.newaxis] * fc).sum(axis=0) * mask
+    cnn.backward(table.forward, t_coefs[:, np.newaxis] * (model.w_dense * mask),
                  g_theta[N_DENSE:])
     return loss, GradBundle(sparse=g_sparse, theta=g_theta)
 
@@ -448,11 +442,10 @@ def _model_payload(model: Model) -> bytes:
         "config": model.config.to_dict(),
         "n_sparse": len(model.w_sparse),
     }, sort_keys=True).encode("utf-8")
-    parts = [struct.pack("<I", len(header)), header,
-             model.theta.astype("<f8", copy=False).tobytes()]
-    parts += [struct.pack("<Qd", idx, model.w_sparse[idx])
-              for idx in sorted(model.w_sparse)]
-    return b"".join(parts)
+    return b"".join([
+        struct.pack("<I", len(header)), header,
+        model.theta.astype("<f8", copy=False).tobytes(),
+        np.array(sorted(model.w_sparse.items()), dtype=SPARSE_ENTRY).tobytes()])
 
 
 def save_model(model: Model, path) -> None:
@@ -471,17 +464,19 @@ def load_model(path) -> Model:
         theta = np.frombuffer(payload, dtype="<f8", count=n,
                               offset=off).astype(float)
         off += n * 8
-        w_sparse = {}
-        for _ in range(header["n_sparse"]):
-            idx, w = struct.unpack_from("<Qd", payload, off)
-            w_sparse[idx] = w
-            off += 16
+        n_sparse = header["n_sparse"]
+        if type(n_sparse) is not int or n_sparse < 0:
+            raise ValueError("n_sparse must be a non-negative integer, got %r"
+                             % (n_sparse,))
+        entries = np.frombuffer(payload, dtype=SPARSE_ENTRY, count=n_sparse,
+                                offset=off)
+        off += entries.nbytes
         if off != len(payload):
             raise LoadError("%s: %d trailing payload bytes"
                             % (path, len(payload) - off))
     except (struct.error, KeyError, TypeError, ValueError) as exc:
         raise LoadError("%s: malformed model payload: %s" % (path, exc))
-    if not (np.isfinite(theta).all()
-            and all(map(math.isfinite, w_sparse.values()))):
+    if not (np.isfinite(theta).all() and np.isfinite(entries["w"]).all()):
         raise LoadError("%s: non-finite weight in model payload" % path)
-    return Model(config=config, w_sparse=w_sparse, theta=theta)
+    return Model(config=config, theta=theta, w_sparse=dict(
+        zip(entries["idx"].tolist(), entries["w"].tolist())))

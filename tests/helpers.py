@@ -87,6 +87,10 @@ MALFORMED_MODEL_HEADERS = {
     "missing-toggles": lambda h: _with(h, ("config", "toggles"), None),
     "toggles-not-object": lambda h: _with(h, ("config", "toggles"), 5),
     "header-not-object": lambda h: [h],
+    "n-sparse-negative": lambda h: _with(h, ("n_sparse",), -1),
+    "n-sparse-string": lambda h: _with(h, ("n_sparse",), "2"),
+    "n-sparse-bool": lambda h: _with(h, ("n_sparse",), True),
+    "n-sparse-past-end": lambda h: _with(h, ("n_sparse",), h["n_sparse"] + 1),
 }
 
 
@@ -238,7 +242,7 @@ def brute_force_marginals(world):
                           context_window=cfg.context_window,
                           doc_cap=cfg.doc_cap)
     doc_surf = [t.surface for t in views.document_tokens]
-    banks = model.cnn_params.banks
+    banks = model.banks
 
     def topic(granularity, tokens):
         X = table.lookup_sequence([t.surface for t in tokens])

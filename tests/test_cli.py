@@ -69,6 +69,10 @@ def test_unknown_flag_is_usage_error(capsys):
     ["evaluate", "--kb", "a", "--embeddings", "b", "--corpus", "c"],
     ["train", "--kb", "a", "--embeddings", "b", "--corpus", "c",
      "--out", "m", "--epochs", "nope"],
+    ["train", "--kb", "a", "--embeddings", "b", "--corpus", "c",
+     "--out", "x", "--bogus"],
+    ["link", "--kb", "a", "--embeddings", "b", "--corpus", "c",
+     "--model", "m", "--out", "o", "--extra", "3"],
 ])
 def test_subcommand_parse_error_shows_its_usage(capsys, argv):
     assert run(argv) == 1
@@ -538,7 +542,7 @@ def test_malformed_predictions_are_data_error(workspace, tmp_path, capsys,
     assert "error: %s:%d: " % (preds, lineno) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("script", ["gradient_check.py",
+@pytest.mark.parametrize("script", ["fingerprint.py", "gradient_check.py",
                                     "run_synthetic_ablation.py"])
 def test_script_runs_from_any_directory(tmp_path, script):
     # the scripts find src/ and tests/ themselves, without PYTHONPATH

@@ -142,9 +142,9 @@ class TestCosine:
         assert cosine(np.zeros(3), v) is None
         assert cosine(np.full(3, 1e-14), v) is None
         rng = np.random.default_rng(18)
-        params = make_params(rng, k=3)
-        params.banks["src_mention"].M[:] = 0.0
-        cache = cnn.forward_from_matrices(params, *random_mats(rng))
+        banks = make_banks(rng, k=3)
+        banks["src_mention"].M[:] = 0.0
+        cache = cnn.forward_from_matrices(banks, *random_mats(rng))
         assert cache.source["src_mention"].norm == 0.0
         assert np.array_equal(cache.fc[0, :2], np.zeros(2))
         assert np.any(cache.fc[0, 2:] != 0.0)
@@ -160,9 +160,8 @@ class TestCosine:
         assert abs(cosine(u, w)) <= 1.0
 
 
-def make_params(rng, k=3, ell=2, d=4):
-    return cnn.CnnParams({g: random_bank(rng, g, k, ell, d)
-                          for g in GRANULARITIES})
+def make_banks(rng, k=3, ell=2, d=4):
+    return {g: random_bank(rng, g, k, ell, d) for g in GRANULARITIES}
 
 
 def random_views(rng, d, lens, ell=2):
@@ -178,23 +177,23 @@ def random_mats(rng, d=4, lens=(1, 3, 6, 2, 5)):
     return source, [mats]
 
 
-def bank_grads(params, cache, upstream):
+def bank_grads(cache, upstream):
     """``cnn.backward``'s gradient as a dict granularity -> dM, each a
     view into one flat vector."""
-    shape = (len(GRANULARITIES),) + params.banks["src_mention"].M.shape
-    grad = np.zeros(shape)
-    cnn.backward(params, cache, upstream, grad.ravel())
-    return dict(zip(GRANULARITIES, grad))
+    bank = cache.banks["src_mention"]
+    grad = np.zeros(len(GRANULARITIES) * bank.M.size)
+    cnn.backward(cache, upstream, grad)
+    return {g: b.M for g, b in cnn.bank_views(grad, bank.ell, bank.d).items()}
 
 
 class TestExtractFc:
     def test_identical_input_symmetry(self):
         table = make_table(["pink", "floyd"], dim=4, seed=0)
         rng = np.random.default_rng(6)
-        params = make_params(rng)
+        banks = make_banks(rng)
         # share one bank between the mention and title encoders
-        params.banks["tgt_title"] = cnn.FilterBank(
-            "tgt_title", params.banks["src_mention"].M.copy(), 2, 4)
+        banks["tgt_title"] = cnn.FilterBank(
+            "tgt_title", banks["src_mention"].M.copy(), 2, 4)
         views = type("V", (), {})()
         views.mention_tokens = toks("pink", "floyd")
         views.context_tokens = toks("pink", "floyd")
@@ -202,39 +201,39 @@ class TestExtractFc:
         target = {g: cnn.window_matrix(table.lookup_sequence(words), 2)
                   for g, words in (("tgt_title", ["pink", "floyd"]),
                                    ("tgt_document", ["other", "words"]))}
-        fc = cnn.forward_from_matrices(params,
+        fc = cnn.forward_from_matrices(banks,
                                        cnn.embed_views(table, views, 2),
                                        [target]).fc
         assert fc[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_null_candidate_all_zero(self):
         rng = np.random.default_rng(7)
-        params = make_params(rng)
+        banks = make_banks(rng)
         source, _ = random_mats(rng)
-        cache = cnn.forward_from_matrices(params, source, [None])
+        cache = cnn.forward_from_matrices(banks, source, [None])
         assert np.array_equal(cache.fc, np.zeros((1, 6)))
 
     def test_components_bounded(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            params = make_params(rng)
-            cache = cnn.forward_from_matrices(params, *random_mats(rng))
+            banks = make_banks(rng)
+            cache = cnn.forward_from_matrices(banks, *random_mats(rng))
             assert np.all(cache.fc >= -1.0) and np.all(cache.fc <= 1.0)
 
     def test_mask_skips_components(self):
         rng = np.random.default_rng(9)
-        params = make_params(rng)
+        banks = make_banks(rng)
         mask = (True, False, False, False, False, True)
-        cache = cnn.forward_from_matrices(params, *random_mats(rng), mask)
+        cache = cnn.forward_from_matrices(banks, *random_mats(rng), mask)
         assert cache.fc[0, 1] == 0.0 and cache.fc[0, 2] == 0.0
         assert cache.fc[0, 0] != 0.0 or cache.fc[0, 5] != 0.0
 
 
-def away_from_kinks(rng, params, min_gap=1e-3):
+def away_from_kinks(rng, banks, min_gap=1e-3):
     """Sample input matrices until no pre-activation sits near zero."""
     for _ in range(200):
-        source, targets = random_mats(rng, d=params.banks["src_mention"].d)
-        cache = cnn.forward_from_matrices(params, source, targets)
+        source, targets = random_mats(rng, d=banks["src_mention"].d)
+        cache = cnn.forward_from_matrices(banks, source, targets)
         gaps = [np.min(np.abs(enc.pre)) for enc in encodings(cache)]
         norms = [enc.norm for enc in encodings(cache)]
         if min(gaps) > min_gap and min(norms) > 1e-6:
@@ -245,19 +244,19 @@ def away_from_kinks(rng, params, min_gap=1e-3):
 class TestBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(10)
-        params = make_params(rng)
-        _, cache = away_from_kinks(rng, params)
-        grads = bank_grads(params, cache, np.zeros((1, 6)))
+        banks = make_banks(rng)
+        _, cache = away_from_kinks(rng, banks)
+        grads = bank_grads(cache, np.zeros((1, 6)))
         assert all(np.array_equal(g, 0 * g) for g in grads.values())
 
     def test_structural_sparsity(self):
         # component 0 pairs mention with title: no other bank may move
         rng = np.random.default_rng(11)
-        params = make_params(rng)
-        _, cache = away_from_kinks(rng, params)
+        banks = make_banks(rng)
+        _, cache = away_from_kinks(rng, banks)
         upstream = np.zeros((1, 6))
         upstream[0, 0] = 1.0
-        grads = bank_grads(params, cache, upstream)
+        grads = bank_grads(cache, upstream)
         for g in ("src_context", "src_document", "tgt_document"):
             assert np.array_equal(grads[g], np.zeros_like(grads[g]))
         assert np.any(grads["src_mention"] != 0.0)
@@ -265,19 +264,19 @@ class TestBackward:
 
     def test_finite_differences(self):
         rng = np.random.default_rng(12)
-        params = make_params(rng)
-        mats, cache = away_from_kinks(rng, params)
+        banks = make_banks(rng)
+        mats, cache = away_from_kinks(rng, banks)
         upstream = rng.normal(size=(1, 6))
 
         def objective():
             return float(np.sum(upstream
-                                * cnn.forward_from_matrices(params, *mats).fc))
+                                * cnn.forward_from_matrices(banks, *mats).fc))
 
-        grads = bank_grads(params, cache, upstream)
+        grads = bank_grads(cache, upstream)
         h = 1e-5
         worst = 0.0
         for g in GRANULARITIES:
-            M = params.banks[g].M
+            M = banks[g].M
             for r in range(M.shape[0]):
                 for c in range(M.shape[1]):
                     orig = M[r, c]
@@ -293,21 +292,15 @@ class TestBackward:
         assert worst < 1e-4
 
     def test_stale_cache_rejected(self):
-        rng = np.random.default_rng(13)
-        params = make_params(rng)
-        other = make_params(rng)
-        _, cache = away_from_kinks(rng, params)
         with pytest.raises(CacheError):
-            bank_grads(other, cache, np.ones((1, 6)))
-        with pytest.raises(CacheError):
-            bank_grads(params, None, np.ones((1, 6)))
+            cnn.backward(None, np.ones((1, 6)), np.zeros(5 * 3 * 8))
 
     def test_null_state_zero_grads(self):
         rng = np.random.default_rng(14)
-        params = make_params(rng)
+        banks = make_banks(rng)
         source, _ = random_mats(rng)
-        cache = cnn.forward_from_matrices(params, source, [None])
-        grads = bank_grads(params, cache, np.ones((1, 6)))
+        cache = cnn.forward_from_matrices(banks, source, [None])
+        grads = bank_grads(cache, np.ones((1, 6)))
         assert all(not np.any(g) for g in grads.values())
 
     @pytest.mark.parametrize("mask", [(True,) * 6,
@@ -317,22 +310,21 @@ class TestBackward:
         # over one candidate each, summing their bank gradients; the banks
         # the mask does not compare keep all-zero gradient spans
         rng = np.random.default_rng(17)
-        params = make_params(rng)
+        banks = make_banks(rng)
         source, _ = random_mats(rng)
         targets = [random_views(rng, 4, {"tgt_title": n, "tgt_document": m})
                    for n, m in ((2, 5), (1, 7), (3, 4))]
         targets.insert(1, None)
         upstream = rng.normal(size=(len(targets), 6))
-        batch = cnn.forward_from_matrices(params, source, targets, mask)
-        batch_grads = bank_grads(params, batch, upstream)
+        batch = cnn.forward_from_matrices(banks, source, targets, mask)
+        batch_grads = bank_grads(batch, upstream)
         needed = needed_granularities(mask)
         assert {g for g, dM in batch_grads.items() if np.any(dM)} == needed
-        summed = {g: np.zeros_like(params.banks[g].M) for g in needed}
+        summed = {g: np.zeros_like(banks[g].M) for g in needed}
         for ti, target in enumerate(targets):
-            single = cnn.forward_from_matrices(params, source, [target], mask)
+            single = cnn.forward_from_matrices(banks, source, [target], mask)
             assert np.max(np.abs(single.fc[0] - batch.fc[ti])) < 1e-12
-            for g, dM in bank_grads(params, single,
-                                    upstream[ti:ti + 1]).items():
+            for g, dM in bank_grads(single, upstream[ti:ti + 1]).items():
                 if g in needed:
                     summed[g] += dM
                 else:
@@ -358,21 +350,7 @@ class TestParams:
         rng = np.random.default_rng(42)
         a = np.sqrt(6.0 / (4 * 3 + 5))
         per_bank = [rng.uniform(-a, a, size=(5, 12)) for _ in GRANULARITIES]
-        params = cnn.CnnParams.from_vector(
-            cnn.initial_weights(k=5, ell=3, d=4, seed=42), 3, 4)
+        banks = cnn.bank_views(cnn.initial_weights(k=5, ell=3, d=4, seed=42),
+                               3, 4)
         for g, M in zip(GRANULARITIES, per_bank):
-            assert params.banks[g].M.tobytes() == M.tobytes()
-
-    def test_mismatched_banks_rejected(self):
-        rng = np.random.default_rng(15)
-        banks = {g: random_bank(rng, g, k=3, ell=2, d=4)
-                 for g in GRANULARITIES}
-        banks["tgt_title"] = random_bank(rng, "tgt_title", k=4, ell=2, d=4)
-        with pytest.raises(DimensionError):
-            cnn.CnnParams(banks)
-
-    def test_missing_bank_rejected(self):
-        rng = np.random.default_rng(16)
-        banks = {g: random_bank(rng, g) for g in GRANULARITIES[:-1]}
-        with pytest.raises(ValueError):
-            cnn.CnnParams(banks)
+            assert banks[g].M.tobytes() == M.tobytes()

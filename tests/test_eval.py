@@ -269,7 +269,7 @@ class TestInspectFilters:
     def test_zero_row_empty(self):
         kb, docs, table = oracle_corpus()
         m = eval_model()
-        m.cnn_params.banks["src_document"].M[2] = 0.0
+        m.banks["src_document"].M[2] = 0.0
         assert inspect_filters(m, docs, table, "src_document", 2, 5) == []
 
     def test_top_n_overflow_returns_all_positive(self):

@@ -163,9 +163,9 @@ class TestLossAndGrad:
         table = score_pairs(w.model, w.prep)
         pt, _ = marginals_from_scores(table.S)
         expect = np.zeros(6)
-        for ti in range(len(table.candidates)):
+        for ti in range(len(w.prep.cand.candidates)):
             ind = 1.0 if ti == w.prep.gold_index else 0.0
-            expect += (pt[ti] - ind) * table.fc[ti]
+            expect += (pt[ti] - ind) * table.forward.fc[ti]
         _, grads = loss_and_grad(w.model, w.prep)
         assert np.max(np.abs(grads.theta[:N_DENSE] - expect)) < 1e-12
 
@@ -202,8 +202,8 @@ def with_dense(model, w_dense):
 def bank_spans(model, theta_like):
     """granularity -> the (k, d*ell) span of a vector laid out as
     ``model.theta``."""
-    return cnn.CnnParams.from_vector(theta_like[N_DENSE:], model.config.ell,
-                                     model.config.d).banks
+    return cnn.bank_views(theta_like[N_DENSE:], model.config.ell,
+                          model.config.d)
 
 
 class TestFcCaching:
@@ -352,12 +352,11 @@ class TestTargetMemo:
         table = score_pairs(m, preps[0], {})
         assert table.forward.memoized
         grad = np.zeros_like(m.theta[N_DENSE:])
+        upstream = np.ones_like(table.forward.fc)
         with pytest.raises(CacheError):
-            cnn.backward(m.cnn_params, table.forward, np.ones_like(table.fc),
-                         grad)
+            cnn.backward(table.forward, upstream, grad)
         # the same mention without a memo backpropagates
-        fresh = score_pairs(m, preps[0]).forward
-        cnn.backward(m.cnn_params, fresh, np.ones_like(table.fc), grad)
+        cnn.backward(score_pairs(m, preps[0]).forward, upstream, grad)
 
 
 class TestTrain:
@@ -365,13 +364,13 @@ class TestTrain:
         kb, docs = micro_corpus()
         table = micro_table()
         m = micro_model()
-        before = {g: m.cnn_params.banks[g].M.copy() for g in GRANULARITIES}
+        before = {g: m.banks[g].M.copy() for g in GRANULARITIES}
         m2, report = train(m, docs, kb, table, epochs=0, seed=5)
         assert m2 is m
         assert not m2.w_sparse
         assert np.array_equal(m2.w_dense, np.zeros(6))
         for g in GRANULARITIES:
-            assert np.array_equal(m2.cnn_params.banks[g].M, before[g])
+            assert np.array_equal(m2.banks[g].M, before[g])
         assert report.epochs == []
         assert report.n_mentions == len(docs)
 
@@ -383,8 +382,8 @@ class TestTrain:
         assert m1.w_sparse == m2.w_sparse
         assert np.array_equal(m1.w_dense, m2.w_dense)
         for g in GRANULARITIES:
-            assert np.array_equal(m1.cnn_params.banks[g].M,
-                                  m2.cnn_params.banks[g].M)
+            assert np.array_equal(m1.banks[g].M,
+                                  m2.banks[g].M)
 
     def test_separable_corpus_loss_drops(self):
         kb, docs = micro_corpus(n_docs=20)
@@ -434,11 +433,11 @@ class TestMaskedBanks:
     def test_fit_leaves_masked_banks_bit_identical(self, name, toggles):
         kb, docs = micro_corpus()
         m = micro_model(seed=2, toggles=toggles)
-        before = {g: m.cnn_params.banks[g].M.copy() for g in GRANULARITIES}
+        before = {g: m.banks[g].M.copy() for g in GRANULARITIES}
         train(m, docs, kb, micro_table(), epochs=2, seed=0)
         needed = needed_granularities(toggles.dense_mask)
         for g in GRANULARITIES:
-            after = m.cnn_params.banks[g].M
+            after = m.banks[g].M
             assert (after.tobytes() == before[g].tobytes()) == (
                 g not in needed), g
         if not needed:
@@ -499,7 +498,7 @@ class TestThetaLayout:
         assert m.theta.shape == (N_DENSE + len(GRANULARITIES) * size,)
         assert np.shares_memory(m.w_dense, m.theta)
         for i, g in enumerate(GRANULARITIES):
-            M = m.cnn_params.banks[g].M
+            M = m.banks[g].M
             assert np.shares_memory(M, m.theta)
             start = N_DENSE + i * size
             assert M.ravel().tobytes() == \
@@ -510,7 +509,7 @@ class TestThetaLayout:
         with pytest.raises(AttributeError):
             m.w_dense = np.ones(N_DENSE)
         with pytest.raises(AttributeError):
-            m.cnn_params = m.cnn_params
+            m.banks = m.banks
         assert not np.any(m.w_dense)
 
     def test_payload_fixed_block_is_theta(self, tmp_path):
