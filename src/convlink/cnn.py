@@ -69,6 +69,47 @@ def window_matrix(X: np.ndarray, ell: int) -> np.ndarray:
     return view.reshape(n - ell + 1, ell * d)
 
 
+# The cost of gathering one element of a projected token row, in
+# multiply-adds of a matrix product: the break-even constant of ``View``.
+GATHER_COST = 25
+
+
+class View:
+    """One embedded (n, d) token sequence ``X`` prepared for filter width
+    ``ell``.  ``windows`` is its ``window_matrix``.
+
+    Given each token's embedding-table row in ``rows``, a view with u
+    distinct rows and n' = n - ell + 1 windows is encoded by projecting
+    each distinct row once, when that saves work: d * (n' - u) >
+    GATHER_COST * n', for the windows cost n' * d * ell * k multiply-adds
+    and the projection u * d * ell * k plus n' * ell * k gathers.
+    ``first`` then holds each distinct row's first position in ``X`` and
+    ``ids`` each token's distinct index; otherwise both are None.  A view
+    of at most ell rows always takes the windows.
+    """
+
+    def __init__(self, X: np.ndarray, ell: int, rows=None):
+        self.X = X
+        self.windows = window_matrix(X, ell)
+        self.first = self.ids = None
+        n, d = X.shape
+        n_windows = n - ell + 1
+        # u >= 1, so a view that fails the rule at u = 1 fails it for any u
+        if rows is None or n <= ell or \
+                d * (n_windows - 1) <= GATHER_COST * n_windows:
+            return
+        _, first, ids = np.unique(rows, return_index=True,
+                                  return_inverse=True)
+        if d * (n_windows - len(first)) > GATHER_COST * n_windows:
+            self.first, self.ids = first, ids
+
+
+def embed(table, surfaces, ell: int) -> View:
+    """The ``View`` of a token sequence embedded with ``table``."""
+    rows, X = table.lookup_sequence(surfaces)
+    return View(X, ell, rows)
+
+
 class Encoding:
     """One view under one bank: its pooled topic vector and that vector's
     norm, and its windows and (windows x k) pre-activations, both None
@@ -79,19 +120,34 @@ class Encoding:
         self.norm = np.linalg.norm(topic)
 
 
-def _encode(bank: FilterBank, windows: np.ndarray) -> Encoding:
-    """Encode one view's ``window_matrix`` with one filter bank."""
-    if windows.ndim != 2 or windows.shape[1] != bank.d * bank.ell:
+def _encode(bank: FilterBank, view: View) -> Encoding:
+    """Encode one ``View`` with one filter bank.
+
+    On a projected view the bank's ell blocks M_j, each (k, d), apply
+    once to the u distinct rows U: P_j = U M_j^T, and the pre-activations
+    are A = sum_j P_j[ids[j : j + n']]."""
+    W = view.windows
+    if W.shape[1] != bank.d * bank.ell:
         raise DimensionError(
-            "window width %s does not match bank width d*ell = %d"
-            % (windows.shape[1:] or "scalar", bank.d * bank.ell))
-    A = windows @ bank.M.T
-    return Encoding(np.maximum(A, 0.0).sum(axis=0), windows, A)
+            "window width %d does not match bank width d*ell = %d"
+            % (W.shape[1], bank.d * bank.ell))
+    if view.ids is None:
+        A = W @ bank.M.T
+    else:
+        # (u, k, ell): P[:, :, j] is P_j, as M's columns are ell blocks of d
+        P = (view.X[view.first] @ bank.M.reshape(-1, bank.d).T).reshape(
+            len(view.first), bank.k, bank.ell)
+        n_windows = len(W)
+        A = P[view.ids[:n_windows], :, 0]
+        for j in range(1, bank.ell):
+            A += P[view.ids[j:j + n_windows], :, j]
+    return Encoding(np.maximum(A, 0.0).sum(axis=0), W, A)
 
 
 def encode(bank: FilterBank, sequence: np.ndarray) -> np.ndarray:
-    """Apply one filter bank to an embedded (n, d) sequence."""
-    return _encode(bank, window_matrix(sequence, bank.ell)).topic
+    """Apply one filter bank to an embedded (n, d) sequence, each row
+    taken as a distinct token."""
+    return _encode(bank, View(sequence, bank.ell)).topic
 
 
 def _cosine(u: Encoding, w: Encoding):
@@ -103,9 +159,8 @@ def _cosine(u: Encoding, w: Encoding):
 
 
 def embed_views(table, views, ell: int) -> dict:
-    """Each source view's ``window_matrix`` for filter width ``ell``."""
-    return {g: window_matrix(table.lookup_sequence([t.surface for t in toks]),
-                             ell)
+    """Each source view's ``View`` for filter width ``ell``."""
+    return {g: embed(table, [t.surface for t in toks], ell)
             for g, toks in (("src_mention", views.mention_tokens),
                             ("src_context", views.context_tokens),
                             ("src_document", views.document_tokens))}
@@ -118,9 +173,11 @@ class ForwardCache:
     ``banks`` are the filter banks it ran, by granularity.  ``source``
     maps each source granularity the mask needs to its Encoding;
     ``targets`` holds the same for each candidate's target views, or
-    None for NULL.  ``fc`` is the (T, 6) matrix of cosine features.  A ``memoized`` pass may have taken target topic vectors
-    from a memo, without their windows or pre-activations, so it cannot
-    be backpropagated.
+    None for NULL.  ``fc`` is the (T, 6) matrix of cosine features.
+
+    A ``memoized`` pass may have taken target topic vectors from a memo,
+    without their windows or pre-activations, so it cannot be
+    backpropagated.
     """
     banks: dict
     mask: tuple
@@ -130,17 +187,16 @@ class ForwardCache:
     memoized: bool = False
 
 
-def forward_from_matrices(banks: dict, source_windows: dict,
-                          target_windows, mask: tuple = ALL_PAIRS_MASK,
+def forward_from_matrices(banks: dict, source_views: dict,
+                          target_views, mask: tuple = ALL_PAIRS_MASK,
                           target_memo=None) -> ForwardCache:
     """Encode one mention's source views once and every candidate's
     target views with ``banks`` (granularity -> FilterBank), then
     compare them under ``mask``.
 
-    ``source_windows`` maps source granularity to a view's
-    ``window_matrix``; ``target_windows`` holds one such dict per
-    candidate, or None for the NULL candidate, whose six features stay
-    zero.
+    ``source_views`` maps source granularity to a ``View``;
+    ``target_views`` holds one such dict per candidate, or None for the
+    NULL candidate, whose six features stay zero.
 
     Each candidate's needed target views are encoded unless its memo
     dict already maps the granularity to a topic vector, and the
@@ -154,20 +210,20 @@ def forward_from_matrices(banks: dict, source_windows: dict,
     needed = needed_granularities(mask)
     memoized = target_memo is not None
     if not memoized:
-        target_memo = [{} for _ in target_windows]
+        target_memo = [{} for _ in target_views]
 
     def encode_missing(views, memo):
         out = {}
-        for g, W in views.items():
+        for g, view in views.items():
             if g in needed:
                 out[g] = (Encoding(memo[g]) if g in memo
-                          else _encode(banks[g], W))
+                          else _encode(banks[g], view))
                 memo[g] = out[g].topic
         return out
 
-    source = encode_missing(source_windows, {})
+    source = encode_missing(source_views, {})
     targets = [None if views is None else encode_missing(views, memo)
-               for views, memo in zip(target_windows, target_memo)]
+               for views, memo in zip(target_views, target_memo)]
     fc = np.zeros((len(targets), N_DENSE))
     for ti, tgt in enumerate(targets):
         if tgt is None:

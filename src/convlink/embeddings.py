@@ -8,6 +8,7 @@ convolution window.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,22 +35,30 @@ class EmbeddingTable:
         self.oov_vector.setflags(write=False)
 
     def __contains__(self, token: str) -> bool:
-        return token in self.vocab or token.lower() in self.vocab
+        return self.row(token) >= 0
 
-    def lookup(self, token: str) -> np.ndarray:
-        """Exact match first, then the lowercased token, then OOV."""
+    def row(self, token: str) -> int:
+        """Exact match first, then the lowercased token; -1 when out of
+        vocabulary."""
         idx = self.vocab.get(token)
         if idx is None:
-            idx = self.vocab.get(token.lower())
-        if idx is None:
-            return self.oov_vector
-        return self.vectors[idx]
+            idx = self.vocab.get(token.lower(), -1)
+        return idx
 
-    def lookup_sequence(self, tokens) -> np.ndarray:
-        """Stack lookups into an (n, d) matrix; n may be zero."""
-        if not tokens:
-            return np.zeros((0, self.dim))
-        return np.stack([self.lookup(t) for t in tokens])
+    def lookup(self, token: str) -> np.ndarray:
+        """The vector of ``row``, or the shared zero vector."""
+        idx = self.row(token)
+        return self.oov_vector if idx < 0 else self.vectors[idx]
+
+    def lookup_sequence(self, tokens):
+        """Each token's ``row`` and the (n, d) matrix of their vectors,
+        zero on OOV rows; n may be zero."""
+        rows = np.array([self.row(t) for t in tokens], dtype=np.intp)
+        if not self.vocab:
+            return rows, np.zeros((len(rows), self.dim))
+        X = self.vectors[rows]
+        X[rows < 0] = 0.0
+        return rows, X
 
     def oov_rate(self, tokens) -> float:
         """Exact fraction of tokens that miss even after lowercasing."""
@@ -75,45 +84,73 @@ def _parse_header(line, path):
     return count, dim
 
 
+def _loadtxt_error(path, exc, linenos, dim):
+    """The FormatError for ``np.loadtxt``'s ValueError over the value
+    fields of the lines ``linenos``.  Its message names the row: counted
+    from 1 where the column count changes, so that rows before it all
+    had the first count, and from 0 where a value does not convert."""
+    msg = str(exc)
+    changed = re.search(r"from (\d+) to (\d+) at row (\d+)", msg)
+    if changed:
+        before, after, row = map(int, changed.groups())
+        i, fields = (0, before) if before != dim else (row - 1, after)
+        return FormatError("%s:%d: expected token plus %d values, got %d fields"
+                           % (path, linenos[i], dim, fields + 1))
+    bad = re.search(r"at row (\d+), column", msg)
+    if bad:
+        return FormatError("%s:%d: non-numeric vector component"
+                           % (path, linenos[int(bad.group(1))]))
+    return FormatError("%s: %s" % (path, msg))
+
+
 def load_word2vec(path) -> EmbeddingTable:
     """Read a word2vec text file: a header line ``<count> <dim>``
     followed by one line per word, ``token v1 ... v<dim>``.  Duplicate
     tokens keep the first occurrence.  A NaN or infinite component is a
     format error.
+
+    Each line is split once into its token and the rest, and one
+    ``np.loadtxt`` parses every rest.
     """
-    vocab = {}
-    rows = []
-    seen = 0
+    tokens, values, linenos = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header:
             raise FormatError("%s: empty file" % path)
         count, dim = _parse_header(header, path)
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+            parts = line.split(None, 1)
+            if not parts:
                 continue
-            seen += 1
-            parts = line.rstrip("\n").split()
-            if len(parts) != dim + 1:
+            if len(parts) == 1:
                 raise FormatError(
-                    "%s:%d: expected token plus %d values, got %d fields"
-                    % (path, lineno, dim, len(parts)))
-            token = parts[0]
-            try:
-                vec = np.array(parts[1:], dtype=float)
-            except ValueError:
-                raise FormatError("%s:%d: non-numeric vector component"
-                                  % (path, lineno))
-            if not np.isfinite(vec).all():
-                raise FormatError("%s:%d: non-finite vector component"
-                                  % (path, lineno))
-            if token in vocab:
-                continue
-            vocab[token] = len(rows)
-            rows.append(vec)
-    if seen != count:
+                    "%s:%d: expected token plus %d values, got 1 fields"
+                    % (path, lineno, dim))
+            tokens.append(parts[0])
+            values.append(parts[1])
+            linenos.append(lineno)
+    matrix = np.zeros((0, dim))
+    if values:
+        try:
+            matrix = np.loadtxt(values, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _loadtxt_error(path, exc, linenos, dim) from None
+        if matrix.shape[1] != dim:   # every line has the same wrong count
+            raise FormatError(
+                "%s:%d: expected token plus %d values, got %d fields"
+                % (path, linenos[0], dim, matrix.shape[1] + 1))
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            raise FormatError("%s:%d: non-finite vector component"
+                              % (path, linenos[int(np.argmin(finite))]))
+    if len(tokens) != count:
         raise FormatError(
             "%s: header declares %d rows but file contains %d"
-            % (path, count, seen))
-    matrix = np.stack(rows) if rows else np.zeros((0, dim))
+            % (path, count, len(tokens)))
+    vocab = {}
+    for i, token in enumerate(tokens):
+        vocab.setdefault(token, i)
+    if len(vocab) < len(tokens):
+        matrix = matrix[list(vocab.values())]
+        vocab = {token: row for row, token in enumerate(vocab)}
     return EmbeddingTable(dim=dim, vocab=vocab, vectors=matrix)

@@ -157,8 +157,8 @@ def _windowed(docs, table: EmbeddingTable, bank: cnn.FilterBank):
         if len(surfaces) >= ell:
             ngrams = [" ".join(surfaces[j:j + ell])
                       for j in range(len(surfaces) - ell + 1)]
-            W = cnn.window_matrix(table.lookup_sequence(surfaces), ell)
-            yield ngrams, cnn._encode(bank, W).pre
+            yield ngrams, cnn._encode(bank, cnn.embed(table, surfaces,
+                                                      ell)).pre
 
 
 def _top_ngrams(filter_row: int, windowed, top_n: int) -> list:

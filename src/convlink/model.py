@@ -70,7 +70,7 @@ class TargetCache:
     """Weight-free context that mentions are prepared in: the KB, the
     embedding table, the config, the KB's tf-idf model and the hashed
     feature vocabulary, plus each entity's body tf-idf bag and target
-    views' windows, built on first use and shared across mentions."""
+    ``cnn.View``s, built on first use and shared across mentions."""
 
     def __init__(self, kb: KnowledgeBase, table: EmbeddingTable,
                  config: ModelConfig):
@@ -82,8 +82,8 @@ class TargetCache:
         self._cache = {}
 
     def get(self, entity: str):
-        """(body TfIdfBag, granularity -> ``cnn.window_matrix``) for an
-        entity; None for NULL."""
+        """(body TfIdfBag, granularity -> ``cnn.View``) for an entity;
+        None for NULL."""
         if entity == NULL_ENTITY:
             return None
         hit = self._cache.get(entity)
@@ -93,8 +93,7 @@ class TargetCache:
                 doc_cap=self.config.doc_cap)
             body = [t.surface for t in body_toks]
             hit = (self.tfidf.bag(body), {
-                g: cnn.window_matrix(self.table.lookup_sequence(surfaces),
-                                     self.config.ell)
+                g: cnn.embed(self.table, surfaces, self.config.ell)
                 for g, surfaces in (
                     ("tgt_title", [t.surface for t in title_toks]),
                     ("tgt_document", body))})
@@ -109,15 +108,15 @@ class PreparedMention:
     mention: Mention
     queries: list
     cand: CandidateSet
-    source_windows: dict                 # granularity -> cnn.window_matrix
-    target_windows: list                 # per candidate: dict or None (NULL)
+    source_views: dict                   # granularity -> cnn.View
+    target_views: list                   # per candidate: dict or None (NULL)
     features: FeatureTable               # f_Q rows, then f_E rows [t][q]
     gold_index: Optional[int]            # index into cand.candidates, or None
 
 
 def prepare_mention(targets: TargetCache, doc: Document,
                     mention: Mention) -> PreparedMention:
-    """Queries, candidates, sparse features and view windows of one
+    """Queries, candidates, sparse features and embedded views of one
     mention.  The result is shared by every model whose config differs
     from ``targets.config`` only in its toggles."""
     cfg = targets.config
@@ -137,10 +136,10 @@ def prepare_mention(targets: TargetCache, doc: Document,
     if mention.gold_entity is not None and mention.gold_entity in cand.candidates:
         gold_index = cand.candidates.index(mention.gold_entity)
     return PreparedMention(mention=mention, queries=queries, cand=cand,
-                           source_windows=cnn.embed_views(targets.table, views,
-                                                          cfg.ell),
-                           target_windows=[None if tgt is None else tgt[1]
-                                           for tgt in tgts],
+                           source_views=cnn.embed_views(targets.table, views,
+                                                        cfg.ell),
+                           target_views=[None if tgt is None else tgt[1]
+                                         for tgt in tgts],
                            features=features, gold_index=gold_index)
 
 
@@ -183,9 +182,9 @@ def score_pairs(model: Model, prep: PreparedMention,
     if memo is not None:
         target_memo = [None if views is None else memo.setdefault(entity, {})
                        for entity, views in zip(prep.cand.candidates,
-                                                prep.target_windows)]
-    forward = cnn.forward_from_matrices(model.banks, prep.source_windows,
-                                        prep.target_windows, tog.dense_mask,
+                                                prep.target_views)]
+    forward = cnn.forward_from_matrices(model.banks, prep.source_views,
+                                        prep.target_views, tog.dense_mask,
                                         target_memo)
     S += (forward.fc @ model.w_dense)[:, np.newaxis]
     return ScoreTable(S=S, forward=forward)

@@ -245,7 +245,7 @@ def brute_force_marginals(world):
     banks = model.banks
 
     def topic(granularity, tokens):
-        X = table.lookup_sequence([t.surface for t in tokens])
+        _, X = table.lookup_sequence([t.surface for t in tokens])
         bank = banks[granularity]
         return reference_encode(bank.M, X, bank.ell)
 

@@ -7,7 +7,7 @@ from convlink import cnn
 from convlink.config import (COSINE_PAIRS, GRANULARITIES,
                              needed_granularities)
 from convlink.errors import CacheError, DimensionError
-from helpers import encodings, make_table, toks
+from helpers import encodings, make_table, tiny_world, toks
 
 
 def reference_encode(M, X, ell):
@@ -121,6 +121,120 @@ class TestEncode:
         assert W.shape == (max(n - ell + 1, 1), ell * 3)
 
 
+def repeating_tokens(rng, n, u, oov=2):
+    """n tokens drawn from u in-vocabulary words ("t0".."t<u-1>") and
+    ``oov`` unknown ones, each word used at least once."""
+    words = ["t%d" % i for i in range(u)] + ["oov%d" % i for i in range(oov)]
+    tokens = words + [words[int(i)]
+                      for i in rng.integers(len(words), size=n - len(words))]
+    rng.shuffle(tokens)
+    return tokens
+
+
+def paper_table(d, u=180, seed=0):
+    return make_table(["t%d" % i for i in range(u)], dim=d, seed=seed)
+
+
+class TestProjection:
+    """Views whose distinct rows are projected once (see ``cnn.View``)."""
+
+    def test_matches_reference_encoder(self):
+        rng = np.random.default_rng(30)
+        table = paper_table(64)
+        for trial in range(20):
+            ell = int(rng.integers(1, 6))
+            n = int(rng.integers(40, 120))
+            u = int(rng.integers(3, 12))
+            bank = random_bank(rng, k=int(rng.integers(1, 6)), ell=ell, d=64)
+            view = cnn.embed(table, repeating_tokens(rng, n, u), ell)
+            assert view.ids is not None
+            enc = cnn._encode(bank, view)
+            want = reference_encode(bank.M, view.X, ell)
+            assert np.max(np.abs(enc.topic - want)) < 1e-10
+            assert np.max(np.abs(enc.pre - view.windows @ bank.M.T)) < 1e-10
+
+    def test_oov_tokens_share_one_zero_row(self):
+        rng = np.random.default_rng(31)
+        tokens = repeating_tokens(rng, 60, 4, oov=3)
+        view = cnn.embed(paper_table(64), tokens, 2)
+        assert len(view.first) == 5          # four words and one OOV row
+        assert not np.any(view.X[view.first[0]])      # row -1 sorts first
+        assert np.array_equal(view.X, view.X[view.first][view.ids])
+
+    def test_rule_takes_projection_for_paper_like_bodies(self):
+        # a 300-token body with about 175 distinct rows at d=300, ell=5
+        rng = np.random.default_rng(32)
+        tokens = repeating_tokens(rng, 300, 170, oov=5)
+        view = cnn.embed(paper_table(300, u=170), tokens, 5)
+        assert view.ids is not None and len(view.first) == 171
+
+    @pytest.mark.parametrize("d", [1, 16, cnn.GATHER_COST])
+    def test_rule_never_projects_at_or_below_gather_cost(self, d):
+        # even one token repeated 500 times keeps the windows
+        view = cnn.embed(paper_table(d, u=1), ["t0"] * 500, 5)
+        assert view.ids is None and view.first is None
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_rule_never_projects_views_of_at_most_ell_rows(self, n):
+        view = cnn.embed(paper_table(300, u=1), ["t0"] * n, 5)
+        assert view.ids is None and view.windows.shape == (1, 1500)
+
+    def test_encode_takes_rows_as_distinct_tokens(self):
+        row = np.random.default_rng(33).normal(size=(1, 300))
+        assert cnn.View(np.tile(row, (200, 1)), 5).ids is None
+
+    def test_tiny_world_at_acceptance_width_takes_windows(self):
+        for seed in range(5):
+            w = tiny_world(seed=seed, d=16)
+            views = list(w.prep.source_views.values()) + [
+                v for tgt in w.prep.target_views if tgt is not None
+                for v in tgt.values()]
+            assert views and all(v.ids is None for v in views)
+
+    def test_finite_differences(self):
+        # criterion 1's h and bound, on views wide and repetitive enough
+        # to take the projection; a sample of entries of every bank
+        rng = np.random.default_rng(34)
+        d, ell = 64, 2
+        table = paper_table(d, u=12, seed=1)
+        banks = make_banks(rng, k=3, ell=ell, d=d)
+        for _ in range(50):
+            views = [cnn.embed(table, repeating_tokens(rng, n, 10), ell)
+                     for n in (30, 40, 60, 30, 50)]
+            source = dict(zip(GRANULARITIES[:3], views[:3]))
+            targets = [dict(zip(GRANULARITIES[3:], views[3:]))]
+            cache = cnn.forward_from_matrices(banks, source, targets)
+            if min(np.min(np.abs(e.pre)) for e in encodings(cache)) > 1e-3:
+                break
+        else:
+            raise AssertionError("could not sample views away from kinks")
+        assert all(v.ids is not None for v in views)
+        upstream = rng.normal(size=(1, 6))
+
+        def objective():
+            fc = cnn.forward_from_matrices(banks, source, targets).fc
+            return float(np.sum(upstream * fc))
+
+        grads = bank_grads(cache, upstream)
+        h = 1e-5
+        worst = 0.0
+        for g in GRANULARITIES:
+            M = banks[g].M
+            for r, c in zip(rng.integers(M.shape[0], size=12),
+                            rng.integers(M.shape[1], size=12)):
+                orig = M[r, c]
+                M[r, c] = orig + h
+                up = objective()
+                M[r, c] = orig - h
+                dn = objective()
+                M[r, c] = orig
+                fd = (up - dn) / (2 * h)
+                an = grads[g][r, c]
+                rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
+                worst = max(worst, rel)
+        assert worst < 1e-4
+
+
 def cosine(u, w):
     """The shared cosine helper on two bare topic vectors."""
     return cnn._cosine(cnn.Encoding(u), cnn.Encoding(w))
@@ -165,13 +279,13 @@ def make_banks(rng, k=3, ell=2, d=4):
 
 
 def random_views(rng, d, lens, ell=2):
-    """The window matrices of random (n, d) views."""
-    return {g: cnn.window_matrix(rng.normal(size=(n, d)), ell)
+    """The ``cnn.View``s of random (n, d) views."""
+    return {g: cnn.View(rng.normal(size=(n, d)), ell)
             for g, n in lens.items()}
 
 
 def random_mats(rng, d=4, lens=(1, 3, 6, 2, 5)):
-    """Source views and a one-candidate target list, as windows."""
+    """Source views and a one-candidate target list, as ``cnn.View``s."""
     mats = random_views(rng, d, dict(zip(GRANULARITIES, lens)))
     source = {g: mats.pop(g) for g in GRANULARITIES[:3]}
     return source, [mats]
@@ -198,7 +312,7 @@ class TestExtractFc:
         views.mention_tokens = toks("pink", "floyd")
         views.context_tokens = toks("pink", "floyd")
         views.document_tokens = toks("pink", "floyd")
-        target = {g: cnn.window_matrix(table.lookup_sequence(words), 2)
+        target = {g: cnn.embed(table, words, 2)
                   for g, words in (("tgt_title", ["pink", "floyd"]),
                                    ("tgt_document", ["other", "words"]))}
         fc = cnn.forward_from_matrices(banks,

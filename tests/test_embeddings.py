@@ -68,12 +68,17 @@ def test_duplicate_tokens_keep_first(tmp_path):
 
 def test_lookup_sequence(tmp_path):
     table = load_word2vec(write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n"))
-    mat = table.lookup_sequence(["a", "a"])
+    rows, mat = table.lookup_sequence(["a", "a"])
     assert mat.shape == (2, 3)
     assert np.array_equal(mat[0], mat[1])
-    assert table.lookup_sequence([]).shape == (0, 3)
-    mixed = table.lookup_sequence(["a", "zzz"])
-    assert np.array_equal(mixed, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert rows.tolist() == [0, 0]
+    rows, mat = table.lookup_sequence([])
+    assert mat.shape == (0, 3) and rows.shape == (0,)
+    rows, mixed = table.lookup_sequence(["a", "zzz", "B"])
+    assert np.array_equal(mixed, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                  [0.0, 1.0, 0.0]])
+    # OOV is row -1; the lowercase fallback resolves to the row it hits
+    assert rows.tolist() == [0, -1, 1]
 
 
 def test_lookup_is_referentially_transparent(tmp_path):
@@ -102,3 +107,46 @@ def test_text_non_finite_component_names_line(tmp_path, bad):
     with pytest.raises(FormatError) as err:
         load_word2vec(path)
     assert str(err.value) == "%s:3: non-finite vector component" % path
+
+
+@pytest.mark.parametrize("text,lineno,fields", [
+    ("3 2\na 1 2 3\nb 1 2\nc 3 4\n", 2, 4),   # first line long
+    ("3 2\na 1\nb 1 2\nc 3 4\n", 2, 2),       # first line short
+    ("2 2\na 1 2 3\nb 4 5 6\n", 2, 4),        # every line long
+    ("3 2\na 1 2\n\nb 1\nc 3 4\n", 4, 2),     # after a blank line
+    ("3 2\na 1 2\nb 1 2 3 4\nc 3 4\n", 3, 5),
+    ("2 2\na 1 2\nb\n", 3, 1),                # token alone
+])
+def test_field_count_names_first_bad_line(tmp_path, text, lineno, fields):
+    path = write(tmp_path, text)
+    with pytest.raises(FormatError) as err:
+        load_word2vec(path)
+    assert str(err.value) == (
+        "%s:%d: expected token plus 2 values, got %d fields"
+        % (path, lineno, fields))
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("2 2\na x 2\nb 1 2\n", 2),
+    ("3 2\na 1 2\n\nb 1 2\nc 1 2,5\n", 5),
+    ("2 2\na 1 2\nb 1 #2\n", 3),      # '#' is a value, not a comment
+    ("2 2\na 1 2\nb 1 1_0\n", 3),
+])
+def test_non_numeric_component_names_line(tmp_path, text, lineno):
+    path = write(tmp_path, text)
+    with pytest.raises(FormatError) as err:
+        load_word2vec(path)
+    assert str(err.value) == "%s:%d: non-numeric vector component" % (
+        path, lineno)
+
+
+def test_blank_lines_and_whitespace_skipped(tmp_path):
+    table = load_word2vec(write(tmp_path,
+                                "4 2\n\na\t1 2\n  \nb 3  4 \na 9 9\nc -1 .5"))
+    assert table.vocab == {"a": 0, "b": 1, "c": 2}
+    assert np.array_equal(table.vectors, [[1.0, 2.0], [3.0, 4.0],
+                                          [-1.0, 0.5]])
+    empty = load_word2vec(write(tmp_path, "0 3\n\n", name="none.txt"))
+    assert empty.vectors.shape == (0, 3)
+    rows, X = empty.lookup_sequence(["a", "b"])
+    assert rows.tolist() == [-1, -1] and np.array_equal(X, np.zeros((2, 3)))

@@ -131,7 +131,7 @@ class TestLossAndGrad:
         prep.queries = prep.queries[:1]
         prep.features = FeatureTable.from_rows([rows[0], rows[Q], []])
         prep.cand.candidates = prep.cand.candidates[:1] + [NULL_ENTITY]
-        prep.target_windows = prep.target_windows[:1] + [None]
+        prep.target_views = prep.target_views[:1] + [None]
         prep.gold_index = 0
         zero_dense(w.model)
         loss, grads = loss_and_grad(w.model, prep)
@@ -563,15 +563,15 @@ class TestPreparedWindows:
                                 real(self, surfaces)) or embedded[-1])
         m, preps = memo_world()
         ell = m.config.ell
-        views = [W for prep in preps
-                 for W in prep.source_windows.values()]
-        views += [W for prep in preps for tgt in prep.target_windows
-                  if tgt is not None for W in tgt.values()]
+        views = [v.windows for prep in preps
+                 for v in prep.source_views.values()]
+        views += [v.windows for prep in preps for tgt in prep.target_views
+                  if tgt is not None for v in tgt.values()]
         long_views = [W for W in views if W.shape[0] > 1]
         assert long_views
         for W in long_views:
             assert any(X.shape[0] > ell and np.shares_memory(W, X)
-                       for X in embedded)
+                       for _, X in embedded)
 
     def test_target_cache_builds_windows_once_per_entity(self, monkeypatch):
         calls = []
@@ -582,7 +582,7 @@ class TestPreparedWindows:
         # three source views per mention, two target views per entity
         assert len(calls) == 3 * len(preps) + 2 * 2
         for prep in preps[1:]:
-            for a, b in zip(preps[0].target_windows, prep.target_windows):
+            for a, b in zip(preps[0].target_views, prep.target_views):
                 if a is not None:
                     assert all(a[g] is b[g] for g in a)
 
