@@ -161,8 +161,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     model_mod.check_epochs(args.epochs)
-    knowledge, table, docs = _load_inputs(args)
     toggles = toggles_from_name(args.config)
+    knowledge, table, docs = _load_inputs(args)
     config = ModelConfig(d=table.dim, k=args.k, init_seed=args.seed,
                          toggles=toggles)
     m = model_mod.Model.initialize(config)
@@ -179,6 +179,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     if args.predictions and args.config:
         raise UsageError("--config cannot be combined with --predictions")
+    configs = [(name, toggles_from_name(name)) for name in args.config or ()]
     knowledge, table, docs = _load_inputs(args)
     if args.predictions:
         records = evalharness.load_predictions(args.predictions)
@@ -186,10 +187,8 @@ def _cmd_evaluate(args) -> int:
         report = evalharness.EvalReport(rows=[row])
     else:
         m = _load_model(args, table)
-        models = [("model", m)]
-        if args.config:
-            models = [(name, replace(m, config=m.config.with_toggles(
-                toggles_from_name(name)))) for name in args.config]
+        models = [(name, replace(m, config=m.config.with_toggles(toggles)))
+                  for name, toggles in configs] or [("model", m)]
         report = evalharness.evaluate(models, docs, knowledge, table)
     text = report.to_jsonl()
     if args.report:

@@ -93,15 +93,20 @@ TOGGLE_PRESETS = {
 
 
 def toggles_from_name(name: str) -> FeatureToggles:
-    """Resolve a configuration name; ``pair:src_doc*tgt_doc`` style names
-    select a single cosine slot on top of cnn-only."""
+    """Resolve a configuration name; ``pair:src_document*tgt_document``
+    style names select a single cosine slot on top of cnn-only."""
     if name in TOGGLE_PRESETS:
         return TOGGLE_PRESETS[name]()
     if name.startswith("pair:"):
-        spec = name[len("pair:"):]
-        src, _, tgt = spec.partition("*")
-        return FeatureToggles.cnn_pair(src.strip(), tgt.strip())
-    raise ValueError("unknown feature configuration %r" % name)
+        src, _, tgt = map(str.strip, name[len("pair:"):].partition("*"))
+        if (src, tgt) in COSINE_PAIRS:
+            return FeatureToggles.cnn_pair(src, tgt)
+    raise ValueError(
+        "unknown feature configuration %r: expected %s or pair:<src>*<tgt> "
+        "with <src> one of %s and <tgt> one of %s"
+        % (name, ", ".join(TOGGLE_PRESETS),
+           ", ".join((SRC_MENTION, SRC_CONTEXT, SRC_DOCUMENT)),
+           ", ".join((TGT_TITLE, TGT_DOCUMENT))))
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,12 @@ class Model:
 class TargetCache:
     """Weight-free context that mentions are prepared in: the KB, the
     embedding table, the config, the KB's tf-idf model and the hashed
-    feature vocabulary, plus each entity's body tf-idf bag and target
-    ``cnn.View``s, built on first use and shared across mentions."""
+    feature vocabulary, plus two memos built on first use and shared
+    across mentions.  Per entity (``get``): its body tf-idf bag and
+    target ``cnn.View``s.  Per mention surface, the tuple of its
+    (surface, pos, ner) tokens (``surface``): its queries, candidates
+    and every feature row except the tf-idf bucket, the only feature
+    that reads the source document."""
 
     def __init__(self, kb: KnowledgeBase, table: EmbeddingTable,
                  config: ModelConfig):
@@ -80,6 +84,7 @@ class TargetCache:
         self.tfidf = TfIdfModel.from_kb(kb)
         self.vocab = FeatureVocabulary(config.hash_capacity)
         self._cache = {}
+        self._surfaces = {}
 
     def get(self, entity: str):
         """(body TfIdfBag, granularity -> ``cnn.View``) for an entity;
@@ -98,6 +103,24 @@ class TargetCache:
                     ("tgt_title", [t.surface for t in title_toks]),
                     ("tgt_document", body))})
             self._cache[entity] = hit
+        return hit
+
+    def surface(self, mention_tokens):
+        """(queries, CandidateSet, f_Q rows, f_E rows) of a mention's
+        tokens: one f_Q row per query, and per candidate one f_E row per
+        query without its tf-idf bucket.  Rows are tuples of hashed
+        indices; all four are shared and must not be changed."""
+        key = tuple(mention_tokens)
+        hit = self._surfaces.get(key)
+        if hit is None:
+            queries = generate_queries(mention_tokens)
+            cand = candidates_for(self.kb, queries, top_k=self.config.top_k)
+            hit = (queries, cand,
+                   [tuple(sparse.features_q(mention_tokens, q, self.vocab))
+                    for q in queries],
+                   [[tuple(sparse.features_e(self.kb, q, entity, self.vocab))
+                     for q in queries] for entity in cand.candidates])
+            self._surfaces[key] = hit
         return hit
 
 
@@ -124,14 +147,17 @@ def prepare_mention(targets: TargetCache, doc: Document,
     views = extract_views(doc.tokens, mention,
                           context_window=cfg.context_window,
                           doc_cap=cfg.doc_cap)
-    queries = generate_queries(views.mention_tokens)
-    cand = candidates_for(targets.kb, queries, top_k=cfg.top_k)
+    queries, cand, q_rows, e_rows = targets.surface(views.mention_tokens)
     doc_bag = tfidf.bag([t.surface for t in views.document_tokens])
     tgts = [targets.get(entity) for entity in cand.candidates]
-    cosines = [0.0 if tgt is None else tfidf.cosine(doc_bag, tgt[0])
-               for tgt in tgts]
-    features = sparse.feature_table(targets.kb, views.mention_tokens, queries,
-                                    cand.candidates, cosines, targets.vocab)
+    rows = list(q_rows)
+    for tgt, cand_rows in zip(tgts, e_rows):
+        if tgt is None:         # NULL: its indicator is its only feature
+            rows.extend(cand_rows)
+            continue
+        bucket = (targets.vocab.index_of(sparse.tfidf_feature(
+            tfidf.cosine(doc_bag, tgt[0]))),)
+        rows.extend(row + bucket for row in cand_rows)
     gold_index = None
     if mention.gold_entity is not None and mention.gold_entity in cand.candidates:
         gold_index = cand.candidates.index(mention.gold_entity)
@@ -140,7 +166,8 @@ def prepare_mention(targets: TargetCache, doc: Document,
                                                         cfg.ell),
                            target_views=[None if tgt is None else tgt[1]
                                          for tgt in tgts],
-                           features=features, gold_index=gold_index)
+                           features=FeatureTable.from_rows(rows),
+                           gold_index=gold_index)
 
 
 def _scoring_rows(model: Model, prep: PreparedMention, x: np.ndarray):

@@ -171,10 +171,9 @@ def _title_match(query_text: str, title: str):
     return None
 
 
-def entity_feature_strings(kb: KnowledgeBase, query: Query, entity,
-                           tfidf_cosine: float) -> list:
-    """``tfidf_cosine`` is the tf-idf cosine between the source document
-    and the entity's article body; it does not depend on the query."""
+def entity_feature_strings(kb: KnowledgeBase, query: Query, entity) -> list:
+    """The f_E features of a (query, entity) pair that the source document
+    does not affect; a non-NULL pair also gets ``tfidf_feature``."""
     if entity == NULL_ENTITY or entity is None:
         return [NULL_FEATURE]
     feats = []
@@ -186,26 +185,20 @@ def entity_feature_strings(kb: KnowledgeBase, query: Query, entity,
     match = _title_match(query.text, kb.title(entity))
     if match is not None:
         feats.append("e:title=%s" % match)
-    feats.append("e:tfidf_bucket=%d" % tfidf_bucket(tfidf_cosine))
     return feats
 
 
-def features_e(kb: KnowledgeBase, query: Query, entity, tfidf_cosine: float,
+def features_e(kb: KnowledgeBase, query: Query, entity,
                vocab: FeatureVocabulary) -> list:
     return [vocab.index_of(f)
-            for f in entity_feature_strings(kb, query, entity, tfidf_cosine)]
+            for f in entity_feature_strings(kb, query, entity)]
 
 
-def feature_table(kb: KnowledgeBase, mention_tokens, queries, candidates,
-                  cosines, vocab: FeatureVocabulary) -> FeatureTable:
-    """Q + T*Q rows: the f_Q row of each of the Q queries, then the f_E
-    row of each (candidate, query) pair, candidate-major.  ``cosines``
-    holds each candidate's tf-idf cosine (any value for NULL, whose only
-    feature is its indicator)."""
-    rows = [features_q(mention_tokens, q, vocab) for q in queries]
-    for entity, cos in zip(candidates, cosines):
-        rows.extend(features_e(kb, q, entity, cos, vocab) for q in queries)
-    return FeatureTable.from_rows(rows)
+def tfidf_feature(tfidf_cosine: float) -> str:
+    """The one f_E feature of a non-NULL candidate that reads the source
+    document: its discretized tf-idf cosine with the entity's article
+    body, the same for every query."""
+    return "e:tfidf_bucket=%d" % tfidf_bucket(tfidf_cosine)
 
 
 # ---------------------------------------------------------------------------

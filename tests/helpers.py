@@ -229,7 +229,8 @@ def brute_force_marginals(world):
     from convlink.config import COSINE_PAIRS
     from convlink.kb import NULL_ENTITY
     from convlink.sparse import (NULL_FEATURE, entity_feature_strings,
-                                 fnv1a64, query_feature_strings)
+                                 fnv1a64, query_feature_strings,
+                                 tfidf_feature)
     from convlink.textproc import extract_target_views, extract_views
     from test_cnn import reference_encode
 
@@ -260,10 +261,10 @@ def brute_force_marginals(world):
             elif tog.use_sparse:
                 title_toks, body_toks = extract_target_views(
                     kb.title(entity), kb.body(entity), doc_cap=cfg.doc_cap)
-                feats = entity_feature_strings(
-                    kb, q, entity,
-                    tfidf.cosine(tfidf.bag(doc_surf),
-                                 tfidf.bag([t.surface for t in body_toks])))
+                feats = entity_feature_strings(kb, q, entity) + [
+                    tfidf_feature(tfidf.cosine(
+                        tfidf.bag(doc_surf),
+                        tfidf.bag([t.surface for t in body_toks])))]
             else:
                 feats = []
             if tog.use_sparse:

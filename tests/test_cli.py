@@ -11,7 +11,7 @@ import pytest
 from convlink import cli, model as model_mod
 from convlink.binfile import read_framed, write_framed
 from convlink.cli import run
-from convlink.config import FeatureToggles, ModelConfig
+from convlink.config import GRANULARITIES, FeatureToggles, ModelConfig
 from convlink.kb import KB_MAGIC, KB_VERSION
 from convlink.synthetic import SyntheticSpec
 from helpers import (MALFORMED_KB_PAYLOADS, MALFORMED_MODEL_HEADERS,
@@ -446,6 +446,33 @@ def test_negative_epochs_is_data_error(workspace, tmp_path, capsys,
     assert not out.exists()
     assert calls == {"prepare_mention": [], "load_word2vec": [],
                      "load_corpus": []}
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_unknown_config_is_data_error_before_loading(workspace, tmp_path,
+                                                     capsys, monkeypatch,
+                                                     command):
+    calls = []
+    for name in ("load_word2vec", "load_corpus"):
+        monkeypatch.setattr(cli, name,
+                            lambda *args, name=name: calls.append(name))
+    bad = "pair:src_doc*tgt_doc"
+    common = ["--kb", workspace["kb"], "--embeddings", workspace["embeddings"],
+              "--corpus", workspace["train"]]
+    if command == "train":
+        argv = ["train"] + common + ["--out", str(tmp_path / "model.bin"),
+                                     "--config", bad]
+    else:       # the model file is never read
+        argv = ["evaluate"] + common + ["--model", str(tmp_path / "none.bin"),
+                                        "--config", "cnn-only",
+                                        "--config", bad]
+    assert run(["-q"] + argv) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown feature configuration %r" % bad in err
+    for granularity in GRANULARITIES:
+        assert granularity in err
+    assert calls == []
+    assert not (tmp_path / "model.bin").exists()
 
 
 def test_removed_train_flags_are_usage_errors(workspace, tmp_path):

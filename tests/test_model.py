@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from convlink import cnn
+from convlink import cnn, model as model_mod, sparse
 from convlink.binfile import read_framed, write_framed
 from convlink.config import (GRANULARITIES, N_DENSE, FeatureToggles,
                              ModelConfig, needed_granularities,
@@ -21,7 +21,7 @@ from convlink.model import (MODEL_MAGIC, MODEL_VERSION, AdadeltaState, Model,
                             prepare_corpus, prepare_mention, save_model,
                             score_pairs, train)
 from convlink.sparse import FeatureTable
-from convlink.textproc import Document, Mention
+from convlink.textproc import Document, Mention, Token
 from helpers import (ABLATION_TOGGLES, MALFORMED_MODEL_HEADERS,
                      brute_force_marginals, max_fd_relative_error,
                      rewrite_model_header, table_rows, tiny_world, toks)
@@ -267,7 +267,7 @@ class TestAblationConsistency:
                 assert loss == pytest.approx(nll_ref, abs=1e-12), name
 
 
-def micro_corpus(n_docs=12, seed=0):
+def micro_corpus(n_docs=12, seed=0, extra_articles=()):
     """Separable two-entity corpus: the gold entity is decided by a
     content token the dense features can read."""
     rng = np.random.default_rng(seed)
@@ -275,7 +275,8 @@ def micro_corpus(n_docs=12, seed=0):
     words_b = ["bluex", "bluey", "bluez"]
     kb = KnowledgeBase.ingest(
         [{"id": "EA", "title": "Thing_One", "body": " ".join(words_a * 4)},
-         {"id": "EB", "title": "Thing_Two", "body": " ".join(words_b * 4)}],
+         {"id": "EB", "title": "Thing_Two", "body": " ".join(words_b * 4)}]
+        + list(extra_articles),
         [{"anchor_text": "things", "entity_id": "EA"}] * 3
         + [{"anchor_text": "things", "entity_id": "EB"}] * 1)
     docs = []
@@ -585,6 +586,85 @@ class TestPreparedWindows:
             for a, b in zip(preps[0].target_views, prep.target_views):
                 if a is not None:
                     assert all(a[g] is b[g] for g in a)
+
+
+def surface_corpus():
+    """The micro corpus with its one mention surface, "Things", under
+    three taggings; each tagging occurs in documents of both topics,
+    whose tf-idf buckets differ, and with both gold entities.  Articles
+    that no anchor names give the topic words a positive idf."""
+    kb, docs = micro_corpus(extra_articles=[
+        {"id": "F%d" % i, "title": "Filler", "body": "one two"}
+        for i in range(3)])
+    tags = [(None, None), ("NNS", None), ("NNS", "ORG")]
+    for i, doc in enumerate(docs):
+        m = doc.mentions[0]
+        doc.tokens[m.start] = Token(doc.tokens[m.start].surface,
+                                    *tags[i // 2 % 3])
+    return kb, docs, micro_model().config
+
+
+def mention_key(doc):
+    m = doc.mentions[0]
+    return tuple(doc.tokens[m.start:m.end])
+
+
+class TestSurfaceMemo:
+    def test_shared_cache_is_bit_identical_to_fresh_caches(self):
+        kb, docs, config = surface_corpus()
+        table = micro_table()
+        shared = prepare_corpus(TargetCache(kb, table, config), docs)
+        by_key = {}
+        for doc, a in zip(docs, shared):
+            b = prepare_mention(TargetCache(kb, table, config), doc,
+                                doc.mentions[0])
+            assert a.queries == b.queries
+            assert a.cand.candidates == b.cand.candidates
+            assert a.gold_index == b.gold_index
+            assert a.features.keys == b.features.keys
+            assert a.features.n_rows == b.features.n_rows
+            for name in ("slot", "val", "row"):
+                x, y = getattr(a.features, name), getattr(b.features, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            by_key.setdefault(mention_key(doc), []).append(a)
+        # one surface, three taggings, and under each both golds and
+        # more than one feature table (the tf-idf buckets differ)
+        assert len({tuple(t.surface for t in key) for key in by_key}) == 1
+        assert len(by_key) == 3
+        for preps in by_key.values():
+            assert {p.gold_index for p in preps} == {0, 1}
+            assert len({(tuple(p.features.keys), p.features.slot.tobytes(),
+                         p.features.row.tobytes()) for p in preps}) > 1
+
+    def test_weight_free_work_once_per_token_tuple(self, monkeypatch):
+        calls = {}
+        for module, name in [(model_mod, "generate_queries"),
+                             (model_mod, "candidates_for"),
+                             (sparse, "features_q"), (sparse, "features_e")]:
+            real = getattr(module, name)
+            calls[name] = []
+            monkeypatch.setattr(module, name, lambda *args, real=real,
+                                name=name, **kw: calls[name].append(args)
+                                or real(*args, **kw))
+        gets = []
+        real_get = TargetCache.get
+        monkeypatch.setattr(TargetCache, "get", lambda self, entity: (
+            gets.append(entity) or real_get(self, entity)))
+        kb, docs, config = surface_corpus()
+        targets = TargetCache(kb, micro_table(), config)
+        preps = prepare_corpus(targets, docs) + prepare_corpus(targets, docs)
+        first = {}
+        for doc, prep in zip(docs, preps):
+            first.setdefault(mention_key(doc), prep)
+        assert [tuple(args[0]) for args in calls["generate_queries"]] == \
+            list(first)
+        assert len(calls["candidates_for"]) == len(first)
+        assert len(calls["features_q"]) == sum(
+            len(p.queries) for p in first.values())
+        assert len(calls["features_e"]) == sum(
+            len(p.queries) * len(p.cand.candidates) for p in first.values())
+        # still one lookup per candidate per mention
+        assert gets == [e for p in preps for e in p.cand.candidates]
 
 
 class TestSaveLoad:

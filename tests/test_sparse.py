@@ -10,7 +10,8 @@ from convlink import sparse
 from convlink.kb import NULL_ENTITY, generate_queries
 from convlink.sparse import (FeatureTable, FeatureVocabulary, TfIdfModel,
                              entity_feature_strings, features_e, features_q,
-                             fnv1a64, query_feature_strings, tfidf_bucket)
+                             fnv1a64, query_feature_strings, tfidf_bucket,
+                             tfidf_feature)
 from helpers import toks
 
 
@@ -204,41 +205,41 @@ class TestTfIdf:
 class TestEntityFeatures:
     def test_null_single_feature(self, small_kb):
         q = generate_queries(toks("Pink", "Floyd"))[0]
-        feats = entity_feature_strings(small_kb, q, NULL_ENTITY, 0.5)
+        feats = entity_feature_strings(small_kb, q, NULL_ENTITY)
         assert feats == ["e:null"]
         vocab = FeatureVocabulary()
-        sv = features_e(small_kb, q, NULL_ENTITY, 0.5, vocab)
+        sv = features_e(small_kb, q, NULL_ENTITY, vocab)
         assert len(sv) == 1
 
     def test_exact_title_match(self, small_kb):
         by_text = {q.text: q for q in generate_queries(toks("Pink", "Floyd"))}
         feats = entity_feature_strings(small_kb, by_text["pink floyd"],
-                                       "Pink_Floyd", 0.0)
+                                       "Pink_Floyd")
         assert "e:title=exact" in feats
 
     def test_prefix_and_substring_title_match(self, small_kb):
         by_text = {q.text: q for q in generate_queries(toks("Pink", "Floyd"))}
         feats = entity_feature_strings(small_kb, by_text["pink"],
-                                       "Pink_Floyd", 0.0)
+                                       "Pink_Floyd")
         assert "e:title=prefix" in feats
         feats = entity_feature_strings(small_kb, by_text["floyd"],
-                                       "Pink_Floyd", 0.0)
+                                       "Pink_Floyd")
         assert "e:title=substring" in feats
 
     def test_count_and_rank_buckets(self, small_kb):
         by_text = {q.text: q for q in generate_queries(toks("Floyd"))}
         q = by_text["floyd"]
         # anchor "floyd": Gavin_Floyd count 5 (rank 1), Pink_Floyd count 3 (rank 2)
-        feats = entity_feature_strings(small_kb, q, "Gavin_Floyd", 0.0)
+        feats = entity_feature_strings(small_kb, q, "Gavin_Floyd")
         assert "e:count_bucket=3" in feats     # 5 in [4, 8)
         assert "e:rank=1" in feats
-        feats = entity_feature_strings(small_kb, q, "Pink_Floyd", 0.0)
+        feats = entity_feature_strings(small_kb, q, "Pink_Floyd")
         assert "e:count_bucket=2" in feats     # 3 in [2, 4)
         assert "e:rank=2" in feats
 
     def test_unseen_pair_gets_zero_bucket(self, small_kb):
         q = generate_queries(toks("Zanzibar"))[0]
-        feats = entity_feature_strings(small_kb, q, "Obama", 0.0)
+        feats = entity_feature_strings(small_kb, q, "Obama")
         assert "e:count_bucket=0" in feats
         assert not any(f.startswith("e:rank=") for f in feats)
 
@@ -256,6 +257,8 @@ class TestEntityFeatures:
             doc = ["english", "rock", "band", "zz"]
             body = small_kb.body(entity).split()
             cos = bag_cosine(tfidf, doc, body)
-            feats = entity_feature_strings(small_kb, q, entity, cos)
+            # the bucket is the one f_E feature that reads the document
+            feats = entity_feature_strings(small_kb, q, entity)
+            feats.append(tfidf_feature(cos))
             buckets = [f for f in feats if f.startswith("e:tfidf_bucket=")]
             assert buckets == ["e:tfidf_bucket=%d" % tfidf_bucket(cos)]
