@@ -5,9 +5,12 @@ On a ``gen-synthetic --seed 1`` world (150 training and 60 test
 documents) this trains full, sparse-only, cnn-only and
 pair:src_document*tgt_document models (k 48, 3 epochs, seed 1), links
 the test split with each, evaluates the full model under two configs,
-inspects one filter row and runs the five-config ablation grid.  All
-files go to a temporary directory.  Run it in two checkouts and diff
-the outputs to show that a change keeps every bit.
+inspects one filter row and runs the five-config ablation grid.  The
+last line pins the corpus reader and the tokenizer: the test split
+written back by ``save_corpus(load_corpus(...))``, then every KB body's
+token surfaces in entity order.  All files go to a temporary directory.
+Run it in two checkouts and diff the outputs to show that a change keeps
+every bit.
 """
 
 import argparse
@@ -27,7 +30,7 @@ from convlink.embeddings import load_word2vec
 from convlink.evalharness import run_ablation
 from convlink.kb import load_kb
 from convlink.model import save_model
-from convlink.textproc import load_corpus
+from convlink.textproc import load_corpus, save_corpus, tokenize
 
 CONFIGS = ("full", "sparse-only", "cnn-only",
            "pair:src_document*tgt_document")
@@ -100,6 +103,16 @@ def main():
         for name in GRID:
             save_model(trained[name], path("grid.bin"))
             artefacts.append(("ablation %s" % name, sha(path("grid.bin"))))
+
+        save_corpus(load_corpus(os.path.join(data, "test.jsonl")),
+                    path("test.jsonl"))
+        with open(path("test.jsonl"), "rb") as fh:
+            tokens = hashlib.sha256(fh.read())
+        kb = load_kb(path("kb.bin"))
+        for eid in sorted(kb.entities):
+            tokens.update(("\n%s\t%s" % (eid, " ".join(
+                t.surface for t in tokenize(kb.body(eid))))).encode())
+        artefacts.append(("tokens", tokens.hexdigest()))
     for name, digest in artefacts:
         print("%s  %s" % (digest, name))
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, FormatError
+from .textproc import text_lines
 
 
 @dataclass
@@ -113,22 +114,22 @@ def load_word2vec(path) -> EmbeddingTable:
     ``np.loadtxt`` parses every rest.
     """
     tokens, values, linenos = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise FormatError("%s: empty file" % path)
-        count, dim = _parse_header(header, path)
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split(None, 1)
-            if not parts:
-                continue
-            if len(parts) == 1:
-                raise FormatError(
-                    "%s:%d: expected token plus %d values, got 1 fields"
-                    % (path, lineno, dim))
-            tokens.append(parts[0])
-            values.append(parts[1])
-            linenos.append(lineno)
+    lines = text_lines(path)
+    _, header = next(lines, (1, ""))
+    if not header:
+        raise FormatError("%s: empty file" % path)
+    count, dim = _parse_header(header, path)
+    for lineno, line in lines:
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        if len(parts) == 1:
+            raise FormatError(
+                "%s:%d: expected token plus %d values, got 1 fields"
+                % (path, lineno, dim))
+        tokens.append(parts[0])
+        values.append(parts[1])
+        linenos.append(lineno)
     matrix = np.zeros((0, dim))
     if values:
         try:

@@ -69,8 +69,10 @@ class Model:
 class TargetCache:
     """Weight-free context that mentions are prepared in: the KB, the
     embedding table, the config, the KB's tf-idf model and the hashed
-    feature vocabulary, plus two memos built on first use and shared
-    across mentions.  Per entity (``get``): its body tf-idf bag and
+    feature vocabulary, plus three memos that live as long as it does
+    and are shared across mentions.  Per whitespace chunk of the KB's
+    titles and bodies: its tokens, so the tf-idf model and ``get`` split
+    each distinct chunk once.  Per entity (``get``): its body tf-idf bag and
     target ``cnn.View``s.  Per mention surface, the tuple of its
     (surface, pos, ner) tokens (``surface``): its queries, candidates
     and every feature row except the tf-idf bucket, the only feature
@@ -81,7 +83,8 @@ class TargetCache:
         self.kb = kb
         self.table = table
         self.config = config
-        self.tfidf = TfIdfModel.from_kb(kb)
+        self._chunks = {}       # KB text chunk -> its tokens (tokenize)
+        self.tfidf = TfIdfModel.from_kb(kb, self._chunks)
         self.vocab = FeatureVocabulary(config.hash_capacity)
         self._cache = {}
         self._surfaces = {}
@@ -95,7 +98,7 @@ class TargetCache:
         if hit is None:
             title_toks, body_toks = extract_target_views(
                 self.kb.title(entity), self.kb.body(entity),
-                doc_cap=self.config.doc_cap)
+                doc_cap=self.config.doc_cap, memo=self._chunks)
             body = [t.surface for t in body_toks]
             hit = (self.tfidf.bag(body), {
                 g: cnn.embed(self.table, surfaces, self.config.ell)

@@ -218,12 +218,13 @@ class TfIdfModel:
 
     idf(t) = max(0, ln(corpus_size / (1 + df(t)))); the clamp keeps all
     weights nonnegative so cosines stay in [0, 1].  Tokens are
-    case-folded.
+    case-folded.  Each token's idf is computed once per model.
     """
 
     def __init__(self, df: dict, corpus_size: int):
         self.df = df
         self.corpus_size = corpus_size
+        self._idf = {}
 
     @classmethod
     def from_documents(cls, token_lists) -> "TfIdfModel":
@@ -235,16 +236,21 @@ class TfIdfModel:
         return cls(dict(df), n)
 
     @classmethod
-    def from_kb(cls, kb: KnowledgeBase) -> "TfIdfModel":
+    def from_kb(cls, kb: KnowledgeBase, memo: dict = None) -> "TfIdfModel":
+        """Document frequencies over the KB's article bodies, tokenized
+        through ``memo`` (see ``textproc.tokenize``)."""
         from .textproc import tokenize
-        bodies = ([t.surface for t in tokenize(kb.body(eid))]
+        bodies = ([t.surface for t in tokenize(kb.body(eid), memo)]
                   for eid in sorted(kb.entities))
         return cls.from_documents(bodies)
 
     def idf(self, token: str) -> float:
-        if self.corpus_size == 0:
-            return 0.0
-        return max(0.0, math.log(self.corpus_size / (1 + self.df.get(token, 0))))
+        idf = self._idf.get(token)
+        if idf is None:
+            idf = 0.0 if self.corpus_size == 0 else max(0.0, math.log(
+                self.corpus_size / (1 + self.df.get(token, 0))))
+            self._idf[token] = idf
+        return idf
 
     def bag(self, tokens) -> TfIdfBag:
         """A text's weights, computed once so that every cosine it takes

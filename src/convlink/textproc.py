@@ -22,6 +22,9 @@ _PUNCT = set(string.punctuation)
 # "u.s.a") are kept whole; edge punctuation is never stripped from them.
 _ACRONYM = re.compile(r"^(?:[^\W\d_]\.)+[^\W\d_]?$", re.UNICODE)
 
+# What errors="surrogateescape" decodes a byte that is not UTF-8 to
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
 
 @dataclass(frozen=True)
 class Token:
@@ -94,11 +97,22 @@ def _split_chunk(chunk: str):
     return pieces
 
 
-def tokenize(text: str) -> list:
-    """Whitespace split, then separate edge punctuation into own tokens."""
+def tokenize(text: str, memo: Optional[dict] = None) -> list:
+    """Whitespace split, then separate edge punctuation into own tokens.
+
+    ``memo`` maps each whitespace chunk already seen to its tuple of
+    tokens, so a caller that passes one memo across many texts splits
+    each distinct chunk, and builds its tokens, once.  Without one, each
+    distinct chunk of ``text`` is split once.
+    """
+    if memo is None:
+        memo = {}
     out = []
     for chunk in text.split():
-        out.extend(Token(p) for p in _split_chunk(chunk))
+        toks = memo.get(chunk)
+        if toks is None:
+            toks = memo[chunk] = tuple(Token(p) for p in _split_chunk(chunk))
+        out.extend(toks)
     return out
 
 
@@ -132,12 +146,14 @@ def extract_views(doc_tokens, mention: Mention, *, context_window: int = 10,
     return GranularityViews(mention_tokens, context_tokens, document_tokens)
 
 
-def extract_target_views(title: str, body: str, *, doc_cap: int = 2000):
-    """Tokenize an entity's title (underscores read as spaces) and body."""
+def extract_target_views(title: str, body: str, *, doc_cap: int = 2000,
+                         memo: Optional[dict] = None):
+    """Tokenize an entity's title (underscores read as spaces) and body,
+    both through ``memo`` (see ``tokenize``)."""
     if not title or not title.strip():
         raise InvalidEntityError("entity title must be non-empty")
-    title_tokens = tokenize(title.replace("_", " "))
-    body_tokens = tokenize(body)[:doc_cap]
+    title_tokens = tokenize(title.replace("_", " "), memo)
+    body_tokens = tokenize(body, memo)[:doc_cap]
     return title_tokens, body_tokens
 
 
@@ -149,21 +165,38 @@ def extract_target_views(title: str, body: str, *, doc_cap: int = 2000):
 # with 0 <= start < end <= len(tokens).
 # ---------------------------------------------------------------------------
 
+def text_lines(path):
+    """Yield ``(line number, line)`` for each line of a UTF-8 text file,
+    counted from 1.  Bytes that are not UTF-8 are a format error naming
+    the first line that holds them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        # The decoder reads ahead by blocks, so read again with the bad
+        # bytes escaped to lone surrogates, which UTF-8 text never holds.
+        with open(path, "r", encoding="utf-8",
+                  errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if _ESCAPED_BYTE.search(line):
+                    break
+        raise FormatError("%s:%d: not valid UTF-8" % (path, lineno)) from None
+
+
 def read_jsonl(path):
     """Yield ``("<path>:<line>", record)`` for each non-blank line of a
     JSON-lines file; a line that is not a JSON object is a format error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = "%s:%d" % (path, lineno)
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError("%s: invalid JSON: %s" % (where, exc))
-            if not isinstance(rec, dict):
-                raise FormatError("%s: a record must be a JSON object" % where)
-            yield where, rec
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        where = "%s:%d" % (path, lineno)
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError("%s: invalid JSON: %s" % (where, exc))
+        if not isinstance(rec, dict):
+            raise FormatError("%s: a record must be a JSON object" % where)
+        yield where, rec
 
 
 def string_field(rec: dict, key: str, where: str) -> str:
@@ -177,16 +210,30 @@ def string_field(rec: dict, key: str, where: str) -> str:
     return value
 
 
-def _token_from_json(obj, where):
-    try:
-        if isinstance(obj, str):
-            return Token(obj)
-        if isinstance(obj, dict) and isinstance(obj.get("surface"), str):
-            return Token(obj["surface"], obj.get("pos"), obj.get("ner"))
-    except ValueError as exc:
-        raise FormatError("%s: bad token: %s" % (where, exc))
-    raise FormatError("%s: a token must be a string or an object with a "
-                      "string surface" % where)
+def _token_from_json(obj, where, interned: dict):
+    """The Token of one JSON token.  ``interned`` maps each token value
+    already built, a string or a tagged token's (surface, pos, ner), to
+    its Token, which equal tokens then share; only checked values enter
+    it."""
+    if isinstance(obj, str):
+        key = obj
+    elif isinstance(obj, dict) and isinstance(obj.get("surface"), str):
+        key = (obj["surface"], obj.get("pos"), obj.get("ner"))
+        for name, tag in zip(("pos", "ner"), key[1:]):
+            if tag is not None and not isinstance(tag, str):
+                raise FormatError("%s: token %s must be a string or null, "
+                                  "got %s" % (where, name, json.dumps(tag)))
+    else:
+        raise FormatError("%s: a token must be a string or an object with a "
+                          "string surface" % where)
+    tok = interned.get(key)
+    if tok is None:
+        try:
+            tok = Token(key) if isinstance(key, str) else Token(*key)
+        except ValueError as exc:
+            raise FormatError("%s: bad token: %s" % (where, exc))
+        interned[key] = tok
+    return tok
 
 
 def _mention_from_json(obj, doc_id, n_tokens, where):
@@ -219,7 +266,10 @@ def _token_to_json(tok: Token):
 
 
 def load_corpus(path) -> list:
+    """The documents of a corpus file.  Equal tokens within the file are
+    one shared Token (it is frozen)."""
     docs = []
+    interned = {}
     for where, rec in read_jsonl(path):
         doc_id = string_field(rec, "doc_id", where)
         raw_tokens = rec.get("tokens")
@@ -227,7 +277,7 @@ def load_corpus(path) -> list:
         if not isinstance(raw_tokens, list) or not isinstance(raw_mentions,
                                                               list):
             raise FormatError("%s: tokens and mentions must be lists" % where)
-        tokens = [_token_from_json(t, where) for t in raw_tokens]
+        tokens = [_token_from_json(t, where, interned) for t in raw_tokens]
         mentions = [_mention_from_json(m, doc_id, len(tokens), where)
                     for m in raw_mentions]
         docs.append(Document(doc_id, tokens, mentions))

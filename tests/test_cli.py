@@ -126,7 +126,8 @@ def train_with_component(workspace, tmp_path, lineno, value):
     fields = lines[lineno - 1].split()
     lines[lineno - 1] = " ".join([fields[0], value] + fields[2:])
     embeddings = str(tmp_path / "embeddings.txt")
-    with open(embeddings, "w", encoding="utf-8") as fh:
+    with open(embeddings, "w", encoding="utf-8",
+              errors="surrogateescape") as fh:
         fh.write("\n".join(lines) + "\n")
     code = run(["-q", "train", "--kb", workspace["kb"],
                 "--embeddings", embeddings, "--corpus", workspace["train"],
@@ -223,6 +224,11 @@ MALFORMED_CORPORA = {
     "tokens-string": '{"doc_id": "d", "tokens": "abc", "mentions": []}',
     "token-empty": '{"doc_id": "d", "tokens": ["a", ""]}',
     "token-surface-number": '{"doc_id": "d", "tokens": [{"surface": 7}]}',
+    "token-pos-list": ('{"doc_id": "d", "tokens": '
+                       '[{"surface": "a", "pos": ["NNP"]}]}'),
+    "token-ner-number": ('{"doc_id": "d", "tokens": '
+                         '[{"surface": "a", "ner": 7}]}'),
+    "not-utf8": '{"doc_id": "d\udcff", "tokens": ["a"]}',
     "mention-not-object": ('{"doc_id": "d", "tokens": ["a"], '
                            '"mentions": [[0, 1]]}'),
     "span-floats": ('{"doc_id": "d", "tokens": ["a", "b"], '
@@ -241,7 +247,8 @@ MALFORMED_CORPORA = {
 @pytest.mark.parametrize("kind", sorted(MALFORMED_CORPORA))
 def test_malformed_corpus_is_data_error(workspace, tmp_path, capsys, kind):
     corpus = str(tmp_path / "corpus.jsonl")
-    with open(corpus, "w", encoding="utf-8") as fh:
+    # surrogateescape writes "\udcff" as the lone byte 0xff
+    with open(corpus, "w", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write('{"doc_id": "ok", "tokens": ["a"], "mentions": []}\n')
         fh.write(MALFORMED_CORPORA[kind] + "\n")
     code = run(["-q", "train", "--kb", workspace["kb"],
@@ -250,6 +257,37 @@ def test_malformed_corpus_is_data_error(workspace, tmp_path, capsys, kind):
                 "--k", "4"])
     assert code == 2
     assert "error: %s:2: " % corpus in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tag", ['["NNP"]', "7"])
+def test_mention_token_tag_of_wrong_type_is_data_error(workspace, tmp_path,
+                                                       capsys, tag):
+    # a list tag used to reach the mention-surface memo and fail to hash
+    model = str(tmp_path / "model.bin")
+    assert run(["-q", "train", "--kb", workspace["kb"],
+                "--embeddings", workspace["embeddings"],
+                "--corpus", workspace["train"], "--out", model,
+                "--epochs", "0", "--k", "4"]) == 0
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"doc_id": "ok", "tokens": ["a"], "mentions": []}\n'
+        '{"doc_id": "d", "tokens": ["the", {"surface": "x", "pos": %s}], '
+        '"mentions": [{"start": 1, "end": 2}]}\n' % tag, encoding="utf-8")
+    code = run(["-q", "link", "--kb", workspace["kb"],
+                "--embeddings", workspace["embeddings"],
+                "--corpus", str(corpus), "--model", model,
+                "--out", str(tmp_path / "preds.jsonl")])
+    assert code == 2
+    assert ("error: %s:2: token pos must be a string or null, got %s\n"
+            % (corpus, tag)) == capsys.readouterr().err
+
+
+def test_embeddings_not_utf8_is_data_error(workspace, tmp_path, capsys):
+    code, embeddings = train_with_component(workspace, tmp_path, 3,
+                                            "0.5\udcff")
+    assert code == 2
+    assert ("error: %s:3: not valid UTF-8" % embeddings
+            in capsys.readouterr().err)
 
 
 def test_evaluate_requires_model_or_predictions(workspace):

@@ -140,6 +140,17 @@ def test_non_numeric_component_names_line(tmp_path, text, lineno):
         path, lineno)
 
 
+@pytest.mark.parametrize("lineno", [1, 3, 700])
+def test_bytes_not_utf8_name_their_line(tmp_path, lineno):
+    lines = [b"800 2"] + [b"w%d 1 2" % i for i in range(800)]
+    lines[lineno - 1] += b" \xe9t\xe9"
+    path = tmp_path / "vec.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(FormatError) as err:
+        load_word2vec(path)
+    assert str(err.value) == "%s:%d: not valid UTF-8" % (path, lineno)
+
+
 def test_blank_lines_and_whitespace_skipped(tmp_path):
     table = load_word2vec(write(tmp_path,
                                 "4 2\n\na\t1 2\n  \nb 3  4 \na 9 9\nc -1 .5"))

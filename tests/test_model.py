@@ -667,6 +667,44 @@ class TestSurfaceMemo:
         assert gets == [e for p in preps for e in p.cand.candidates]
 
 
+class TestChunkMemo:
+    def test_each_kb_chunk_split_once_per_target_cache(self, monkeypatch):
+        from convlink import textproc
+
+        def record(owner, name):
+            calls, real = [], getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, **kw: (
+                calls.append(args) or real(*args, **kw)))
+            return calls
+
+        split = record(textproc, "_split_chunk")
+        from_kb = record(sparse.TfIdfModel, "from_kb")
+        target_views = record(model_mod, "extract_target_views")
+        kb = KnowledgeBase.ingest(
+            [{"id": "PF", "title": "Pink_Floyd",
+              "body": "Pink Floyd, the U.K. band; Pink Floyd (band)."},
+             {"id": "FL", "title": "Floyd",
+              "body": "Floyd, a U.K. name. Floyd Pink"},
+             {"id": "PK", "title": "Pink_(band)", "body": "Pink (band)."}],
+            [{"anchor_text": "floyd", "entity_id": "FL"}])
+        bodies = {c for e in kb.entities for c in kb.body(e).split()}
+        titles = {c for e in kb.entities
+                  for c in kb.title(e).replace("_", " ").split()}
+        for _ in range(2):       # the second cache starts cold
+            split.clear()
+            from_kb.clear()
+            target_views.clear()
+            targets = TargetCache(kb, micro_table(), micro_model().config)
+            assert sorted(c for c, in split) == sorted(bodies)
+            assert len(from_kb) == 1
+            for entity in ["PF", "FL", "PF", "PK", "FL", NULL_ENTITY]:
+                targets.get(entity)
+            assert sorted(c for c, in split) == sorted(bodies | titles)
+            assert len(from_kb) == 1
+            assert [args[0] for args in target_views] == [
+                "Pink_Floyd", "Floyd", "Pink_(band)"]
+
+
 class TestSaveLoad:
     def test_roundtrip_identical_predictions(self, tmp_path):
         kb, docs = micro_corpus()

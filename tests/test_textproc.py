@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlink.errors import FormatError, InvalidEntityError, SpanError
-from convlink.textproc import (Document, Mention, Token, extract_target_views,
-                               extract_views, load_corpus, save_corpus,
-                               tokenize)
+from convlink.textproc import (Document, Mention, Token, _split_chunk,
+                               extract_target_views, extract_views,
+                               load_corpus, read_jsonl, save_corpus, tokenize)
 from helpers import toks
 
 
@@ -47,6 +47,40 @@ class TestTokenize:
         b = tokenize(text)
         assert surfaces(a) == surfaces(b)
         assert all(t.surface for t in a)
+
+
+# Whitespace chunks with edge punctuation, acronyms, underscores and
+# interior punctuation; a drawn text repeats them
+CHUNKS = ["Pink", "Floyd,", "(band)", '"hello"', "U.N.", "u.s.a", "U.S.A.,",
+          "e.g.", "state-of-the-art", "Gavin_Floyd", "_x_", "__", "...",
+          "!?", "It's", "'90s", "a.b.c.", "x", "--y--", "Zürich.", "(U.K.)"]
+CHUNK = st.one_of(st.sampled_from(CHUNKS),
+                  st.text(alphabet="ab_.,'(-)U", min_size=1, max_size=6))
+
+
+class TestTokenizeMemo:
+    @given(st.lists(st.lists(CHUNK, max_size=12), min_size=1, max_size=4),
+           st.sampled_from([" ", "\n", " \t "]))
+    @settings(max_examples=150, derandomize=True)
+    def test_shared_memo_equals_no_memo(self, texts, sep):
+        memo = {}
+        for chunks in texts:
+            text = sep.join(chunks)
+            expected = [Token(p) for c in text.split()
+                        for p in _split_chunk(c)]
+            assert tokenize(text) == expected
+            assert tokenize(text, memo) == expected
+        assert set(memo) == {c for chunks in texts
+                             for c in sep.join(chunks).split()}
+
+    def test_target_views_through_a_memo(self):
+        memo = {}
+        plain = extract_target_views("Pink_Floyd", "Pink Floyd, (band).",
+                                     doc_cap=3)
+        assert extract_target_views("Pink_Floyd", "Pink Floyd, (band).",
+                                    doc_cap=3, memo=memo) == plain
+        assert surfaces(plain[1]) == ["Pink", "Floyd", ","]
+        assert set(memo) == {"Pink", "Floyd", "Floyd,", "(band)."}
 
 
 class TestExtractViews:
@@ -161,3 +195,63 @@ class TestCorpusIO:
         path.write_text('{"tokens": ["a"]}\n', encoding="utf-8")
         with pytest.raises(FormatError):
             load_corpus(path)
+
+    def test_tokens_equal_per_token_construction_and_are_shared(self,
+                                                                tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"doc_id": "d1", "tokens": ["Pink", "Floyd", "Pink", '
+            '{"surface": "Floyd", "pos": "NNP"}], '
+            '"mentions": [{"start": 0, "end": 2}]}\n'
+            '{"doc_id": "d2", "tokens": [{"surface": "Floyd", "pos": "NNP"}, '
+            '{"surface": "Floyd", "pos": "NNP", "ner": "ORG"}, "Pink", '
+            '{"surface": "Pink"}]}\n', encoding="utf-8")
+        a, b = load_corpus(path)
+        assert [a, b] == [
+            Document("d1", [Token("Pink"), Token("Floyd"), Token("Pink"),
+                            Token("Floyd", "NNP")], [Mention("d1", 0, 2)]),
+            Document("d2", [Token("Floyd", "NNP"),
+                            Token("Floyd", "NNP", "ORG"), Token("Pink"),
+                            Token("Pink")])]
+        # one Token per distinct value, across records
+        assert a.tokens[0] is a.tokens[2] is b.tokens[2]
+        assert a.tokens[3] is b.tokens[0]
+        assert len({id(t) for t in a.tokens + b.tokens}) == 5
+
+    @pytest.mark.parametrize("bad,message", [
+        ('{"surface": "x", "pos": 7}', "token pos must be a string or null, "
+                                       "got 7"),
+        ('{"surface": "x", "ner": ["ORG"]}', 'token ner must be a string or '
+                                             'null, got ["ORG"]'),
+        ('{"surface": "x", "pos": ""}', "bad token: tags, when present, "
+                                        "must be non-empty"),
+        ('""', "bad token: token surface must be non-empty"),
+    ], ids=["pos-number", "ner-list", "pos-empty", "surface-empty"])
+    @pytest.mark.parametrize("bad_lines", [(2, 5), (5,)],
+                             ids=["lines-2-and-5", "line-5"])
+    def test_bad_token_reported_at_its_first_line(self, tmp_path, bad, message,
+                                                   bad_lines):
+        # the good lines hold "x" and a tagged "x", so a rejected value
+        # that entered the interning memo would pass on a later line
+        good = '"x", {"surface": "x", "pos": "NN"}'
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(
+            '{"doc_id": "d%d", "tokens": [%s]}\n'
+            % (n, bad if n in bad_lines else good) for n in range(1, 7)),
+            encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_corpus(path)
+        assert str(err.value) == "%s:%d: %s" % (path, bad_lines[0], message)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_bytes_not_utf8_name_their_line(self, tmp_path, newline):
+        # far enough in that the decoder reads past earlier lines first;
+        # lines are counted as they are read, on any newline
+        path = tmp_path / "corpus.jsonl"
+        good = b'{"doc_id": "d", "tokens": ["caf\xc3\xa9"]}' + newline
+        path.write_bytes(good * 400 + b'{"doc_id": "\xff"}' + newline + good)
+        with pytest.raises(FormatError) as err:
+            load_corpus(path)
+        assert str(err.value) == "%s:401: not valid UTF-8" % path
+        with pytest.raises(FormatError):
+            list(read_jsonl(path))
