@@ -6,9 +6,12 @@ documents) this trains full, sparse-only, cnn-only and
 pair:src_document*tgt_document models (k 48, 3 epochs, seed 1), links
 the test split with each, evaluates the full model under two configs,
 inspects one filter row and runs the five-config ablation grid.  The
-last line pins the corpus reader and the tokenizer: the test split
+next line pins the corpus reader and the tokenizer: the test split
 written back by ``save_corpus(load_corpus(...))``, then every KB body's
-token surfaces in entity order.  All files go to a temporary directory.
+token surfaces in entity order.  The last line is a model at the paper's
+width (d 300, k 150, 2 epochs, seed 1), trained on an eight-document
+world that ``synthetic.generate`` writes.  All files go to a temporary
+directory.
 Run it in two checkouts and diff the outputs to show that a change keeps
 every bit.
 """
@@ -30,6 +33,7 @@ from convlink.embeddings import load_word2vec
 from convlink.evalharness import run_ablation
 from convlink.kb import load_kb
 from convlink.model import save_model
+from convlink.synthetic import SyntheticSpec, generate
 from convlink.textproc import load_corpus, save_corpus, tokenize
 
 CONFIGS = ("full", "sparse-only", "cnn-only",
@@ -113,6 +117,19 @@ def main():
             tokens.update(("\n%s\t%s" % (eid, " ".join(
                 t.surface for t in tokenize(kb.body(eid))))).encode())
         artefacts.append(("tokens", tokens.hexdigest()))
+
+        wide = path("wide")
+        generate(SyntheticSpec(seed=1, embedding_dim=300, n_train_docs=8,
+                               n_test_docs=1), wide)
+        cli("ingest-kb", "--articles", os.path.join(wide, "articles.jsonl"),
+            "--anchors", os.path.join(wide, "anchors.jsonl"),
+            "--out", path("wide.bin"))
+        cli("train", "--kb", path("wide.bin"),
+            "--embeddings", os.path.join(wide, "embeddings.txt"),
+            "--corpus", os.path.join(wide, "train.jsonl"),
+            "--out", path("wide_model.bin"),
+            "--k", "150", "--epochs", "2", "--seed", "1")
+        artefacts.append(("train d300 k150", sha(path("wide_model.bin"))))
     for name, digest in artefacts:
         print("%s  %s" % (digest, name))
 

@@ -197,8 +197,10 @@ def _cmd_evaluate(args) -> int:
     else:
         sys.stdout.write(text)
     for row in report.rows:
-        log.info("%s: accuracy=%.4f gold_recall=%.4f n=%d",
-                 row.config_name, row.accuracy, row.gold_recall, row.n_mentions)
+        log.info("%s: accuracy=%.4f gold_recall=%s n=%d",
+                 row.config_name, row.accuracy,
+                 "n/a" if row.gold_recall is None else
+                 "%.4f" % row.gold_recall, row.n_mentions)
     return 0
 
 

@@ -8,7 +8,8 @@ of the model file format, so it must never be reordered.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+import json
+from dataclasses import asdict, dataclass, field, fields, replace
 
 SRC_MENTION = "src_mention"
 SRC_CONTEXT = "src_context"
@@ -143,7 +144,27 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        """The inverse of ``to_dict``.  A missing, unknown or mistyped
+        field is a ValueError: each number must be an int that is not a
+        bool, ``use_sparse`` a bool and ``dense_mask`` a list of six
+        bools."""
         data = dict(data)
+        names = sorted(f.name for f in fields(cls))
+        if sorted(data) != names:
+            raise ValueError("config fields must be %s, got %s"
+                             % (", ".join(names), ", ".join(sorted(data))))
         tog = dict(data.pop("toggles"))
-        tog["dense_mask"] = tuple(bool(x) for x in tog["dense_mask"])
+        for name, value in data.items():
+            if type(value) is not int:
+                raise ValueError("%s must be an integer, got %s"
+                                 % (name, json.dumps(value)))
+        if type(tog.get("use_sparse")) is not bool:
+            raise ValueError("use_sparse must be a boolean, got %s"
+                             % json.dumps(tog.get("use_sparse")))
+        mask = tog.get("dense_mask")
+        if (type(mask) is not list or len(mask) != N_DENSE
+                or any(type(x) is not bool for x in mask)):
+            raise ValueError("dense_mask must be a list of %d booleans, got %s"
+                             % (N_DENSE, json.dumps(mask)))
+        tog["dense_mask"] = tuple(mask)
         return cls(toggles=FeatureToggles(**tog), **data)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import asdict, dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -21,17 +22,20 @@ from .textproc import read_jsonl, string_field
 
 @dataclass
 class EvalRow:
+    """One report row; the four fields that only a model run measures
+    are None in a row scored from a predictions file."""
     config_name: str
     accuracy: float
-    gold_recall: float
+    gold_recall: Optional[float]
     n_mentions: int
     n_correct: int
-    n_gold_in_candidates: int
-    mean_queries_per_mention: float
-    oov_rate: float
+    n_gold_in_candidates: Optional[int]
+    mean_queries_per_mention: Optional[float]
+    oov_rate: Optional[float]
 
     def __post_init__(self):
-        if self.n_mentions and not (self.accuracy <= self.gold_recall + 1e-12):
+        if (self.n_mentions and self.gold_recall is not None
+                and not self.accuracy <= self.gold_recall + 1e-12):
             raise ValueError("accuracy cannot exceed gold recall")
 
 
@@ -107,7 +111,10 @@ def load_predictions(path) -> list:
 
 def score_predictions(docs, prediction_records) -> EvalRow:
     """Score prediction records {doc_id, span, entity, prob} against
-    corpus gold labels, keyed by (doc_id, span start, span end)."""
+    corpus gold labels, keyed by (doc_id, span start, span end).  The
+    records hold no candidate sets, queries or embeddings, so gold
+    recall, the gold-in-candidates count, queries per mention and the
+    OOV rate are None."""
     by_span = {}
     for rec in prediction_records:
         span = rec["span"]
@@ -120,9 +127,9 @@ def score_predictions(docs, prediction_records) -> EvalRow:
         if pred == mention.gold_entity:
             n_correct += 1
     acc = n_correct / n if n else 0.0
-    return EvalRow(config_name="predictions", accuracy=acc, gold_recall=1.0,
-                   n_mentions=n, n_correct=n_correct, n_gold_in_candidates=n,
-                   mean_queries_per_mention=0.0, oov_rate=0.0)
+    return EvalRow(config_name="predictions", accuracy=acc, gold_recall=None,
+                   n_mentions=n, n_correct=n_correct, n_gold_in_candidates=None,
+                   mean_queries_per_mention=None, oov_rate=None)
 
 
 def run_ablation(base_config: ModelConfig, train_docs, test_docs,

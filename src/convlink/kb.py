@@ -305,12 +305,34 @@ def save_kb(kb: KnowledgeBase, path) -> None:
     write_framed(path, KB_MAGIC, KB_VERSION, payload)
 
 
+def _check_payload(entities, anchor_index, skipped_anchors) -> None:
+    """ValueError unless the fields have the shape that ``save_kb``
+    writes and every anchor names a known entity."""
+    if type(entities) is not dict or any(
+            type(rec) is not dict or set(rec) != {"title", "body"}
+            or any(type(v) is not str for v in rec.values())
+            for rec in entities.values()):
+        raise ValueError('entities must map each id to {"title": string, '
+                         '"body": string}')
+    if type(anchor_index) is not dict or any(
+            type(counts) is not dict or not counts.keys() <= entities.keys()
+            or any(type(n) is not int for n in counts.values())
+            for counts in anchor_index.values()):
+        raise ValueError("anchor_index must map each anchor to {entity id: "
+                         "integer count} over known entities")
+    if type(skipped_anchors) is not int:
+        raise ValueError("skipped_anchors must be an integer, got %s"
+                         % json.dumps(skipped_anchors))
+
+
 def load_kb(path) -> KnowledgeBase:
     _, payload = read_framed(path, KB_MAGIC, supported_versions=(KB_VERSION,))
     try:
         data = json.loads(zlib.decompress(payload).decode("utf-8"))
-        return KnowledgeBase(data["entities"], data["anchor_index"],
-                             data.get("skipped_anchors", 0))
+        fields = (data["entities"], data["anchor_index"],
+                  data.get("skipped_anchors", 0))
+        _check_payload(*fields)
+        return KnowledgeBase(*fields)
     except (zlib.error, ValueError, KeyError, TypeError,
             AttributeError) as exc:
         raise LoadError("%s: malformed KB payload: %s" % (path, exc))

@@ -36,10 +36,30 @@ def write_embeddings(path, vectors):
     return path
 
 
+def kb_payload(**edits):
+    """A zlib JSON KB payload: one entity E1 linked once from "one",
+    with ``edits`` replacing top-level keys (None deletes one)."""
+    data = {"entities": {"E1": {"title": "One", "body": "one two"}},
+            "anchor_index": {"one": {"E1": 1}}, "skipped_anchors": 0}
+    data.update(edits)
+    return zlib.compress(json.dumps(
+        {k: v for k, v in data.items() if v is not None}).encode("utf-8"))
+
+
 # KB payloads behind a valid frame and checksum that are still unusable
 MALFORMED_KB_PAYLOADS = {
     "not-zlib": b"not a zlib stream",
     "missing-entities": zlib.compress(b'{"anchor_index": {}}'),
+    "payload-not-object": zlib.compress(b"[]"),
+    "entities-list": kb_payload(entities=[{"title": "One", "body": "x"}]),
+    "entity-number": kb_payload(entities={"E1": 5}),
+    "entity-missing-body": kb_payload(entities={"E1": {"title": "One"}}),
+    "entity-title-number": kb_payload(
+        entities={"E1": {"title": 1, "body": "one two"}}),
+    "anchor-string": kb_payload(anchor_index={"one": "E1"}),
+    "anchor-count-string": kb_payload(anchor_index={"one": {"E1": "1"}}),
+    "anchor-unknown-entity": kb_payload(anchor_index={"one": {"E9": 1}}),
+    "skipped-anchors-string": kb_payload(skipped_anchors="3"),
 }
 
 
@@ -91,6 +111,23 @@ MALFORMED_MODEL_HEADERS = {
     "n-sparse-string": lambda h: _with(h, ("n_sparse",), "2"),
     "n-sparse-bool": lambda h: _with(h, ("n_sparse",), True),
     "n-sparse-past-end": lambda h: _with(h, ("n_sparse",), h["n_sparse"] + 1),
+    "context-window-float":
+        lambda h: _with(h, ("config", "context_window"), 2.5),
+    "top-k-bool": lambda h: _with(h, ("config", "top_k"), True),
+    "init-seed-string": lambda h: _with(h, ("config", "init_seed"), "s"),
+    "dense-mask-nulls":
+        lambda h: _with(h, ("config", "toggles", "dense_mask"), [None] * 6),
+    "dense-mask-ints":
+        lambda h: _with(h, ("config", "toggles", "dense_mask"), [1] * 6),
+    "dense-mask-string":
+        lambda h: _with(h, ("config", "toggles", "dense_mask"), "abcdef"),
+    "dense-mask-missing":
+        lambda h: _with(h, ("config", "toggles", "dense_mask"), None),
+    "use-sparse-string":
+        lambda h: _with(h, ("config", "toggles", "use_sparse"), "no"),
+    "use-sparse-missing":
+        lambda h: _with(h, ("config", "toggles", "use_sparse"), None),
+    "top-k-missing": lambda h: _with(h, ("config", "top_k"), None),
 }
 
 

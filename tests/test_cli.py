@@ -1,5 +1,6 @@
 import filecmp
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -605,6 +606,34 @@ def test_malformed_predictions_are_data_error(workspace, tmp_path, capsys,
                 "--corpus", workspace["test"], "--predictions", preds])
     assert code == 2
     assert "error: %s:%d: " % (preds, lineno) in capsys.readouterr().err
+
+
+def test_evaluate_predictions_leaves_unmeasured_fields_null(
+        workspace, tmp_path, caplog):
+    # a predictions file records no candidates, queries or embeddings
+    preds = str(tmp_path / "preds.jsonl")
+    with open(workspace["test"], encoding="utf-8") as src, \
+            open(preds, "w", encoding="utf-8") as out:
+        for line in src:
+            doc = json.loads(line)
+            for m in doc["mentions"]:
+                out.write(json.dumps({"doc_id": doc["doc_id"],
+                                      "span": [m["start"], m["end"]],
+                                      "entity": m["gold_entity"]}) + "\n")
+    report = str(tmp_path / "report.jsonl")
+    caplog.set_level(logging.INFO, logger="convlink")
+    assert run(["evaluate", "--kb", workspace["kb"],
+                "--embeddings", workspace["embeddings"],
+                "--corpus", workspace["test"], "--predictions", preds,
+                "--report", report]) == 0
+    with open(report, encoding="utf-8") as fh:
+        row = json.loads(fh.read())
+    assert row["accuracy"] == 1.0 and row["n_correct"] == row["n_mentions"] > 0
+    for key in ("gold_recall", "n_gold_in_candidates",
+                "mean_queries_per_mention", "oov_rate"):
+        assert row[key] is None, key
+    assert "predictions: accuracy=1.0000 gold_recall=n/a n=%d" % \
+        row["n_mentions"] in caplog.messages
 
 
 @pytest.mark.parametrize("script", ["fingerprint.py", "gradient_check.py",

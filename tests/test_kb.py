@@ -7,7 +7,7 @@ from convlink.errors import ChecksumError, IngestError, LoadError, VersionError
 from convlink.kb import (KB_MAGIC, KB_VERSION, NULL_ENTITY, F_CAPSEQ,
                          F_LEADING, F_ORIGINAL, KnowledgeBase, candidates_for,
                          generate_queries, load_kb, normalize_anchor, save_kb)
-from helpers import MALFORMED_KB_PAYLOADS, toks
+from helpers import MALFORMED_KB_PAYLOADS, kb_payload, toks
 
 
 class TestIngest:
@@ -187,6 +187,14 @@ class TestPersistence:
         path.write_bytes(bytes(data))
         with pytest.raises(ChecksumError):
             load_kb(path)
+
+    def test_unedited_test_payload_loads(self, tmp_path):
+        # most malformed payloads are one edit away from this one
+        path = tmp_path / "kb.bin"
+        write_framed(path, KB_MAGIC, KB_VERSION, kb_payload())
+        kb = load_kb(path)
+        assert kb.title("E1") == "One" and kb.body("E1") == "one two"
+        assert kb.anchor_count("one", "E1") == 1 and kb.skipped_anchors == 0
 
     @pytest.mark.parametrize("kind", sorted(MALFORMED_KB_PAYLOADS))
     def test_malformed_payload_names_file(self, tmp_path, kind):

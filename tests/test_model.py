@@ -15,11 +15,11 @@ from convlink.config import (GRANULARITIES, N_DENSE, FeatureToggles,
 from convlink.errors import (CacheError, ChecksumError, LoadError,
                              TrainingError, VersionError)
 from convlink.kb import NULL_ENTITY, KnowledgeBase
-from convlink.model import (MODEL_MAGIC, MODEL_VERSION, AdadeltaState, Model,
-                            TargetCache, _model_payload, infer, load_model,
-                            loss_and_grad, marginals_from_scores,
-                            prepare_corpus, prepare_mention, save_model,
-                            score_pairs, train)
+from convlink.model import (EPS, MODEL_MAGIC, MODEL_VERSION, RHO, SPAN,
+                            AdadeltaState, GradBundle, Model, TargetCache,
+                            _model_payload, infer, load_model, loss_and_grad,
+                            marginals_from_scores, prepare_corpus,
+                            prepare_mention, save_model, score_pairs, train)
 from convlink.sparse import FeatureTable
 from convlink.textproc import Document, Mention, Token
 from helpers import (ABLATION_TOGGLES, MALFORMED_MODEL_HEADERS,
@@ -453,7 +453,78 @@ class TestMaskedBanks:
             FeatureToggles(use_dense=False)
 
 
+def span_model(toggles):
+    """A model whose banks each hold a little more than two spans, so
+    that every run of live blocks crosses at least two span edges and
+    ends mid-span."""
+    d, ell = 4, 2
+    m = Model.initialize(ModelConfig(d=d, k=2 * SPAN // (d * ell) + 3,
+                                     ell=ell, toggles=toggles))
+    size = m.banks["src_mention"].M.size
+    assert size > 2 * SPAN and size % SPAN
+    return m
+
+
+def live_entries(model):
+    """Which entries of ``model.theta`` step: ``w_dense`` and every bank
+    the mask compares."""
+    live = np.zeros(model.theta.size, dtype=bool)
+    live[:N_DENSE] = True
+    needed = needed_granularities(model.config.toggles.dense_mask)
+    for g, bank in bank_spans(model, live).items():
+        bank.M[:] = g in needed
+    return live
+
+
+def reference_step(x, g2, dx2, g):
+    """One Adadelta step on a whole block, as written before spans."""
+    g2 *= RHO
+    g2 += (g * (1.0 - RHO)) * g
+    dx = -np.sqrt((dx2 + EPS) / (g2 + EPS)) * g
+    dx2 *= RHO
+    dx2 += (dx * (1.0 - RHO)) * dx
+    x += dx
+
+
 class TestAdadelta:
+    @pytest.mark.parametrize("name,toggles", ABLATION_TOGGLES)
+    def test_spans_cover_the_live_blocks_once(self, name, toggles):
+        m = span_model(toggles)
+        spans = AdadeltaState(m)._spans
+        covered = np.zeros(m.theta.size, dtype=int)
+        for s in spans:
+            assert 0 < s.stop - s.start <= SPAN
+            covered[s] += 1
+        assert covered.max() == 1
+        assert np.array_equal(covered == 1, live_entries(m))
+        # adjacent blocks merge before the cut: a short span ends a run
+        for s, nxt in zip(spans, spans[1:]):
+            assert s.stop - s.start == SPAN or s.stop < nxt.start
+        if not toggles.use_dense:
+            assert spans == [slice(0, N_DENSE)]
+
+    @pytest.mark.parametrize("name,toggles", ABLATION_TOGGLES)
+    def test_spans_step_bit_identical_to_whole_blocks(self, name, toggles):
+        m = span_model(toggles)
+        state = AdadeltaState(m)
+        x = m.theta.copy()
+        g2, dx2 = np.zeros_like(x), np.zeros_like(x)
+        size = m.banks["src_mention"].M.size
+        needed = needed_granularities(toggles.dense_mask)
+        blocks = [slice(0, N_DENSE)] + [
+            slice(N_DENSE + i * size, N_DENSE + (i + 1) * size)
+            for i, g in enumerate(GRANULARITIES) if g in needed]
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            # masked banks get a gradient too, which neither side applies
+            g = rng.normal(size=m.theta.size)
+            state.apply(m, GradBundle(sparse={}, theta=g))
+            for s in blocks:
+                reference_step(x[s], g2[s], dx2[s], g[s])
+            assert m.theta.tobytes() == x.tobytes()
+            assert state.g2.tobytes() == g2.tobytes()
+            assert state.dx2.tobytes() == dx2.tobytes()
+
     def test_update_formulas(self):
         # one dense step against the recurrences computed by hand
         m = micro_model()
