@@ -20,6 +20,7 @@ from convlink.config import FeatureToggles, ModelConfig
 from convlink.embeddings import load_word2vec
 from convlink.evalharness import evaluate, most_topical_filter, run_ablation
 from convlink.kb import KnowledgeBase
+from convlink.model import TargetCache
 from convlink.synthetic import SyntheticSpec, generate
 from convlink.textproc import load_corpus, read_jsonl
 
@@ -86,9 +87,10 @@ def main():
     print()
     print("%-36s" % "correct by document kind"
           + "".join(" %18s" % kind for kind in kinds))
+    targets = TargetCache(kb, table, config)
     by_kind = [evaluate(list(trained.items()),
                         [d for d in test_docs if doc_kinds[d.doc_id] == kind],
-                        kb, table).rows for kind in kinds]
+                        targets).rows for kind in kinds]
     for i, row in enumerate(report.rows):
         print("%-36s" % row.config_name + "".join(
             " %18s" % ("%d/%d" % (rows[i].n_correct, rows[i].n_mentions))

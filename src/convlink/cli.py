@@ -187,9 +187,10 @@ def _cmd_evaluate(args) -> int:
         report = evalharness.EvalReport(rows=[row])
     else:
         m = _load_model(args, table)
+        targets = model_mod.TargetCache(knowledge, table, m.config)
         models = [(name, replace(m, config=m.config.with_toggles(toggles)))
                   for name, toggles in configs] or [("model", m)]
-        report = evalharness.evaluate(models, docs, knowledge, table)
+        report = evalharness.evaluate(models, docs, targets)
     text = report.to_jsonl()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -1,15 +1,15 @@
 """Fixed word-vector tables in word2vec text format.
 
 Vectors are frozen after loading: the matrix is marked read-only and no
-code path in the package mutates it.  Lookup is total -- unknown tokens
-resolve to a shared all-zeros vector so they contribute nothing to any
+code path in the package mutates it.  Lookup is total -- an unknown
+token reads as a row of zeros, so it contributes nothing to any
 convolution window.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class EmbeddingTable:
     dim: int
     vocab: dict                 # token -> row index
     vectors: np.ndarray         # (len(vocab), dim), read-only float64
-    oov_vector: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -32,8 +31,6 @@ class EmbeddingTable:
                 "vector matrix shape %s does not match vocab size %d and dim %d"
                 % (self.vectors.shape, len(self.vocab), self.dim))
         self.vectors.setflags(write=False)
-        self.oov_vector = np.zeros(self.dim)
-        self.oov_vector.setflags(write=False)
 
     def __contains__(self, token: str) -> bool:
         return self.row(token) >= 0
@@ -45,11 +42,6 @@ class EmbeddingTable:
         if idx is None:
             idx = self.vocab.get(token.lower(), -1)
         return idx
-
-    def lookup(self, token: str) -> np.ndarray:
-        """The vector of ``row``, or the shared zero vector."""
-        idx = self.row(token)
-        return self.oov_vector if idx < 0 else self.vectors[idx]
 
     def lookup_sequence(self, tokens):
         """Each token's ``row`` and the (n, d) matrix of their vectors,

@@ -53,25 +53,24 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate(models, docs, kb: KnowledgeBase,
-             table: EmbeddingTable) -> EvalReport:
+def evaluate(models, docs, targets: TargetCache) -> EvalReport:
     """Deterministic top-1 accuracy of each (name, Model) pair in
     ``models`` over all gold-annotated mentions, one row per pair.
 
-    Each mention is prepared once, under the first model's config, and
-    scored by every model through ``model.link``, so the models' configs
-    may differ only in their toggles.  Mentions whose gold entity misses
-    the candidate set score as wrong; gold ids absent from the KB are
-    listed in the report rather than raised.
+    Each mention is prepared once, in ``targets``, and scored by every
+    model through ``model.link``, so the models' configs may differ from
+    ``targets.config`` only in their toggles.  Mentions whose gold entity
+    misses the candidate set score as wrong; gold ids absent from the KB
+    are listed in the report rather than raised.
     """
     report = EvalReport()
     pairs = list(labeled_mentions(docs))
     for doc, mention in pairs:
-        if mention.gold_entity not in kb.entities:
+        if mention.gold_entity not in targets.kb.entities:
             report.missing_entities.append(mention.gold_entity)
-    oov_rate = table.oov_rate([t.surface for doc in docs for t in doc.tokens])
+    oov_rate = targets.table.oov_rate(
+        [t.surface for doc in docs for t in doc.tokens])
     n = len(pairs)
-    targets = TargetCache(kb, table, models[0][1].config)
     n_correct = [0] * len(models)
     n_in_cand = n_queries = 0
     for prep, tops in link(targets, [m for _, m in models], pairs):
@@ -136,10 +135,11 @@ def run_ablation(base_config: ModelConfig, train_docs, test_docs,
                  kb: KnowledgeBase, table: EmbeddingTable, configs,
                  epochs: int, seed: int = 0, log=None):
     """Train one system per feature configuration and evaluate each on
-    the test split.  Both splits are prepared once for all
-    configurations.  Returns (EvalReport, dict name -> trained Model)."""
+    the test split.  Both splits are prepared in one TargetCache, once
+    for all configurations.  Returns (EvalReport, name -> Model)."""
     check_epochs(epochs)
-    prepared = prepare_corpus(TargetCache(kb, table, base_config), train_docs)
+    targets = TargetCache(kb, table, base_config)
+    prepared = prepare_corpus(targets, train_docs)
     trained = {}
     for name, toggles in configs:
         if log is not None:
@@ -147,7 +147,7 @@ def run_ablation(base_config: ModelConfig, train_docs, test_docs,
         m = Model.initialize(base_config.with_toggles(toggles))
         fit(m, prepared, epochs, seed=seed, log=log)
         trained[name] = m
-    report = evaluate(list(trained.items()), test_docs, kb, table)
+    report = evaluate(list(trained.items()), test_docs, targets)
     return report, trained
 
 

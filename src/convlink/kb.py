@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from typing import Optional
 
 from .binfile import read_framed, write_framed
 from .errors import IngestError, LoadError
@@ -116,9 +115,6 @@ class KnowledgeBase:
             counts[eid] = counts.get(eid, 0) + 1
         return cls(entities, anchor_index, skipped)
 
-    def anchor_count(self, query_text: str, entity: str) -> int:
-        return self.anchor_index.get(normalize_anchor(query_text), {}).get(entity, 0)
-
     def ranked_entities(self, query_text: str):
         """Entities for an anchor, ordered by count desc then id asc."""
         anchor = normalize_anchor(query_text)
@@ -128,13 +124,6 @@ class KnowledgeBase:
             cached = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
             self._rank_cache[anchor] = cached
         return cached
-
-    def rank_of(self, query_text: str, entity: str) -> Optional[int]:
-        """1-based rank of an entity under a query, or None if unranked."""
-        for i, (eid, _) in enumerate(self.ranked_entities(query_text), start=1):
-            if eid == entity:
-                return i
-        return None
 
     def title(self, entity: str) -> str:
         return self.entities[entity]["title"]
@@ -159,7 +148,7 @@ def _edits(tokens):
     if n > 1 and _is_stopword(tokens[-1]):
         yield F_STOPWORD, tokens[:-1]
     last = tokens[-1].surface
-    if len(last) > 3 and last.endswith("s"):
+    if len(last) > 3 and last.endswith("s") and not last[:-1].isspace():
         clipped = Token(last[:-1], tokens[-1].pos, tokens[-1].ner)
         yield F_PLURAL, tokens[:-1] + (clipped,)
     if any(t.is_punctuation for t in tokens):

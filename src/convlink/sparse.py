@@ -176,11 +176,13 @@ def entity_feature_strings(kb: KnowledgeBase, query: Query, entity) -> list:
     does not affect; a non-NULL pair also gets ``tfidf_feature``."""
     if entity == NULL_ENTITY or entity is None:
         return [NULL_FEATURE]
-    feats = []
-    count = kb.anchor_count(query.text, entity)
-    feats.append("e:count_bucket=%d" % _count_bucket(count))
+    count = rank = 0
+    for i, (eid, n) in enumerate(kb.ranked_entities(query.text), start=1):
+        if eid == entity:
+            count, rank = n, i
+            break
+    feats = ["e:count_bucket=%d" % _count_bucket(count)]
     if count > 0:
-        rank = kb.rank_of(query.text, entity)
         feats.append("e:rank=%s" % _rank_bucket(rank))
     match = _title_match(query.text, kb.title(entity))
     if match is not None:

@@ -35,6 +35,8 @@ class Token:
     def __post_init__(self):
         if not self.surface:
             raise ValueError("token surface must be non-empty")
+        if self.surface.isspace():
+            raise ValueError("token surface must not be all whitespace")
         if self.pos == "" or self.ner == "":
             raise ValueError("tags, when present, must be non-empty")
 

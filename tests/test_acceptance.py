@@ -189,7 +189,8 @@ def test_heavy_distractors_mislead_document_view(synth, ablation):
     rows = evaluate([(name, ablation["trained"][name]) for name in names],
                     [doc for doc in synth["test"]
                      if doc_kinds[doc.doc_id] == "heavy-distractor"],
-                    synth["kb"], synth["table"]).rows
+                    TargetCache(synth["kb"], synth["table"],
+                                synth["config"])).rows
     heavy = {row.config_name: (row.n_correct, row.n_mentions) for row in rows}
     all_six, doc_doc = heavy["cnn-only"][0], heavy["pair:doc*doc"][0]
     margin = 0.02 * ablation["rows"]["cnn-only"].n_mentions

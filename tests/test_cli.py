@@ -1,4 +1,6 @@
+import contextlib
 import filecmp
+import io
 import json
 import logging
 import os
@@ -8,6 +10,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convlink import cli, model as model_mod
 from convlink.binfile import read_framed, write_framed
@@ -40,6 +44,14 @@ def workspace(tmp_path_factory):
             "embeddings": os.path.join(data, "embeddings.txt"),
             "train": os.path.join(data, "train.jsonl"),
             "test": os.path.join(data, "test.jsonl")}
+
+
+@pytest.fixture(scope="module")
+def untrained_model(workspace):
+    path = str(workspace["root"] / "untrained.bin")
+    model_mod.save_model(model_mod.Model.initialize(
+        ModelConfig(d=8, k=4, ell=5)), path)
+    return path
 
 
 def test_gen_synthetic_deterministic(tmp_path):
@@ -224,6 +236,9 @@ MALFORMED_CORPORA = {
     "doc-id-number": '{"doc_id": 5, "tokens": ["a"]}',
     "tokens-string": '{"doc_id": "d", "tokens": "abc", "mentions": []}',
     "token-empty": '{"doc_id": "d", "tokens": ["a", ""]}',
+    "token-whitespace": '{"doc_id": "d", "tokens": ["a", " \\t"]}',
+    "token-surface-whitespace": ('{"doc_id": "d", "tokens": '
+                                 '[{"surface": "\\u00a0", "pos": "NN"}]}'),
     "token-surface-number": '{"doc_id": "d", "tokens": [{"surface": 7}]}',
     "token-pos-list": ('{"doc_id": "d", "tokens": '
                        '[{"surface": "a", "pos": ["NNP"]}]}'),
@@ -281,6 +296,51 @@ def test_mention_token_tag_of_wrong_type_is_data_error(workspace, tmp_path,
     assert code == 2
     assert ("error: %s:2: token pos must be a string or null, got %s\n"
             % (corpus, tag)) == capsys.readouterr().err
+
+
+# A value of the wrong JSON type, or an empty or whitespace string
+JSON_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+    st.lists(st.just("a"), max_size=2),
+    st.dictionaries(st.just("surface"), st.integers(), max_size=1),
+    st.text(alphabet=" \t\n\u00a0\u3000", max_size=3))
+
+
+@given(position=st.sampled_from(["token", "surface", "pos", "ner", "start",
+                                 "end", "doc_id"]),
+       value=JSON_VALUE)
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+def test_link_reports_any_bad_corpus_value_as_data_error(
+        workspace, untrained_model, position, value):
+    # the value replaces one field of a record whose one mention covers
+    # the tagged token; a whitespace-only mention once crashed scoring
+    root = workspace["root"]
+    token = {"surface": "Floyd", "pos": "NNP", "ner": "ORG"}
+    mention = {"start": 1, "end": 2}
+    record = {"doc_id": "d", "tokens": ["the", token, "band"],
+              "mentions": [mention]}
+    if position == "token":
+        record["tokens"][1] = value
+    elif position in token:
+        token[position] = value
+    elif position in mention:
+        mention[position] = value
+    else:
+        record[position] = value
+    corpus = str(root / "property.jsonl")
+    with open(corpus, "w", encoding="utf-8") as fh:
+        fh.write('{"doc_id": "ok", "tokens": ["a"], "mentions": []}\n'
+                 + json.dumps(record) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["-q", "link", "--kb", workspace["kb"],
+                    "--embeddings", workspace["embeddings"],
+                    "--corpus", corpus, "--model", untrained_model,
+                    "--out", str(root / "property-preds.jsonl")])
+    lines = err.getvalue().splitlines()
+    assert (code, lines) == (0, []) or (
+        code == 2 and len(lines) == 1
+        and lines[0].startswith("error: %s:2: " % corpus)), (code, lines)
 
 
 def test_embeddings_not_utf8_is_data_error(workspace, tmp_path, capsys):

@@ -15,21 +15,23 @@ def test_text_roundtrip(tmp_path):
     path = write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n")
     table = load_word2vec(path)
     assert table.dim == 3
-    assert np.array_equal(table.lookup("a"), [1.0, 0.0, 0.0])
-    assert np.array_equal(table.lookup("b"), [0.0, 1.0, 0.0])
+    assert np.array_equal(table.vectors[table.row("a")], [1.0, 0.0, 0.0])
+    assert np.array_equal(table.vectors[table.row("b")], [0.0, 1.0, 0.0])
 
 
 def test_oov_is_all_zeros(tmp_path):
     table = load_word2vec(write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n"))
-    assert np.array_equal(table.lookup("zzz-not-present"), [0.0, 0.0, 0.0])
-    assert np.array_equal(table.oov_vector, np.zeros(3))
+    assert table.row("zzz-not-present") == -1
+    rows, mat = table.lookup_sequence(["zzz-not-present", "a", "qq"])
+    assert rows.tolist() == [-1, 0, -1]
+    assert np.array_equal(mat[[0, 2]], np.zeros((2, 3)))
 
 
 def test_lowercase_fallback(tmp_path):
     table = load_word2vec(write(tmp_path, "2 2\nfloyd 1 2\nBand 3 4\n"))
-    assert np.array_equal(table.lookup("Floyd"), [1.0, 2.0])
+    assert np.array_equal(table.vectors[table.row("Floyd")], [1.0, 2.0])
     # exact match wins over lowercasing
-    assert np.array_equal(table.lookup("Band"), [3.0, 4.0])
+    assert np.array_equal(table.vectors[table.row("Band")], [3.0, 4.0])
 
 
 def test_row_count_mismatch_rejected(tmp_path):
@@ -62,7 +64,7 @@ def test_zero_dim_rejected(tmp_path):
 
 def test_duplicate_tokens_keep_first(tmp_path):
     table = load_word2vec(write(tmp_path, "3 2\na 1 1\na 9 9\nb 2 2\n"))
-    assert np.array_equal(table.lookup("a"), [1.0, 1.0])
+    assert np.array_equal(table.vectors[table.row("a")], [1.0, 1.0])
     assert len(table.vocab) == 2
 
 
@@ -83,9 +85,12 @@ def test_lookup_sequence(tmp_path):
 
 def test_lookup_is_referentially_transparent(tmp_path):
     table = load_word2vec(write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n"))
-    first = table.lookup("a").copy()
+    _, first = table.lookup_sequence(["a", "zzz"])
+    expected = first.copy()
+    first[:] = 7.0      # the caller's matrix is a copy, not the table
     for _ in range(5):
-        assert np.array_equal(table.lookup("a"), first)
+        assert np.array_equal(table.lookup_sequence(["a", "zzz"])[1],
+                              expected)
 
 
 def test_vectors_are_frozen(tmp_path):

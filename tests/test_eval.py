@@ -11,9 +11,9 @@ from convlink.errors import SpecError
 from convlink.evalharness import (EvalRow, evaluate, inspect_filters,
                                   run_ablation, score_predictions,
                                   topic_purity)
-from convlink.kb import KnowledgeBase
+from convlink.kb import NULL_ENTITY, KnowledgeBase
 from convlink.model import Model, save_model, train
-from convlink.sparse import FeatureVocabulary
+from convlink.sparse import FeatureVocabulary, TfIdfModel
 from convlink.embeddings import load_word2vec
 from convlink.synthetic import (MENTION_PREFIX, MENTION_SUFFIX,
                                 SyntheticSpec, generate)
@@ -161,7 +161,8 @@ class TestEvaluate:
         m = eval_model(FeatureToggles.sparse_only())
         vocab = FeatureVocabulary(m.config.hash_capacity)
         m.w_sparse[vocab.index_of("e:null")] = 100.0
-        report = evaluate([("model", m)], docs, kb, table)
+        report = evaluate([("model", m)], docs,
+                          model.TargetCache(kb, table, m.config))
         row = report.rows[0]
         assert row.accuracy == 0.0
         assert row.gold_recall == pytest.approx(2 / 3)
@@ -173,7 +174,8 @@ class TestEvaluate:
         vocab = FeatureVocabulary(m.config.hash_capacity)
         m.w_sparse[vocab.index_of("e:title=exact")] = 50.0
         m.w_sparse[vocab.index_of("e:null")] = -50.0
-        report = evaluate([("model", m)], docs, kb, table)
+        report = evaluate([("model", m)], docs,
+                          model.TargetCache(kb, table, m.config))
         row = report.rows[0]
         assert row.gold_recall == pytest.approx(2 / 3)
         assert row.accuracy == row.gold_recall
@@ -187,12 +189,16 @@ class TestEvaluate:
                           Mention("d0", 0, 1, "EA")]),
                 Document("d1", toks("qq", "Zeta", "rr"),
                          [Mention("d1", 1, 2, "EB")])]
-        row = evaluate([("model", eval_model())], docs, kb, table).rows[0]
+        m = eval_model()
+        row = evaluate([("model", m)], docs,
+                       model.TargetCache(kb, table, m.config)).rows[0]
         assert row.oov_rate == 0.5
 
     def test_missing_gold_listed_not_fatal(self):
         kb, docs, table = oracle_corpus()
-        report = evaluate([("model", eval_model())], docs, kb, table)
+        m = eval_model()
+        report = evaluate([("model", m)], docs,
+                          model.TargetCache(kb, table, m.config))
         assert "EZ" in report.missing_entities
 
     def test_configs_share_one_preparation(self, monkeypatch):
@@ -202,8 +208,8 @@ class TestEvaluate:
         monkeypatch.setattr(model, "prepare_mention",
                             lambda *a: calls.append(a) or real(*a))
         report = evaluate([(name, eval_model(toggles))
-                           for name, toggles in ABLATION_TOGGLES],
-                          docs, kb, table)
+                           for name, toggles in ABLATION_TOGGLES], docs,
+                          model.TargetCache(kb, table, eval_model().config))
         assert len(report.rows) == len(ABLATION_TOGGLES)
         assert len(calls) == sum(len(d.mentions) for d in docs)
 
@@ -211,15 +217,16 @@ class TestEvaluate:
         kb, docs, table = oracle_corpus()
         other = eval_model()
         other.config = replace(other.config, top_k=2)
+        targets = model.TargetCache(kb, table, eval_model().config)
         with pytest.raises(ValueError):
-            evaluate([("m", eval_model()), ("x", other)], docs, kb, table)
+            evaluate([("m", eval_model()), ("x", other)], docs, targets)
 
     def test_report_jsonl_parses(self):
         kb, docs, table = oracle_corpus()
         report = evaluate(
             [("full", eval_model(FeatureToggles.full())),
              ("sparse-only", eval_model(FeatureToggles.sparse_only()))],
-            docs, kb, table)
+            docs, model.TargetCache(kb, table, eval_model().config))
         lines = report.to_jsonl().strip().split("\n")
         rows = [json.loads(line) for line in lines]
         names = [r.get("config_name") for r in rows if "config_name" in r]
@@ -246,7 +253,8 @@ class TestEvaluate:
                              toggles=FeatureToggles.sparse_only())
         m = Model.initialize(config)
         m, _ = train(m, train_docs, kb, table, epochs=3, seed=0)
-        report = evaluate([("model", m)], test_docs, kb, table)
+        report = evaluate([("model", m)], test_docs,
+                          model.TargetCache(kb, table, m.config))
         row = report.rows[0]
         assert row.gold_recall == 1.0
         assert row.accuracy == row.gold_recall
@@ -348,5 +356,32 @@ class TestRunAblation:
             save_model(trained[name], a)
             save_model(alone, b)
             assert a.read_bytes() == b.read_bytes(), name
-            assert evaluate([(name, alone)], test_docs, kb,
-                            table).rows == [row]
+            assert evaluate([(name, alone)], test_docs, model.TargetCache(
+                kb, table, alone.config)).rows == [row]
+
+    def test_both_splits_prepared_in_one_context(self, tmp_path,
+                                                 monkeypatch):
+        # the KB's tf-idf model is built once, and each candidate entity's
+        # target views once, whichever split first meets it
+        data = generate(tiny_spec(), tmp_path / "abl")
+        kb = _load_kb(data)
+        table = load_word2vec(data.paths["embeddings.txt"])
+        train_docs = load_corpus(data.paths["train.jsonl"])
+        test_docs = load_corpus(data.paths["test.jsonl"])
+        config = ModelConfig(d=table.dim, k=4, ell=5, context_window=10,
+                             doc_cap=200, top_k=5, hash_capacity=2 ** 16)
+        preps = model.prepare_corpus(model.TargetCache(kb, table, config),
+                                     train_docs + test_docs)
+        entities = {e for p in preps
+                    for e in p.cand.candidates} - {NULL_ENTITY}
+        from_kb, extracted = [], []
+        real_from_kb = TfIdfModel.from_kb.__func__
+        monkeypatch.setattr(TfIdfModel, "from_kb", classmethod(
+            lambda cls, *a: from_kb.append(a) or real_from_kb(cls, *a)))
+        real_extract = model.extract_target_views
+        monkeypatch.setattr(model, "extract_target_views", lambda *a, **kw: (
+            extracted.append(a[0]) or real_extract(*a, **kw)))
+        run_ablation(config, train_docs, test_docs, kb, table,
+                     [("full", FeatureToggles.full())], epochs=0)
+        assert len(from_kb) == 1
+        assert sorted(extracted) == sorted(kb.title(e) for e in entities)

@@ -68,6 +68,9 @@ class TestGenerateQueries:
         # 3-letter tokens are left alone
         texts = {q.text for q in generate_queries(toks("gas"))}
         assert texts == {"gas"}
+        # nor is one whose stem would be only whitespace, not a token
+        texts = {q.text for q in generate_queries(toks("\t  s"))}
+        assert texts == {"s"}
 
     def test_punctuation_drop(self):
         texts = {q.text for q in generate_queries(toks("Obama", ","))}
@@ -194,7 +197,8 @@ class TestPersistence:
         write_framed(path, KB_MAGIC, KB_VERSION, kb_payload())
         kb = load_kb(path)
         assert kb.title("E1") == "One" and kb.body("E1") == "one two"
-        assert kb.anchor_count("one", "E1") == 1 and kb.skipped_anchors == 0
+        assert kb.ranked_entities("one") == [("E1", 1)]
+        assert kb.skipped_anchors == 0
 
     @pytest.mark.parametrize("kind", sorted(MALFORMED_KB_PAYLOADS))
     def test_malformed_payload_names_file(self, tmp_path, kind):

@@ -226,7 +226,11 @@ class TestCorpusIO:
         ('{"surface": "x", "pos": ""}', "bad token: tags, when present, "
                                         "must be non-empty"),
         ('""', "bad token: token surface must be non-empty"),
-    ], ids=["pos-number", "ner-list", "pos-empty", "surface-empty"])
+        # a no-break space and a tab: whitespace to str.split, as in text
+        ('"\\u00a0\\t"', "bad token: token surface must not be all "
+                         "whitespace"),
+    ], ids=["pos-number", "ner-list", "pos-empty", "surface-empty",
+            "surface-whitespace"])
     @pytest.mark.parametrize("bad_lines", [(2, 5), (5,)],
                              ids=["lines-2-and-5", "line-5"])
     def test_bad_token_reported_at_its_first_line(self, tmp_path, bad, message,
