@@ -16,7 +16,7 @@ import time
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from convlink.config import FeatureToggles, ModelConfig
+from convlink.config import ModelConfig, toggles_from_name
 from convlink.embeddings import load_word2vec
 from convlink.evalharness import evaluate, most_topical_filter, run_ablation
 from convlink.kb import KnowledgeBase
@@ -57,18 +57,11 @@ def main():
     test_docs = load_corpus(data.paths["test.jsonl"])
 
     config = ModelConfig(d=table.dim, k=args.k, init_seed=args.seed)
-    configs = [
-        ("full", FeatureToggles.full()),
-        ("sparse-only", FeatureToggles.sparse_only()),
-        ("cnn-only", FeatureToggles.cnn_only()),
-    ]
+    names = ["full", "sparse-only", "cnn-only"]
     if not args.skip_pairs:
-        configs += [
-            ("pair:src_document*tgt_document",
-             FeatureToggles.cnn_pair("src_document", "tgt_document")),
-            ("pair:src_mention*tgt_title",
-             FeatureToggles.cnn_pair("src_mention", "tgt_title")),
-        ]
+        names += ["pair:src_document*tgt_document",
+                  "pair:src_mention*tgt_title"]
+    configs = [(name, toggles_from_name(name)) for name in names]
 
     t0 = time.time()
     report, trained = run_ablation(config, train_docs, test_docs, kb, table,

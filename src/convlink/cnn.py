@@ -12,6 +12,9 @@ symmetrically to length ell so every input yields at least one window.
 Topic vectors from the three source granularities and two target
 granularities are compared pairwise with cosine similarity, producing
 six dense features with exact analytic gradients for every bank.
+
+Banks are plain arrays here; where they live in the model's parameter
+vector is ``model.py``'s concern.
 """
 
 from __future__ import annotations
@@ -20,40 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (ALL_PAIRS_MASK, COSINE_PAIRS, GRANULARITIES, N_DENSE,
+from .config import (ALL_PAIRS_MASK, COSINE_PAIRS, N_DENSE,
                      needed_granularities)
 from .errors import CacheError, DimensionError
 
 COSINE_EPS = 1e-12
-
-
-@dataclass
-class FilterBank:
-    granularity: str
-    M: np.ndarray       # (k, d*ell)
-    ell: int
-    d: int
-
-    @property
-    def k(self) -> int:
-        return self.M.shape[0]
-
-
-def bank_views(vector: np.ndarray, ell: int, d: int) -> dict:
-    """Granularity -> FilterBank whose M is a (k, d*ell) view into
-    consecutive blocks of ``vector``, in GRANULARITIES order: writing a
-    bank writes the vector."""
-    blocks = vector.reshape(len(GRANULARITIES), -1, d * ell)
-    return {g: FilterBank(g, M, ell, d) for g, M in zip(GRANULARITIES, blocks)}
-
-
-def initial_weights(k: int, ell: int, d: int, seed: int = 0) -> np.ndarray:
-    """The five banks' starting weights as one vector laid out as for
-    ``bank_views``: Uniform(-a, a) with a = sqrt(6 / (d*ell + k)), which
-    keeps initial window responses moderate."""
-    rng = np.random.default_rng(seed)
-    a = np.sqrt(6.0 / (d * ell + k))
-    return rng.uniform(-a, a, size=len(GRANULARITIES) * k * d * ell)
 
 
 def window_matrix(X: np.ndarray, ell: int) -> np.ndarray:
@@ -120,34 +94,36 @@ class Encoding:
         self.norm = np.linalg.norm(topic)
 
 
-def _encode(bank: FilterBank, view: View) -> Encoding:
-    """Encode one ``View`` with one filter bank.
+def _encode(M: np.ndarray, view: View) -> Encoding:
+    """Encode one ``View`` with one (k, d*ell) filter bank ``M``.
 
     On a projected view the bank's ell blocks M_j, each (k, d), apply
     once to the u distinct rows U: P_j = U M_j^T, and the pre-activations
     are A = sum_j P_j[ids[j : j + n']]."""
     W = view.windows
-    if W.shape[1] != bank.d * bank.ell:
+    if W.shape[1] != M.shape[1]:
         raise DimensionError(
             "window width %d does not match bank width d*ell = %d"
-            % (W.shape[1], bank.d * bank.ell))
+            % (W.shape[1], M.shape[1]))
     if view.ids is None:
-        A = W @ bank.M.T
+        A = W @ M.T
     else:
+        d = view.X.shape[1]
+        ell = M.shape[1] // d
         # (u, k, ell): P[:, :, j] is P_j, as M's columns are ell blocks of d
-        P = (view.X[view.first] @ bank.M.reshape(-1, bank.d).T).reshape(
-            len(view.first), bank.k, bank.ell)
+        P = (view.X[view.first] @ M.reshape(-1, d).T).reshape(
+            len(view.first), M.shape[0], ell)
         n_windows = len(W)
         A = P[view.ids[:n_windows], :, 0]
-        for j in range(1, bank.ell):
+        for j in range(1, ell):
             A += P[view.ids[j:j + n_windows], :, j]
     return Encoding(np.maximum(A, 0.0).sum(axis=0), W, A)
 
 
-def encode(bank: FilterBank, sequence: np.ndarray) -> np.ndarray:
-    """Apply one filter bank to an embedded (n, d) sequence, each row
-    taken as a distinct token."""
-    return _encode(bank, View(sequence, bank.ell)).topic
+def encode(M: np.ndarray, X: np.ndarray, ell: int) -> np.ndarray:
+    """Apply the (k, d*ell) filter bank ``M`` to an embedded (n, d)
+    sequence, each row taken as a distinct token."""
+    return _encode(M, View(X, ell)).topic
 
 
 def _cosine(u: Encoding, w: Encoding):
@@ -170,16 +146,15 @@ def embed_views(table, views, ell: int) -> dict:
 class ForwardCache:
     """One mention's forward pass, kept for ``backward``.
 
-    ``banks`` are the filter banks it ran, by granularity.  ``source``
-    maps each source granularity the mask needs to its Encoding;
-    ``targets`` holds the same for each candidate's target views, or
-    None for NULL.  ``fc`` is the (T, 6) matrix of cosine features.
+    ``source`` maps each source granularity the mask needs to its
+    Encoding; ``targets`` holds the same for each candidate's target
+    views, or None for NULL.  ``fc`` is the (T, 6) matrix of cosine
+    features.
 
-    A ``memoized`` pass may have taken target topic vectors from a memo,
+    A ``memoized`` pass may have taken target encodings from a memo,
     without their windows or pre-activations, so it cannot be
     backpropagated.
     """
-    banks: dict
     mask: tuple
     source: dict
     targets: list
@@ -189,41 +164,37 @@ class ForwardCache:
 
 def forward_from_matrices(banks: dict, source_views: dict,
                           target_views, mask: tuple = ALL_PAIRS_MASK,
-                          target_memo=None) -> ForwardCache:
+                          memo=None) -> ForwardCache:
     """Encode one mention's source views once and every candidate's
-    target views with ``banks`` (granularity -> FilterBank), then
+    target views with ``banks`` (granularity -> (k, d*ell) array), then
     compare them under ``mask``.
 
     ``source_views`` maps source granularity to a ``View``;
     ``target_views`` holds one such dict per candidate, or None for the
     NULL candidate, whose six features stay zero.
 
-    Each candidate's needed target views are encoded unless its memo
-    dict already maps the granularity to a topic vector, and the
-    vectors encoded are stored there.  ``target_memo``, for frozen
-    weights only, holds those dicts (None for NULL); each is normally
-    the candidate entity's entry in a memo shared by many mentions.
-    Without it every candidate gets a fresh dict, so every view is
-    encoded.
+    ``memo``, for frozen weights only, maps each target ``View`` already
+    encoded with these banks to its ``Encoding`` without windows; a view
+    missing from it is encoded and stored.  Without it every needed
+    view is encoded.
     """
     mask = tuple(mask)
     needed = needed_granularities(mask)
-    memoized = target_memo is not None
-    if not memoized:
-        target_memo = [{} for _ in target_views]
 
-    def encode_missing(views, memo):
-        out = {}
-        for g, view in views.items():
-            if g in needed:
-                out[g] = (Encoding(memo[g]) if g in memo
-                          else _encode(banks[g], view))
-                memo[g] = out[g].topic
-        return out
+    def encode_target(g, view):
+        if memo is None:
+            return _encode(banks[g], view)
+        enc = memo.get(view)
+        if enc is None:
+            enc = memo[view] = Encoding(_encode(banks[g], view).topic)
+        return enc
 
-    source = encode_missing(source_views, {})
-    targets = [None if views is None else encode_missing(views, memo)
-               for views, memo in zip(target_views, target_memo)]
+    source = {g: _encode(banks[g], view)
+              for g, view in source_views.items() if g in needed}
+    targets = [None if views is None else
+               {g: encode_target(g, view) for g, view in views.items()
+                if g in needed}
+               for views in target_views]
     fc = np.zeros((len(targets), N_DENSE))
     for ti, tgt in enumerate(targets):
         if tgt is None:
@@ -232,16 +203,14 @@ def forward_from_matrices(banks: dict, source_views: dict,
             c = _cosine(source[src_g], tgt[tgt_g]) if on else None
             if c is not None:
                 fc[ti, i] = np.clip(c, -1.0, 1.0)
-    return ForwardCache(banks=banks, mask=mask, source=source,
-                        targets=targets, fc=fc, memoized=memoized)
+    return ForwardCache(mask=mask, source=source, targets=targets, fc=fc,
+                        memoized=memo is not None)
 
 
-def backward(cache: ForwardCache, upstream: np.ndarray,
-             grad: np.ndarray) -> None:
+def backward(cache: ForwardCache, upstream: np.ndarray, grads: dict) -> None:
     """Add the gradient of ``sum(upstream * fc)`` w.r.t. the banks of
-    the forward pass into ``grad``, a vector laid out as for
-    ``bank_views``.  Only the banks the mask's cosine slots compare get
-    a gradient.
+    the forward pass into ``grads``, granularity -> (k, d*ell) array.
+    Only the banks the mask's cosine slots compare get a gradient.
 
     ``upstream`` is (T, 6), one row per candidate.  The source-side
     topic gradients are summed over candidates before they reach the
@@ -257,13 +226,11 @@ def backward(cache: ForwardCache, upstream: np.ndarray,
     if upstream.shape != cache.fc.shape:
         raise DimensionError("upstream gradient must be %s, got %s"
                              % (cache.fc.shape, upstream.shape))
-    bank = cache.banks[GRANULARITIES[0]]
-    grads = bank_views(grad, bank.ell, bank.d)
-    d_source = {g: np.zeros(bank.k) for g in cache.source}
+    d_source = {g: np.zeros_like(enc.topic) for g, enc in cache.source.items()}
     for ti, tgt in enumerate(cache.targets):
         if tgt is None:
             continue
-        d_target = {g: np.zeros(bank.k) for g in tgt}
+        d_target = {g: np.zeros_like(enc.topic) for g, enc in tgt.items()}
         for i, (on, (src_g, tgt_g)) in enumerate(zip(cache.mask, COSINE_PAIRS)):
             up = upstream[ti, i]
             if not on or up == 0.0:
@@ -281,9 +248,9 @@ def backward(cache: ForwardCache, upstream: np.ndarray,
 
 def _backprop_pooling(grads: dict, encodings: dict, dv: dict) -> None:
     """Chain topic-vector gradients through sum pooling and the ReLU
-    into ``grads``, one gradient FilterBank per granularity."""
+    into ``grads``, one gradient array per granularity."""
     for g, dvg in dv.items():
         if not np.any(dvg):
             continue
         enc = encodings[g]
-        grads[g].M += ((enc.pre > 0.0) * dvg[np.newaxis, :]).T @ enc.windows
+        grads[g] += ((enc.pre > 0.0) * dvg[np.newaxis, :]).T @ enc.windows

@@ -34,10 +34,6 @@ N_DENSE = len(COSINE_PAIRS)
 ALL_PAIRS_MASK = (True,) * N_DENSE
 
 
-def pair_index(src: str, tgt: str) -> int:
-    return COSINE_PAIRS.index((src, tgt))
-
-
 def needed_granularities(mask) -> frozenset:
     """The encoders that the cosine slots switched on in ``mask`` compare."""
     return frozenset(g for on, pair in zip(mask, COSINE_PAIRS) if on
@@ -67,47 +63,28 @@ class FeatureToggles:
     def use_dense(self) -> bool:
         return any(self.dense_mask)
 
-    @classmethod
-    def full(cls) -> "FeatureToggles":
-        return cls()
-
-    @classmethod
-    def sparse_only(cls) -> "FeatureToggles":
-        return cls(use_sparse=True, dense_mask=(False,) * N_DENSE)
-
-    @classmethod
-    def cnn_only(cls, mask: tuple = ALL_PAIRS_MASK) -> "FeatureToggles":
-        return cls(use_sparse=False, dense_mask=tuple(mask))
-
-    @classmethod
-    def cnn_pair(cls, src: str, tgt: str) -> "FeatureToggles":
-        mask = [False] * N_DENSE
-        mask[pair_index(src, tgt)] = True
-        return cls.cnn_only(tuple(mask))
-
-
-TOGGLE_PRESETS = {
-    "full": FeatureToggles.full,
-    "sparse-only": FeatureToggles.sparse_only,
-    "cnn-only": FeatureToggles.cnn_only,
-}
-
 
 def toggles_from_name(name: str) -> FeatureToggles:
-    """Resolve a configuration name; ``pair:src_document*tgt_document``
-    style names select a single cosine slot on top of cnn-only."""
-    if name in TOGGLE_PRESETS:
-        return TOGGLE_PRESETS[name]()
+    """Resolve a configuration name: full, sparse-only (no cosine slot),
+    cnn-only (no indicator features), or a name such as
+    ``pair:src_document*tgt_document``, which keeps one cosine slot on
+    top of cnn-only."""
+    if name == "full":
+        return FeatureToggles()
+    if name == "sparse-only":
+        return FeatureToggles(dense_mask=(False,) * N_DENSE)
+    if name == "cnn-only":
+        return FeatureToggles(use_sparse=False)
     if name.startswith("pair:"):
         src, _, tgt = map(str.strip, name[len("pair:"):].partition("*"))
         if (src, tgt) in COSINE_PAIRS:
-            return FeatureToggles.cnn_pair(src, tgt)
+            return FeatureToggles(use_sparse=False, dense_mask=tuple(
+                pair == (src, tgt) for pair in COSINE_PAIRS))
     raise ValueError(
-        "unknown feature configuration %r: expected %s or pair:<src>*<tgt> "
-        "with <src> one of %s and <tgt> one of %s"
-        % (name, ", ".join(TOGGLE_PRESETS),
-           ", ".join((SRC_MENTION, SRC_CONTEXT, SRC_DOCUMENT)),
-           ", ".join((TGT_TITLE, TGT_DOCUMENT))))
+        "unknown feature configuration %r: expected full, sparse-only, "
+        "cnn-only or pair:<src>*<tgt> with <src> one of %s and <tgt> one "
+        "of %s" % (name, ", ".join((SRC_MENTION, SRC_CONTEXT, SRC_DOCUMENT)),
+                   ", ".join((TGT_TITLE, TGT_DOCUMENT))))
 
 
 @dataclass(frozen=True)
@@ -133,6 +110,8 @@ class ModelConfig:
                      "hash_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be positive" % name)
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be at least 0")
 
     def with_toggles(self, toggles: FeatureToggles) -> "ModelConfig":
         return replace(self, toggles=toggles)
@@ -152,7 +131,7 @@ class ModelConfig:
         names = sorted(f.name for f in fields(cls))
         if sorted(data) != names:
             raise ValueError("config fields must be %s, got %s"
-                             % (", ".join(names), ", ".join(sorted(data))))
+                             % (", ".join(names), json.dumps(sorted(data))))
         tog = dict(data.pop("toggles"))
         for name, value in data.items():
             if type(value) is not int:

@@ -155,17 +155,15 @@ def run_ablation(base_config: ModelConfig, train_docs, test_docs,
 # Filter inspection
 # ---------------------------------------------------------------------------
 
-def _windowed(docs, table: EmbeddingTable, bank: cnn.FilterBank):
-    """(n-gram per window, windows x k pre-activations) of each document
-    at least ``bank.ell`` tokens long."""
-    ell = bank.ell
+def _windowed(docs, table: EmbeddingTable, M: np.ndarray, ell: int):
+    """(n-gram per window, windows x k pre-activations under bank ``M``)
+    of each document at least ``ell`` tokens long."""
     for doc in docs:
         surfaces = [t.surface for t in doc.tokens]
         if len(surfaces) >= ell:
             ngrams = [" ".join(surfaces[j:j + ell])
                       for j in range(len(surfaces) - ell + 1)]
-            yield ngrams, cnn._encode(bank, cnn.embed(table, surfaces,
-                                                      ell)).pre
+            yield ngrams, cnn._encode(M, cnn.embed(table, surfaces, ell)).pre
 
 
 def _top_ngrams(filter_row: int, windowed, top_n: int) -> list:
@@ -195,11 +193,12 @@ def inspect_filters(model: Model, docs, table: EmbeddingTable,
     """
     if top_n < 0:
         raise ValueError("top-n must be at least 0, got %d" % top_n)
-    bank = model.banks[granularity]
-    if not 0 <= filter_row < bank.k:
+    cfg = model.config
+    if not 0 <= filter_row < cfg.k:
         raise IndexError("filter row %d is outside [0, %d)"
-                         % (filter_row, bank.k))
-    return _top_ngrams(filter_row, _windowed(docs, table, bank), top_n)
+                         % (filter_row, cfg.k))
+    return _top_ngrams(filter_row, _windowed(
+        docs, table, model.banks[granularity], cfg.ell), top_n)
 
 
 def topic_purity(ngrams, topic_vocab: dict):
@@ -227,10 +226,10 @@ def most_topical_filter(model: Model, docs, table: EmbeddingTable,
     """Scan every filter row and return (row, topic, purity, ngrams) for
     the row whose top activations are purest.  Each document is encoded
     once for all rows."""
-    bank = model.banks[granularity]
-    windowed = list(_windowed(docs, table, bank))
+    windowed = list(_windowed(docs, table, model.banks[granularity],
+                              model.config.ell))
     best = (None, None, -1.0, [])
-    for row in range(bank.k):
+    for row in range(model.config.k):
         ngrams = [ng for ng, _ in _top_ngrams(row, windowed, top_n)]
         if not ngrams:
             continue

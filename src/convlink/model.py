@@ -37,19 +37,24 @@ MODEL_VERSION = 3
 SPARSE_ENTRY = np.dtype([("idx", "<u8"), ("w", "<f8")])
 
 
+def bank_views(vector: np.ndarray, k: int) -> dict:
+    """Granularity -> (k, d*ell) view into consecutive blocks of
+    ``vector``, in GRANULARITIES order: writing a bank writes the
+    vector."""
+    return dict(zip(GRANULARITIES, vector.reshape(len(GRANULARITIES), k, -1)))
+
+
 @dataclass
 class Model:
     """``theta`` holds every dense parameter: the six cosine weights,
-    then the five banks in GRANULARITIES order.  ``w_dense`` and the
-    ``banks`` (granularity -> cnn.FilterBank) are views into it;
-    neither can be rebound."""
+    then the five banks as laid out by ``bank_views``.  ``w_dense`` and
+    the ``banks`` are views into it; neither can be rebound."""
     config: ModelConfig
     w_sparse: dict                  # feature index -> weight
     theta: np.ndarray
 
     def __post_init__(self):
-        self._banks = cnn.bank_views(self.theta[N_DENSE:], self.config.ell,
-                                     self.config.d)
+        self._banks = bank_views(self.theta[N_DENSE:], self.config.k)
 
     @property
     def w_dense(self) -> np.ndarray:
@@ -61,8 +66,13 @@ class Model:
 
     @classmethod
     def initialize(cls, config: ModelConfig) -> "Model":
-        banks = cnn.initial_weights(config.k, config.ell, config.d,
-                                    seed=config.init_seed)
+        """Zero cosine weights, and banks drawn at once from
+        Uniform(-a, a) with a = sqrt(6 / (d*ell + k)), which keeps
+        initial window responses moderate."""
+        rng = np.random.default_rng(config.init_seed)
+        width = config.d * config.ell
+        a = np.sqrt(6.0 / (width + config.k))
+        banks = rng.uniform(-a, a, size=len(GRANULARITIES) * config.k * width)
         return cls(config, {}, np.concatenate([np.zeros(N_DENSE), banks]))
 
 
@@ -73,7 +83,8 @@ class TargetCache:
     and are shared across mentions.  Per whitespace chunk of the KB's
     titles and bodies: its tokens, so the tf-idf model and ``get`` split
     each distinct chunk once.  Per entity (``get``): its body tf-idf bag and
-    target ``cnn.View``s.  Per mention surface, the tuple of its
+    target ``cnn.View``s, exactly one per granularity, which frozen-weight
+    memos key on.  Per mention surface, the tuple of its
     (surface, pos, ner) tokens (``surface``): its queries, candidates
     and every feature row except the tf-idf bucket, the only feature
     that reads the source document."""
@@ -195,11 +206,11 @@ def score_pairs(model: Model, prep: PreparedMention,
     dense features come from one CNN forward pass per mention and are
     shared across queries.
 
-    ``memo``, for frozen weights only, maps entity id to that entity's
-    target topic vectors under this model; it is filled as candidates
-    are scored and shared by every mention the same model scores.  The
-    scores are bit-identical with and without it, but a memoized
-    forward pass cannot be backpropagated.
+    ``memo``, for frozen weights only, maps each target ``cnn.View`` to
+    its encoding under this model (see ``cnn.forward_from_matrices``);
+    it is filled as candidates are scored and shared by every mention
+    the same model scores.  The scores are bit-identical with and
+    without it, but a memoized forward pass cannot be backpropagated.
     """
     T = len(prep.cand.candidates)
     Q = len(prep.queries)
@@ -208,14 +219,9 @@ def score_pairs(model: Model, prep: PreparedMention,
     tog = model.config.toggles
     if not tog.use_dense:
         return ScoreTable(S=S, forward=None)
-    target_memo = None
-    if memo is not None:
-        target_memo = [None if views is None else memo.setdefault(entity, {})
-                       for entity, views in zip(prep.cand.candidates,
-                                                prep.target_views)]
     forward = cnn.forward_from_matrices(model.banks, prep.source_views,
                                         prep.target_views, tog.dense_mask,
-                                        target_memo)
+                                        memo)
     S += (forward.fc @ model.w_dense)[:, np.newaxis]
     return ScoreTable(S=S, forward=forward)
 
@@ -253,7 +259,7 @@ def link(targets: TargetCache, models, pairs):
     (doc, mention) pair in order.  Each mention is prepared once, in
     ``targets``, and scored by every model, so a model's config may
     differ from ``targets.config`` only in its toggles.  Each model
-    keeps its own memo of target topic vectors, since models differ in
+    keeps its own memo of target encodings, since models differ in
     weights and mask; their weights must stay frozen meanwhile."""
     for m in models:
         if m.config.with_toggles(targets.config.toggles) != targets.config:
@@ -302,14 +308,13 @@ def loss_and_grad(model: Model, prep: PreparedMention):
     if not tog.use_dense:   # no dense weight scores: read-only zeros, no copy
         return loss, GradBundle(g_sparse, np.broadcast_to(0.0, model.theta.shape))
 
-    mask = np.array(tog.dense_mask, dtype=float)
+    # a masked slot's fc column is zero and backward skips it
     t_coefs = Pt.copy()
     t_coefs[ti_gold] -= 1.0
     g_theta = np.zeros_like(model.theta)
-    fc = table.forward.fc
-    g_theta[:N_DENSE] = (t_coefs[:, np.newaxis] * fc).sum(axis=0) * mask
-    cnn.backward(table.forward, t_coefs[:, np.newaxis] * (model.w_dense * mask),
-                 g_theta[N_DENSE:])
+    g_theta[:N_DENSE] = (t_coefs[:, np.newaxis] * table.forward.fc).sum(axis=0)
+    cnn.backward(table.forward, t_coefs[:, np.newaxis] * model.w_dense,
+                 bank_views(g_theta[N_DENSE:], model.config.k))
     return loss, GradBundle(sparse=g_sparse, theta=g_theta)
 
 
@@ -515,7 +520,8 @@ def load_model(path) -> Model:
         if off != len(payload):
             raise LoadError("%s: %d trailing payload bytes"
                             % (path, len(payload) - off))
-    except (struct.error, KeyError, TypeError, ValueError) as exc:
+    except (struct.error, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise LoadError("%s: malformed model payload: %s" % (path, exc))
     if not (np.isfinite(theta).all() and np.isfinite(entries["w"]).all()):
         raise LoadError("%s: non-finite weight in model payload" % path)

@@ -37,8 +37,11 @@ class Token:
             raise ValueError("token surface must be non-empty")
         if self.surface.isspace():
             raise ValueError("token surface must not be all whitespace")
-        if self.pos == "" or self.ner == "":
-            raise ValueError("tags, when present, must be non-empty")
+        for tag in (self.pos, self.ner):
+            if tag == "":
+                raise ValueError("tags, when present, must be non-empty")
+            if tag is not None and tag.isspace():
+                raise ValueError("tags must not be all whitespace")
 
     @property
     def is_capitalized(self) -> bool:

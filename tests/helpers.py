@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from convlink.binfile import read_framed, write_framed
-from convlink.config import FeatureToggles, ModelConfig
+from convlink.config import FeatureToggles, ModelConfig, toggles_from_name
 from convlink.embeddings import EmbeddingTable
 from convlink.kb import KnowledgeBase
 from convlink.model import (MODEL_MAGIC, MODEL_VERSION, Model, TargetCache,
@@ -65,11 +65,11 @@ MALFORMED_KB_PAYLOADS = {
 
 # The five feature configurations of the ablation grid
 ABLATION_TOGGLES = [
-    ("full", FeatureToggles.full()),
-    ("sparse-only", FeatureToggles.sparse_only()),
-    ("cnn-only", FeatureToggles.cnn_only()),
-    ("pair:doc*doc", FeatureToggles.cnn_pair("src_document", "tgt_document")),
-    ("pair:ment*title", FeatureToggles.cnn_pair("src_mention", "tgt_title")),
+    ("full", toggles_from_name("full")),
+    ("sparse-only", toggles_from_name("sparse-only")),
+    ("cnn-only", toggles_from_name("cnn-only")),
+    ("pair:doc*doc", toggles_from_name("pair:src_document*tgt_document")),
+    ("pair:ment*title", toggles_from_name("pair:src_mention*tgt_title")),
 ]
 
 
@@ -84,7 +84,7 @@ def rewrite_model_header(path, edit):
                  struct.pack("<I", len(raw)) + raw + payload[4 + hlen:])
 
 
-def _with(header, path, value):
+def with_key(header, path, value):
     """A copy of ``header`` with the nested key ``path`` set to
     ``value``, or deleted when ``value`` is None."""
     out = copy.deepcopy(header)
@@ -101,33 +101,39 @@ def _with(header, path, value):
 # Header edits that leave a model file checksummed but unreadable
 MALFORMED_MODEL_HEADERS = {
     "unknown-config-key":
-        lambda h: _with(h, ("config", "vocab_mode"), "hashed"),
+        lambda h: with_key(h, ("config", "vocab_mode"), "hashed"),
     "unknown-toggles-key":
-        lambda h: _with(h, ("config", "toggles", "use_magic"), True),
-    "missing-toggles": lambda h: _with(h, ("config", "toggles"), None),
-    "toggles-not-object": lambda h: _with(h, ("config", "toggles"), 5),
+        lambda h: with_key(h, ("config", "toggles", "use_magic"), True),
+    "missing-toggles": lambda h: with_key(h, ("config", "toggles"), None),
+    "toggles-not-object": lambda h: with_key(h, ("config", "toggles"), 5),
     "header-not-object": lambda h: [h],
-    "n-sparse-negative": lambda h: _with(h, ("n_sparse",), -1),
-    "n-sparse-string": lambda h: _with(h, ("n_sparse",), "2"),
-    "n-sparse-bool": lambda h: _with(h, ("n_sparse",), True),
-    "n-sparse-past-end": lambda h: _with(h, ("n_sparse",), h["n_sparse"] + 1),
+    "n-sparse-negative": lambda h: with_key(h, ("n_sparse",), -1),
+    "n-sparse-string": lambda h: with_key(h, ("n_sparse",), "2"),
+    "n-sparse-bool": lambda h: with_key(h, ("n_sparse",), True),
+    "n-sparse-past-end": lambda h: with_key(h, ("n_sparse",), h["n_sparse"] + 1),
     "context-window-float":
-        lambda h: _with(h, ("config", "context_window"), 2.5),
-    "top-k-bool": lambda h: _with(h, ("config", "top_k"), True),
-    "init-seed-string": lambda h: _with(h, ("config", "init_seed"), "s"),
+        lambda h: with_key(h, ("config", "context_window"), 2.5),
+    "top-k-bool": lambda h: with_key(h, ("config", "top_k"), True),
+    "init-seed-string": lambda h: with_key(h, ("config", "init_seed"), "s"),
     "dense-mask-nulls":
-        lambda h: _with(h, ("config", "toggles", "dense_mask"), [None] * 6),
+        lambda h: with_key(h, ("config", "toggles", "dense_mask"), [None] * 6),
     "dense-mask-ints":
-        lambda h: _with(h, ("config", "toggles", "dense_mask"), [1] * 6),
+        lambda h: with_key(h, ("config", "toggles", "dense_mask"), [1] * 6),
     "dense-mask-string":
-        lambda h: _with(h, ("config", "toggles", "dense_mask"), "abcdef"),
+        lambda h: with_key(h, ("config", "toggles", "dense_mask"), "abcdef"),
     "dense-mask-missing":
-        lambda h: _with(h, ("config", "toggles", "dense_mask"), None),
+        lambda h: with_key(h, ("config", "toggles", "dense_mask"), None),
     "use-sparse-string":
-        lambda h: _with(h, ("config", "toggles", "use_sparse"), "no"),
+        lambda h: with_key(h, ("config", "toggles", "use_sparse"), "no"),
     "use-sparse-missing":
-        lambda h: _with(h, ("config", "toggles", "use_sparse"), None),
-    "top-k-missing": lambda h: _with(h, ("config", "top_k"), None),
+        lambda h: with_key(h, ("config", "toggles", "use_sparse"), None),
+    "top-k-missing": lambda h: with_key(h, ("config", "top_k"), None),
+    "init-seed-negative": lambda h: with_key(h, ("config", "init_seed"), -1),
+    # sizes past a C ssize_t once crashed the payload reader
+    "n-sparse-huge": lambda h: with_key(h, ("n_sparse",), 10 ** 30),
+    "k-huge": lambda h: with_key(h, ("config", "k"), 10 ** 30),
+    "d-huge": lambda h: with_key(h, ("config", "d"), 10 ** 30),
+    "ell-huge": lambda h: with_key(h, ("config", "ell"), 10 ** 30),
 }
 
 
@@ -280,12 +286,10 @@ def brute_force_marginals(world):
                           context_window=cfg.context_window,
                           doc_cap=cfg.doc_cap)
     doc_surf = [t.surface for t in views.document_tokens]
-    banks = model.banks
 
     def topic(granularity, tokens):
         _, X = table.lookup_sequence([t.surface for t in tokens])
-        bank = banks[granularity]
-        return reference_encode(bank.M, X, bank.ell)
+        return reference_encode(model.banks[granularity], X, cfg.ell)
 
     entities = list(prep.cand.candidates)
     queries = list(prep.queries)

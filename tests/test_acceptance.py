@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from convlink import cnn
-from convlink.config import FeatureToggles, ModelConfig
+from convlink.config import ModelConfig
 from convlink.embeddings import load_word2vec
 from convlink.evalharness import evaluate, most_topical_filter, run_ablation
 from convlink.kb import KnowledgeBase, generate_queries
@@ -22,8 +22,8 @@ from convlink.model import (Model, TargetCache, infer, load_model,
                             prepare_corpus, prepare_mention, save_model, train)
 from convlink.synthetic import SyntheticSpec, generate
 from convlink.textproc import load_corpus
-from helpers import (brute_force_marginals, max_fd_relative_error,
-                     tiny_world, toks)
+from helpers import (ABLATION_TOGGLES, brute_force_marginals,
+                     max_fd_relative_error, tiny_world, toks)
 
 EPOCHS = 15
 ABLATION_K = 48
@@ -86,8 +86,7 @@ def test_criterion_3_encoder_oracle():
         n = int(rng.integers(0, 12))     # n < ell cases included
         M = rng.normal(size=(k, ell * d))
         X = rng.normal(size=(n, d))
-        bank = cnn.FilterBank("src_mention", M, ell, d)
-        got = cnn.encode(bank, X)
+        got = cnn.encode(M, X, ell)
         want = reference_encode(M, X, ell)
         worst = max(worst, float(np.max(np.abs(got - want))) if k else 0.0)
     elapsed = time.monotonic() - start
@@ -127,19 +126,10 @@ def synth(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def ablation(synth):
-    configs = [
-        ("full", FeatureToggles.full()),
-        ("sparse-only", FeatureToggles.sparse_only()),
-        ("cnn-only", FeatureToggles.cnn_only()),
-        ("pair:doc*doc", FeatureToggles.cnn_pair("src_document",
-                                                 "tgt_document")),
-        ("pair:ment*title", FeatureToggles.cnn_pair("src_mention",
-                                                    "tgt_title")),
-    ]
     start = time.monotonic()
     report, trained = run_ablation(synth["config"], synth["train"],
                                    synth["test"], synth["kb"], synth["table"],
-                                   configs, epochs=EPOCHS, seed=0)
+                                   ABLATION_TOGGLES, epochs=EPOCHS, seed=0)
     elapsed = time.monotonic() - start
     rows = {r.config_name: r for r in report.rows}
     return {"rows": rows, "trained": trained, "elapsed": elapsed}

@@ -4,11 +4,11 @@ import io
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +20,7 @@ from convlink.config import GRANULARITIES, FeatureToggles, ModelConfig
 from convlink.kb import KB_MAGIC, KB_VERSION
 from convlink.synthetic import SyntheticSpec
 from helpers import (MALFORMED_KB_PAYLOADS, MALFORMED_MODEL_HEADERS,
-                     rewrite_model_header, write_embeddings)
+                     rewrite_model_header, with_key, write_embeddings)
 
 
 GEN_ARGS = ["--n-topics", "2", "--vocab-per-topic", "12", "--n-entities", "4",
@@ -129,6 +129,48 @@ def test_malformed_model_header_is_data_error(workspace, tmp_path, capsys,
     assert code == 2
     assert ("%s: malformed model payload" % model_path
             in capsys.readouterr().err)
+
+
+def header_paths(node, prefix=()):
+    """The path of every key in a model header, nested ones included."""
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from header_paths(value, prefix + (key,))
+
+
+HEADER_PATHS = sorted(header_paths({"config": ModelConfig().to_dict(),
+                                    "n_sparse": 0}))
+
+# None deletes the key; the rest are zero, negative, past a signed
+# 64-bit integer, or of the wrong JSON type
+HEADER_VALUE = st.one_of(
+    st.none(), st.integers(-2 ** 70, 0), st.integers(2 ** 63, 2 ** 70),
+    st.booleans(), st.floats(), st.text(max_size=3),
+    st.lists(st.booleans(), max_size=7),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@given(value=HEADER_VALUE)
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+def test_link_reports_any_bad_model_header_value_as_data_error(
+        workspace, untrained_model, value):
+    root = workspace["root"]
+    model_path = str(root / "property-model.bin")
+    for path in HEADER_PATHS:
+        shutil.copyfile(untrained_model, model_path)
+        rewrite_model_header(model_path, lambda h: with_key(h, path, value))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["-q", "link", "--kb", workspace["kb"],
+                        "--embeddings", workspace["embeddings"],
+                        "--corpus", workspace["test"], "--model", model_path,
+                        "--out", str(root / "property-preds.jsonl")])
+        lines = err.getvalue().splitlines()
+        assert (code, lines) == (0, []) or (
+            code == 2 and len(lines) == 1
+            and lines[0].startswith("error: %s: " % model_path)), \
+            (path, code, lines)
 
 
 def train_with_component(workspace, tmp_path, lineno, value):
@@ -244,6 +286,10 @@ MALFORMED_CORPORA = {
                        '[{"surface": "a", "pos": ["NNP"]}]}'),
     "token-ner-number": ('{"doc_id": "d", "tokens": '
                          '[{"surface": "a", "ner": 7}]}'),
+    "token-pos-whitespace": ('{"doc_id": "d", "tokens": '
+                             '[{"surface": "a", "pos": "\\n"}]}'),
+    "token-ner-whitespace": ('{"doc_id": "d", "tokens": '
+                             '[{"surface": "a", "ner": " \\u3000"}]}'),
     "not-utf8": '{"doc_id": "d\udcff", "tokens": ["a"]}',
     "mention-not-object": ('{"doc_id": "d", "tokens": ["a"], '
                            '"mentions": [[0, 1]]}'),
@@ -404,7 +450,7 @@ def test_train_epochs_zero_equals_initialized_model(workspace, tmp_path):
                 "--epochs", "0", "--seed", "11",
                 "--k", "4"]) == 0
     reference = model_mod.Model.initialize(ModelConfig(
-        d=8, k=4, ell=5, init_seed=11, toggles=FeatureToggles.full()))
+        d=8, k=4, ell=5, init_seed=11, toggles=FeatureToggles()))
     ref_path = str(tmp_path / "ref.bin")
     model_mod.save_model(reference, ref_path)
     assert filecmp.cmp(out, ref_path, shallow=False)
@@ -619,11 +665,12 @@ def test_link_memoizes_target_vectors(workspace, tmp_path, monkeypatch):
                 "--embeddings", workspace["embeddings"],
                 "--corpus", workspace["train"], "--out", model_path,
                 "--epochs", "1", "--seed", "0", "--k", "4"]) == 0
-    memos = []
+    memos, preps = [], []
     real = model_mod.infer
 
     def spy(m, prep, memo=None):
         memos.append(memo)
+        preps.append(prep)
         return real(m, prep, memo)
 
     monkeypatch.setattr(model_mod, "infer", spy)
@@ -634,10 +681,14 @@ def test_link_memoizes_target_vectors(workspace, tmp_path, monkeypatch):
     assert len(memos) == 8
     memo = memos[0]
     assert memo and all(m is memo for m in memos)     # one memo per call
-    for entity, vectors in memo.items():
-        assert set(vectors) == {"tgt_title", "tgt_document"}, entity
-        for v in vectors.values():
-            assert isinstance(v, np.ndarray) and v.shape == (4,)
+    # every candidate entity's title and document views, each once
+    views = {view for prep in preps for tgt in prep.target_views
+             if tgt is not None for view in tgt.values()}
+    assert set(memo) == views
+    assert {tuple(sorted(tgt)) for prep in preps for tgt in prep.target_views
+            if tgt is not None} == {("tgt_document", "tgt_title")}
+    for enc in memo.values():
+        assert enc.windows is None and enc.topic.shape == (4,)
 
 
 # Prediction files that are not link output, each with its line number

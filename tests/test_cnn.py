@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlink import cnn
-from convlink.config import (COSINE_PAIRS, GRANULARITIES,
-                             needed_granularities)
+from convlink.config import (COSINE_PAIRS, GRANULARITIES, N_DENSE,
+                             ModelConfig, needed_granularities)
 from convlink.errors import CacheError, DimensionError
+from convlink.model import Model
 from helpers import encodings, make_table, tiny_world, toks
 
 
@@ -32,23 +33,21 @@ def reference_encode(M, X, ell):
     return v
 
 
-def random_bank(rng, granularity="src_mention", k=3, ell=2, d=4):
-    return cnn.FilterBank(granularity, rng.normal(size=(k, ell * d)), ell, d)
+def random_bank(rng, k=3, ell=2, d=4):
+    return rng.normal(size=(k, ell * d))
 
 
 class TestEncode:
     def test_zero_bank_gives_zero_vector(self):
-        bank = cnn.FilterBank("src_mention", np.zeros((3, 8)), 2, 4)
         rng = np.random.default_rng(0)
-        v = cnn.encode(bank, rng.normal(size=(6, 4)))
+        v = cnn.encode(np.zeros((3, 8)), rng.normal(size=(6, 4)), 2)
         assert np.array_equal(v, np.zeros(3))
 
     def test_single_window_reduction(self):
         rng = np.random.default_rng(1)
         m = rng.normal(size=(1, 8))
-        bank = cnn.FilterBank("src_mention", m, 2, 4)
         X = rng.normal(size=(2, 4))       # exactly one window
-        v = cnn.encode(bank, X)
+        v = cnn.encode(m, X, 2)
         expected = max(0.0, float(m[0] @ X.reshape(-1)))
         assert v == pytest.approx([expected], abs=1e-12)
 
@@ -61,26 +60,24 @@ class TestEncode:
             n = int(rng.integers(0, 11))      # includes n < ell padded cases
             M = rng.normal(size=(k, ell * d))
             X = rng.normal(size=(n, d))
-            bank = cnn.FilterBank("src_mention", M, ell, d)
-            got = cnn.encode(bank, X)
+            got = cnn.encode(M, X, ell)
             want = reference_encode(M, X, ell)
             assert np.max(np.abs(got - want)) < 1e-10
 
     def test_dimension_mismatch(self):
-        bank = cnn.FilterBank("src_mention", np.zeros((2, 8)), 2, 4)
         with pytest.raises(DimensionError):
-            cnn.encode(bank, np.zeros((3, 5)))
+            cnn.encode(np.zeros((2, 8)), np.zeros((3, 5)), 2)
 
     def test_positive_homogeneity_exact(self):
         # row scaling by powers of two is exact in binary floating point
         rng = np.random.default_rng(3)
         bank = random_bank(rng, k=4, ell=2, d=3)
         X = rng.normal(size=(7, 3))
-        base = cnn.encode(bank, X)
+        base = cnn.encode(bank, X, 2)
         for c in (2.0, 0.5, 4.0):
-            M2 = bank.M.copy()
+            M2 = bank.copy()
             M2[1] *= c
-            v2 = cnn.encode(cnn.FilterBank("src_mention", M2, 2, 3), X)
+            v2 = cnn.encode(M2, X, 2)
             assert v2[1] == c * base[1]
             assert np.array_equal(np.delete(v2, 1), np.delete(base, 1))
 
@@ -89,9 +86,8 @@ class TestEncode:
         bank = random_bank(rng, k=5, ell=2, d=3)
         X = rng.normal(size=(6, 3))
         perm = rng.permutation(5)
-        permuted = cnn.FilterBank("src_mention", bank.M[perm], 2, 3)
-        assert np.array_equal(cnn.encode(permuted, X),
-                              cnn.encode(bank, X)[perm])
+        assert np.array_equal(cnn.encode(bank[perm], X, 2),
+                              cnn.encode(bank, X, 2)[perm])
 
     def test_window_locality(self):
         rng = np.random.default_rng(5)
@@ -99,11 +95,11 @@ class TestEncode:
         bank = random_bank(rng, k=2, ell=ell, d=d)
         X = rng.normal(size=(10, d))
         W = cnn.window_matrix(X, ell)
-        A = W @ bank.M.T
+        A = W @ bank.T
         p = 5
         X2 = X.copy()
         X2[p] = rng.normal(size=d)
-        A2 = cnn.window_matrix(X2, ell) @ bank.M.T
+        A2 = cnn.window_matrix(X2, ell) @ bank.T
         for j in range(A.shape[0]):
             overlaps = j <= p <= j + ell - 1
             if overlaps:
@@ -149,9 +145,9 @@ class TestProjection:
             view = cnn.embed(table, repeating_tokens(rng, n, u), ell)
             assert view.ids is not None
             enc = cnn._encode(bank, view)
-            want = reference_encode(bank.M, view.X, ell)
+            want = reference_encode(bank, view.X, ell)
             assert np.max(np.abs(enc.topic - want)) < 1e-10
-            assert np.max(np.abs(enc.pre - view.windows @ bank.M.T)) < 1e-10
+            assert np.max(np.abs(enc.pre - view.windows @ bank.T)) < 1e-10
 
     def test_oov_tokens_share_one_zero_row(self):
         rng = np.random.default_rng(31)
@@ -215,11 +211,11 @@ class TestProjection:
             fc = cnn.forward_from_matrices(banks, source, targets).fc
             return float(np.sum(upstream * fc))
 
-        grads = bank_grads(cache, upstream)
+        grads = bank_grads(banks, cache, upstream)
         h = 1e-5
         worst = 0.0
         for g in GRANULARITIES:
-            M = banks[g].M
+            M = banks[g]
             for r, c in zip(rng.integers(M.shape[0], size=12),
                             rng.integers(M.shape[1], size=12)):
                 orig = M[r, c]
@@ -257,7 +253,7 @@ class TestCosine:
         assert cosine(np.full(3, 1e-14), v) is None
         rng = np.random.default_rng(18)
         banks = make_banks(rng, k=3)
-        banks["src_mention"].M[:] = 0.0
+        banks["src_mention"][:] = 0.0
         cache = cnn.forward_from_matrices(banks, *random_mats(rng))
         assert cache.source["src_mention"].norm == 0.0
         assert np.array_equal(cache.fc[0, :2], np.zeros(2))
@@ -275,7 +271,7 @@ class TestCosine:
 
 
 def make_banks(rng, k=3, ell=2, d=4):
-    return {g: random_bank(rng, g, k, ell, d) for g in GRANULARITIES}
+    return {g: random_bank(rng, k, ell, d) for g in GRANULARITIES}
 
 
 def random_views(rng, d, lens, ell=2):
@@ -291,13 +287,12 @@ def random_mats(rng, d=4, lens=(1, 3, 6, 2, 5)):
     return source, [mats]
 
 
-def bank_grads(cache, upstream):
-    """``cnn.backward``'s gradient as a dict granularity -> dM, each a
-    view into one flat vector."""
-    bank = cache.banks["src_mention"]
-    grad = np.zeros(len(GRANULARITIES) * bank.M.size)
-    cnn.backward(cache, upstream, grad)
-    return {g: b.M for g, b in cnn.bank_views(grad, bank.ell, bank.d).items()}
+def bank_grads(banks, cache, upstream):
+    """``cnn.backward``'s gradient as a dict granularity -> dM, each
+    shaped as its bank."""
+    grads = {g: np.zeros_like(M) for g, M in banks.items()}
+    cnn.backward(cache, upstream, grads)
+    return grads
 
 
 class TestExtractFc:
@@ -306,8 +301,7 @@ class TestExtractFc:
         rng = np.random.default_rng(6)
         banks = make_banks(rng)
         # share one bank between the mention and title encoders
-        banks["tgt_title"] = cnn.FilterBank(
-            "tgt_title", banks["src_mention"].M.copy(), 2, 4)
+        banks["tgt_title"] = banks["src_mention"].copy()
         views = type("V", (), {})()
         views.mention_tokens = toks("pink", "floyd")
         views.context_tokens = toks("pink", "floyd")
@@ -346,7 +340,7 @@ class TestExtractFc:
 def away_from_kinks(rng, banks, min_gap=1e-3):
     """Sample input matrices until no pre-activation sits near zero."""
     for _ in range(200):
-        source, targets = random_mats(rng, d=banks["src_mention"].d)
+        source, targets = random_mats(rng)
         cache = cnn.forward_from_matrices(banks, source, targets)
         gaps = [np.min(np.abs(enc.pre)) for enc in encodings(cache)]
         norms = [enc.norm for enc in encodings(cache)]
@@ -360,7 +354,7 @@ class TestBackward:
         rng = np.random.default_rng(10)
         banks = make_banks(rng)
         _, cache = away_from_kinks(rng, banks)
-        grads = bank_grads(cache, np.zeros((1, 6)))
+        grads = bank_grads(banks, cache, np.zeros((1, 6)))
         assert all(np.array_equal(g, 0 * g) for g in grads.values())
 
     def test_structural_sparsity(self):
@@ -370,7 +364,7 @@ class TestBackward:
         _, cache = away_from_kinks(rng, banks)
         upstream = np.zeros((1, 6))
         upstream[0, 0] = 1.0
-        grads = bank_grads(cache, upstream)
+        grads = bank_grads(banks, cache, upstream)
         for g in ("src_context", "src_document", "tgt_document"):
             assert np.array_equal(grads[g], np.zeros_like(grads[g]))
         assert np.any(grads["src_mention"] != 0.0)
@@ -386,11 +380,11 @@ class TestBackward:
             return float(np.sum(upstream
                                 * cnn.forward_from_matrices(banks, *mats).fc))
 
-        grads = bank_grads(cache, upstream)
+        grads = bank_grads(banks, cache, upstream)
         h = 1e-5
         worst = 0.0
         for g in GRANULARITIES:
-            M = banks[g].M
+            M = banks[g]
             for r in range(M.shape[0]):
                 for c in range(M.shape[1]):
                     orig = M[r, c]
@@ -407,14 +401,14 @@ class TestBackward:
 
     def test_stale_cache_rejected(self):
         with pytest.raises(CacheError):
-            cnn.backward(None, np.ones((1, 6)), np.zeros(5 * 3 * 8))
+            cnn.backward(None, np.ones((1, 6)), {})
 
     def test_null_state_zero_grads(self):
         rng = np.random.default_rng(14)
         banks = make_banks(rng)
         source, _ = random_mats(rng)
         cache = cnn.forward_from_matrices(banks, source, [None])
-        grads = bank_grads(cache, np.ones((1, 6)))
+        grads = bank_grads(banks, cache, np.ones((1, 6)))
         assert all(not np.any(g) for g in grads.values())
 
     @pytest.mark.parametrize("mask", [(True,) * 6,
@@ -431,14 +425,15 @@ class TestBackward:
         targets.insert(1, None)
         upstream = rng.normal(size=(len(targets), 6))
         batch = cnn.forward_from_matrices(banks, source, targets, mask)
-        batch_grads = bank_grads(batch, upstream)
+        batch_grads = bank_grads(banks, batch, upstream)
         needed = needed_granularities(mask)
         assert {g for g, dM in batch_grads.items() if np.any(dM)} == needed
-        summed = {g: np.zeros_like(banks[g].M) for g in needed}
+        summed = {g: np.zeros_like(banks[g]) for g in needed}
         for ti, target in enumerate(targets):
             single = cnn.forward_from_matrices(banks, source, [target], mask)
             assert np.max(np.abs(single.fc[0] - batch.fc[ti])) < 1e-12
-            for g, dM in bank_grads(single, upstream[ti:ti + 1]).items():
+            for g, dM in bank_grads(banks, single,
+                                    upstream[ti:ti + 1]).items():
                 if g in needed:
                     summed[g] += dM
                 else:
@@ -451,9 +446,11 @@ class TestBackward:
 
 
 class TestParams:
+    # the layout of the banks in theta is model.py's; these pin the draw
     def test_initialization_range_and_determinism(self):
-        w1 = cnn.initial_weights(k=5, ell=3, d=4, seed=42)
-        w2 = cnn.initial_weights(k=5, ell=3, d=4, seed=42)
+        cfg = ModelConfig(k=5, ell=3, d=4, init_seed=42)
+        w1 = Model.initialize(cfg).theta[N_DENSE:]
+        w2 = Model.initialize(cfg).theta[N_DENSE:]
         bound = np.sqrt(6.0 / (4 * 3 + 5))
         assert w1.shape == (len(GRANULARITIES) * 5 * 4 * 3,)
         assert np.array_equal(w1, w2)
@@ -464,7 +461,7 @@ class TestParams:
         rng = np.random.default_rng(42)
         a = np.sqrt(6.0 / (4 * 3 + 5))
         per_bank = [rng.uniform(-a, a, size=(5, 12)) for _ in GRANULARITIES]
-        banks = cnn.bank_views(cnn.initial_weights(k=5, ell=3, d=4, seed=42),
-                               3, 4)
+        banks = Model.initialize(ModelConfig(k=5, ell=3, d=4,
+                                             init_seed=42)).banks
         for g, M in zip(GRANULARITIES, per_bank):
-            assert banks[g].M.tobytes() == M.tobytes()
+            assert banks[g].tobytes() == M.tobytes()

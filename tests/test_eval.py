@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from convlink import model
-from convlink.config import FeatureToggles, ModelConfig
+from convlink.config import FeatureToggles, ModelConfig, toggles_from_name
 from convlink.errors import SpecError
 from convlink.evalharness import (EvalRow, evaluate, inspect_filters,
                                   run_ablation, score_predictions,
@@ -158,7 +158,7 @@ def eval_model(toggles=None, seed=0):
 class TestEvaluate:
     def test_always_null_scores_zero(self):
         kb, docs, table = oracle_corpus()
-        m = eval_model(FeatureToggles.sparse_only())
+        m = eval_model(toggles_from_name("sparse-only"))
         vocab = FeatureVocabulary(m.config.hash_capacity)
         m.w_sparse[vocab.index_of("e:null")] = 100.0
         report = evaluate([("model", m)], docs,
@@ -169,7 +169,7 @@ class TestEvaluate:
 
     def test_oracle_model_reaches_gold_recall(self):
         kb, docs, table = oracle_corpus()
-        m = eval_model(FeatureToggles.sparse_only())
+        m = eval_model(toggles_from_name("sparse-only"))
         # exact title match plus link counts identify the gold everywhere
         vocab = FeatureVocabulary(m.config.hash_capacity)
         m.w_sparse[vocab.index_of("e:title=exact")] = 50.0
@@ -224,8 +224,8 @@ class TestEvaluate:
     def test_report_jsonl_parses(self):
         kb, docs, table = oracle_corpus()
         report = evaluate(
-            [("full", eval_model(FeatureToggles.full())),
-             ("sparse-only", eval_model(FeatureToggles.sparse_only()))],
+            [("full", eval_model(FeatureToggles())),
+             ("sparse-only", eval_model(toggles_from_name("sparse-only")))],
             docs, model.TargetCache(kb, table, eval_model().config))
         lines = report.to_jsonl().strip().split("\n")
         rows = [json.loads(line) for line in lines]
@@ -250,7 +250,7 @@ class TestEvaluate:
         config = ModelConfig(d=table.dim, k=4, ell=5, context_window=10,
                              doc_cap=200, top_k=5, hash_capacity=2 ** 16,
                              init_seed=0,
-                             toggles=FeatureToggles.sparse_only())
+                             toggles=toggles_from_name("sparse-only"))
         m = Model.initialize(config)
         m, _ = train(m, train_docs, kb, table, epochs=3, seed=0)
         report = evaluate([("model", m)], test_docs,
@@ -277,7 +277,7 @@ class TestInspectFilters:
     def test_zero_row_empty(self):
         kb, docs, table = oracle_corpus()
         m = eval_model()
-        m.banks["src_document"].M[2] = 0.0
+        m.banks["src_document"][2] = 0.0
         assert inspect_filters(m, docs, table, "src_document", 2, 5) == []
 
     def test_top_n_overflow_returns_all_positive(self):
@@ -325,8 +325,8 @@ class TestRunAblation:
                              doc_cap=200, top_k=5, hash_capacity=2 ** 16)
         report, trained = run_ablation(
             config, train_docs, test_docs, kb, table,
-            configs=[("full", FeatureToggles.full()),
-                     ("sparse-only", FeatureToggles.sparse_only())],
+            configs=[("full", FeatureToggles()),
+                     ("sparse-only", toggles_from_name("sparse-only"))],
             epochs=1, seed=0)
         assert [r.config_name for r in report.rows] == ["full", "sparse-only"]
         for row in report.rows:
@@ -382,6 +382,6 @@ class TestRunAblation:
         monkeypatch.setattr(model, "extract_target_views", lambda *a, **kw: (
             extracted.append(a[0]) or real_extract(*a, **kw)))
         run_ablation(config, train_docs, test_docs, kb, table,
-                     [("full", FeatureToggles.full())], epochs=0)
+                     [("full", FeatureToggles())], epochs=0)
         assert len(from_kb) == 1
         assert sorted(extracted) == sorted(kb.title(e) for e in entities)

@@ -202,8 +202,7 @@ def with_dense(model, w_dense):
 def bank_spans(model, theta_like):
     """granularity -> the (k, d*ell) span of a vector laid out as
     ``model.theta``."""
-    return cnn.bank_views(theta_like[N_DENSE:], model.config.ell,
-                          model.config.d)
+    return model_mod.bank_views(theta_like[N_DENSE:], model.config.k)
 
 
 class TestFcCaching:
@@ -225,7 +224,7 @@ class TestAblationConsistency:
         w = tiny_world(seed=10)
         sparse_only = replace(
             w.model, config=w.model.config.with_toggles(
-                FeatureToggles.sparse_only()))
+                toggles_from_name("sparse-only")))
         prep_sparse = prepare_mention(
             TargetCache(w.kb, w.table, sparse_only.config), w.doc, w.mention)
         zeroed = with_dense(w.model, np.zeros(6))
@@ -238,7 +237,7 @@ class TestAblationConsistency:
                                                      abs=1e-12)
 
     def test_cnn_only_keeps_null_indicator_only(self):
-        w = tiny_world(seed=11, toggles=FeatureToggles.cnn_only())
+        w = tiny_world(seed=11, toggles=toggles_from_name("cnn-only"))
         # the preparation carries every sparse feature, each with a weight
         table = w.prep.features
         assert all(np.bincount(table.row, minlength=table.n_rows))
@@ -318,6 +317,13 @@ def memo_world(toggles=None):
     return m, preps
 
 
+def target_views(preps, needed):
+    """Each distinct target ``cnn.View`` of ``preps`` whose granularity
+    is in ``needed``, mapped to that granularity."""
+    return {view: g for prep in preps for views in prep.target_views
+            if views is not None for g, view in views.items() if g in needed}
+
+
 class TestTargetMemo:
     @pytest.mark.parametrize("name", ["full", "cnn-only", "pair:ment*title"])
     def test_memo_gives_bit_identical_marginals(self, name):
@@ -327,24 +333,28 @@ class TestTargetMemo:
             want = [(s.entity, s.marginal_prob) for s in infer(m, prep)]
             got = [(s.entity, s.marginal_prob) for s in infer(m, prep, memo)]
             assert got == want
-        # only the banks the mask needs are encoded and memoized
+        # only the views the mask needs are encoded and memoized, one
+        # per entity (EA and EB) and granularity
         needed = ({"tgt_title"} if name == "pair:ment*title"
                   else {"tgt_title", "tgt_document"})
-        assert sorted(memo) == ["EA", "EB"]
-        for vectors in memo.values():
-            assert set(vectors) == needed
-            assert all(v.shape == (m.config.k,) for v in vectors.values())
+        views = target_views(preps, needed)
+        assert len(views) == 2 * len(needed)
+        assert set(memo) == set(views)
+        for enc in memo.values():
+            assert enc.windows is None and enc.pre is None
+            assert enc.topic.shape == (m.config.k,)
 
     def test_targets_encoded_once_per_entity(self, monkeypatch):
         m, preps = memo_world()
         calls = []
         real = cnn._encode
-        monkeypatch.setattr(cnn, "_encode", lambda bank, W: (
-            calls.append(bank.granularity) or real(bank, W)))
+        monkeypatch.setattr(cnn, "_encode", lambda M, view: (
+            calls.append(view) or real(M, view)))
         memo = {}
         for prep in preps:
             infer(m, prep, memo)
-        assert sorted(g for g in calls if g.startswith("tgt_")) == \
+        views = target_views(preps, {"tgt_title", "tgt_document"})
+        assert sorted(views[v] for v in calls if v in views) == \
             ["tgt_document"] * 2 + ["tgt_title"] * 2
         assert len(calls) == 4 + 3 * len(preps)
 
@@ -352,12 +362,13 @@ class TestTargetMemo:
         m, preps = memo_world()
         table = score_pairs(m, preps[0], {})
         assert table.forward.memoized
-        grad = np.zeros_like(m.theta[N_DENSE:])
+        grads = model_mod.bank_views(np.zeros_like(m.theta[N_DENSE:]),
+                                     m.config.k)
         upstream = np.ones_like(table.forward.fc)
         with pytest.raises(CacheError):
-            cnn.backward(table.forward, upstream, grad)
+            cnn.backward(table.forward, upstream, grads)
         # the same mention without a memo backpropagates
-        cnn.backward(score_pairs(m, preps[0]).forward, upstream, grad)
+        cnn.backward(score_pairs(m, preps[0]).forward, upstream, grads)
 
 
 class TestTrain:
@@ -365,13 +376,13 @@ class TestTrain:
         kb, docs = micro_corpus()
         table = micro_table()
         m = micro_model()
-        before = {g: m.banks[g].M.copy() for g in GRANULARITIES}
+        before = {g: m.banks[g].copy() for g in GRANULARITIES}
         m2, report = train(m, docs, kb, table, epochs=0, seed=5)
         assert m2 is m
         assert not m2.w_sparse
         assert np.array_equal(m2.w_dense, np.zeros(6))
         for g in GRANULARITIES:
-            assert np.array_equal(m2.banks[g].M, before[g])
+            assert np.array_equal(m2.banks[g], before[g])
         assert report.epochs == []
         assert report.n_mentions == len(docs)
 
@@ -383,8 +394,8 @@ class TestTrain:
         assert m1.w_sparse == m2.w_sparse
         assert np.array_equal(m1.w_dense, m2.w_dense)
         for g in GRANULARITIES:
-            assert np.array_equal(m1.banks[g].M,
-                                  m2.banks[g].M)
+            assert np.array_equal(m1.banks[g],
+                                  m2.banks[g])
 
     def test_separable_corpus_loss_drops(self):
         kb, docs = micro_corpus(n_docs=20)
@@ -427,27 +438,27 @@ class TestMaskedBanks:
         # the banks the mask does not compare keep all-zero spans;
         # sparse-only compares none
         spans = bank_spans(w.model, grads.theta)
-        assert {g for g, b in spans.items() if np.any(b.M)} == \
+        assert {g for g, b in spans.items() if np.any(b)} == \
             needed_granularities(toggles.dense_mask)
 
     @pytest.mark.parametrize("name,toggles", ABLATION_TOGGLES)
     def test_fit_leaves_masked_banks_bit_identical(self, name, toggles):
         kb, docs = micro_corpus()
         m = micro_model(seed=2, toggles=toggles)
-        before = {g: m.banks[g].M.copy() for g in GRANULARITIES}
+        before = {g: m.banks[g].copy() for g in GRANULARITIES}
         train(m, docs, kb, micro_table(), epochs=2, seed=0)
         needed = needed_granularities(toggles.dense_mask)
         for g in GRANULARITIES:
-            after = m.banks[g].M
+            after = m.banks[g]
             assert (after.tobytes() == before[g].tobytes()) == (
                 g not in needed), g
         if not needed:
             assert m.w_dense.tobytes() == np.zeros(N_DENSE).tobytes()
 
     def test_use_dense_follows_the_mask(self):
-        assert FeatureToggles.sparse_only() == FeatureToggles(
+        assert toggles_from_name("sparse-only") == FeatureToggles(
             use_sparse=True, dense_mask=(False,) * N_DENSE)
-        assert not FeatureToggles.sparse_only().use_dense
+        assert not toggles_from_name("sparse-only").use_dense
         assert toggles_from_name("pair:src_mention*tgt_title").use_dense
         with pytest.raises(TypeError):
             FeatureToggles(use_dense=False)
@@ -460,7 +471,7 @@ def span_model(toggles):
     d, ell = 4, 2
     m = Model.initialize(ModelConfig(d=d, k=2 * SPAN // (d * ell) + 3,
                                      ell=ell, toggles=toggles))
-    size = m.banks["src_mention"].M.size
+    size = m.banks["src_mention"].size
     assert size > 2 * SPAN and size % SPAN
     return m
 
@@ -472,7 +483,7 @@ def live_entries(model):
     live[:N_DENSE] = True
     needed = needed_granularities(model.config.toggles.dense_mask)
     for g, bank in bank_spans(model, live).items():
-        bank.M[:] = g in needed
+        bank[:] = g in needed
     return live
 
 
@@ -509,7 +520,7 @@ class TestAdadelta:
         state = AdadeltaState(m)
         x = m.theta.copy()
         g2, dx2 = np.zeros_like(x), np.zeros_like(x)
-        size = m.banks["src_mention"].M.size
+        size = m.banks["src_mention"].size
         needed = needed_granularities(toggles.dense_mask)
         blocks = [slice(0, N_DENSE)] + [
             slice(N_DENSE + i * size, N_DENSE + (i + 1) * size)
@@ -570,7 +581,7 @@ class TestThetaLayout:
         assert m.theta.shape == (N_DENSE + len(GRANULARITIES) * size,)
         assert np.shares_memory(m.w_dense, m.theta)
         for i, g in enumerate(GRANULARITIES):
-            M = m.banks[g].M
+            M = m.banks[g]
             assert np.shares_memory(M, m.theta)
             start = N_DENSE + i * size
             assert M.ravel().tobytes() == \
@@ -598,7 +609,7 @@ class TestThetaLayout:
 
     def test_sparse_only_gradient_allocates_no_theta(self):
         # no dense weight scores, so the gradient is one shared zero
-        w = tiny_world(seed=21, toggles=FeatureToggles.sparse_only())
+        w = tiny_world(seed=21, toggles=toggles_from_name("sparse-only"))
         _, grads = loss_and_grad(w.model, w.prep)
         assert grads.theta.shape == w.model.theta.shape
         assert grads.theta.strides == (0,) and not np.any(grads.theta)
