@@ -1,4 +1,4 @@
-"""Configuration dataclasses and the fixed feature geometry.
+"""Configuration, the fixed preparation settings and feature geometry.
 
 Five encoders (three over the source side, two over the target side)
 produce topic vectors that are compared pairwise with cosine similarity.
@@ -32,6 +32,13 @@ COSINE_PAIRS = (
 N_DENSE = len(COSINE_PAIRS)
 
 ALL_PAIRS_MASK = (True,) * N_DENSE
+
+CONTEXT_WINDOW = 10         # tokens of context on each side of a mention
+DOC_CAP = 2000              # tokens kept of a source or target document
+TOP_K = 30                  # candidates per query
+HASH_CAPACITY = 2 ** 20     # hashed sparse-feature buckets
+FIXED_SETTINGS = {"context_window": CONTEXT_WINDOW, "doc_cap": DOC_CAP,
+                  "top_k": TOP_K, "hash_capacity": HASH_CAPACITY}
 
 
 def needed_granularities(mask) -> frozenset:
@@ -98,16 +105,11 @@ class ModelConfig:
     d: int = 300
     k: int = 150
     ell: int = 5
-    context_window: int = 10
-    doc_cap: int = 2000
-    top_k: int = 30
-    hash_capacity: int = 2 ** 20
     init_seed: int = 0
     toggles: FeatureToggles = field(default_factory=FeatureToggles)
 
     def __post_init__(self):
-        for name in ("d", "k", "ell", "context_window", "doc_cap", "top_k",
-                     "hash_capacity"):
+        for name in ("d", "k", "ell"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be positive" % name)
         if self.init_seed < 0:
@@ -117,7 +119,7 @@ class ModelConfig:
         return replace(self, toggles=toggles)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = dict(asdict(self), **FIXED_SETTINGS)
         out["toggles"]["dense_mask"] = list(self.toggles.dense_mask)
         return out
 
@@ -125,25 +127,31 @@ class ModelConfig:
     def from_dict(cls, data: dict) -> "ModelConfig":
         """The inverse of ``to_dict``.  A missing, unknown or mistyped
         field is a ValueError: each number must be an int that is not a
-        bool, ``use_sparse`` a bool and ``dense_mask`` a list of six
-        bools."""
+        bool (each of ``FIXED_SETTINGS`` its fixed value), ``use_sparse``
+        a bool and ``dense_mask`` a list of six bools."""
         data = dict(data)
-        names = sorted(f.name for f in fields(cls))
+        names = sorted([f.name for f in fields(cls)] + list(FIXED_SETTINGS))
         if sorted(data) != names:
             raise ValueError("config fields must be %s, got %s"
                              % (", ".join(names), json.dumps(sorted(data))))
-        tog = dict(data.pop("toggles"))
+        tog = data.pop("toggles")
+        if type(tog) is not dict or set(tog) != {"dense_mask", "use_sparse"}:
+            raise ValueError("toggles must be an object of dense_mask and "
+                             "use_sparse, got %s" % json.dumps(tog))
         for name, value in data.items():
             if type(value) is not int:
                 raise ValueError("%s must be an integer, got %s"
                                  % (name, json.dumps(value)))
-        if type(tog.get("use_sparse")) is not bool:
+            if FIXED_SETTINGS.get(name, value) != value:
+                raise ValueError("%s must be %d, got %d"
+                                 % (name, FIXED_SETTINGS[name], value))
+        if type(tog["use_sparse"]) is not bool:
             raise ValueError("use_sparse must be a boolean, got %s"
-                             % json.dumps(tog.get("use_sparse")))
-        mask = tog.get("dense_mask")
+                             % json.dumps(tog["use_sparse"]))
+        mask = tog["dense_mask"]
         if (type(mask) is not list or len(mask) != N_DENSE
                 or any(type(x) is not bool for x in mask)):
             raise ValueError("dense_mask must be a list of %d booleans, got %s"
                              % (N_DENSE, json.dumps(mask)))
-        tog["dense_mask"] = tuple(mask)
-        return cls(toggles=FeatureToggles(**tog), **data)
+        return cls(toggles=FeatureToggles(tog["use_sparse"], tuple(mask)),
+                   **{n: data[n] for n in data.keys() - FIXED_SETTINGS})

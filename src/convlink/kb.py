@@ -15,6 +15,7 @@ import zlib
 from dataclasses import dataclass
 
 from .binfile import read_framed, write_framed
+from .config import TOP_K
 from .errors import IngestError, LoadError
 from .textproc import Token
 
@@ -266,7 +267,7 @@ def _tokens_for(text, orig):
     return tuple(out)
 
 
-def candidates_for(kb: KnowledgeBase, queries, top_k: int = 30) -> CandidateSet:
+def candidates_for(kb: KnowledgeBase, queries, top_k=TOP_K) -> CandidateSet:
     """Union of each query's ``top_k`` entities by anchor count, plus NULL."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -295,23 +296,27 @@ def save_kb(kb: KnowledgeBase, path) -> None:
 
 
 def _check_payload(entities, anchor_index, skipped_anchors) -> None:
-    """ValueError unless the fields have the shape that ``save_kb``
-    writes and every anchor names a known entity."""
+    """ValueError unless the fields are what ``ingest`` and ``save_kb``
+    write: every title non-blank, and every anchor normalized, non-empty
+    and linked to known entities with counts of at least 1."""
     if type(entities) is not dict or any(
             type(rec) is not dict or set(rec) != {"title", "body"}
             or any(type(v) is not str for v in rec.values())
-            for rec in entities.values()):
-        raise ValueError('entities must map each id to {"title": string, '
-                         '"body": string}')
+            or not rec["title"].strip() for rec in entities.values()):
+        raise ValueError('entities must map each id to {"title": non-blank '
+                         'string, "body": string}')
     if type(anchor_index) is not dict or any(
-            type(counts) is not dict or not counts.keys() <= entities.keys()
-            or any(type(n) is not int for n in counts.values())
-            for counts in anchor_index.values()):
-        raise ValueError("anchor_index must map each anchor to {entity id: "
-                         "integer count} over known entities")
-    if type(skipped_anchors) is not int:
-        raise ValueError("skipped_anchors must be an integer, got %s"
-                         % json.dumps(skipped_anchors))
+            not anchor or anchor != normalize_anchor(anchor)
+            or type(counts) is not dict or not counts
+            or not counts.keys() <= entities.keys()
+            or any(type(n) is not int or n < 1 for n in counts.values())
+            for anchor, counts in anchor_index.items()):
+        raise ValueError("anchor_index must map each normalized, non-empty "
+                         "anchor to a non-empty {entity id: count of at "
+                         "least 1} over known entities")
+    if type(skipped_anchors) is not int or skipped_anchors < 0:
+        raise ValueError("skipped_anchors must be an integer of at least 0, "
+                         "got %s" % json.dumps(skipped_anchors))
 
 
 def load_kb(path) -> KnowledgeBase:

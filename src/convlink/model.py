@@ -23,7 +23,7 @@ import numpy as np
 
 from . import cnn, sparse
 from .binfile import read_framed, write_framed
-from .config import (GRANULARITIES, ModelConfig, N_DENSE,
+from .config import (GRANULARITIES, HASH_CAPACITY, ModelConfig, N_DENSE,
                      needed_granularities)
 from .embeddings import EmbeddingTable
 from .errors import LoadError, TrainingError
@@ -96,7 +96,7 @@ class TargetCache:
         self.config = config
         self._chunks = {}       # KB text chunk -> its tokens (tokenize)
         self.tfidf = TfIdfModel.from_kb(kb, self._chunks)
-        self.vocab = FeatureVocabulary(config.hash_capacity)
+        self.vocab = FeatureVocabulary()
         self._cache = {}
         self._surfaces = {}
 
@@ -108,8 +108,7 @@ class TargetCache:
         hit = self._cache.get(entity)
         if hit is None:
             title_toks, body_toks = extract_target_views(
-                self.kb.title(entity), self.kb.body(entity),
-                doc_cap=self.config.doc_cap, memo=self._chunks)
+                self.kb.title(entity), self.kb.body(entity), memo=self._chunks)
             body = [t.surface for t in body_toks]
             hit = (self.tfidf.bag(body), {
                 g: cnn.embed(self.table, surfaces, self.config.ell)
@@ -128,7 +127,7 @@ class TargetCache:
         hit = self._surfaces.get(key)
         if hit is None:
             queries = generate_queries(mention_tokens)
-            cand = candidates_for(self.kb, queries, top_k=self.config.top_k)
+            cand = candidates_for(self.kb, queries)
             hit = (queries, cand,
                    [tuple(sparse.features_q(mention_tokens, q, self.vocab))
                     for q in queries],
@@ -156,11 +155,8 @@ def prepare_mention(targets: TargetCache, doc: Document,
     """Queries, candidates, sparse features and embedded views of one
     mention.  The result is shared by every model whose config differs
     from ``targets.config`` only in its toggles."""
-    cfg = targets.config
     tfidf = targets.tfidf
-    views = extract_views(doc.tokens, mention,
-                          context_window=cfg.context_window,
-                          doc_cap=cfg.doc_cap)
+    views = extract_views(doc.tokens, mention)
     queries, cand, q_rows, e_rows = targets.surface(views.mention_tokens)
     doc_bag = tfidf.bag([t.surface for t in views.document_tokens])
     tgts = [targets.get(entity) for entity in cand.candidates]
@@ -176,8 +172,8 @@ def prepare_mention(targets: TargetCache, doc: Document,
     if mention.gold_entity is not None and mention.gold_entity in cand.candidates:
         gold_index = cand.candidates.index(mention.gold_entity)
     return PreparedMention(mention=mention, queries=queries, cand=cand,
-                           source_views=cnn.embed_views(targets.table, views,
-                                                        cfg.ell),
+                           source_views=cnn.embed_views(
+                               targets.table, views, targets.config.ell),
                            target_views=[None if tgt is None else tgt[1]
                                          for tgt in tgts],
                            features=FeatureTable.from_rows(rows),
@@ -517,6 +513,10 @@ def load_model(path) -> Model:
         entries = np.frombuffer(payload, dtype=SPARSE_ENTRY, count=n_sparse,
                                 offset=off)
         off += entries.nbytes
+        idx = entries["idx"]
+        if (idx[1:] <= idx[:-1]).any() or (idx >= HASH_CAPACITY).any():
+            raise ValueError("sparse indices must ascend strictly below %d"
+                             % HASH_CAPACITY)
         if off != len(payload):
             raise LoadError("%s: %d trailing payload bytes"
                             % (path, len(payload) - off))

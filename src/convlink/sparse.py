@@ -16,6 +16,7 @@ from itertools import chain
 
 import numpy as np
 
+from .config import HASH_CAPACITY
 from .kb import NULL_ENTITY, KnowledgeBase, Query, normalize_anchor
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -35,22 +36,19 @@ def fnv1a64(text: str) -> int:
 class FeatureVocabulary:
     """Maps feature strings to integer indices by hashing.
 
-    index = fnv1a64(feature) mod capacity: identical across runs and
+    index = fnv1a64(feature) mod HASH_CAPACITY: identical across runs and
     platforms; collisions are accepted.  Each feature string is hashed
     once per vocabulary and its index remembered, since most strings
     recur across mentions.
     """
 
-    def __init__(self, capacity: int = 2 ** 20):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+    def __init__(self):
         self._index = {}
 
     def index_of(self, feature: str) -> int:
         idx = self._index.get(feature)
         if idx is None:
-            idx = fnv1a64(feature) % self.capacity
+            idx = fnv1a64(feature) % HASH_CAPACITY
             self._index[feature] = idx
         return idx
 

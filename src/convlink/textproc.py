@@ -14,6 +14,7 @@ import string
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .config import CONTEXT_WINDOW, DOC_CAP
 from .errors import FormatError, InvalidEntityError, SpanError
 
 _PUNCT = set(string.punctuation)
@@ -121,8 +122,9 @@ def tokenize(text: str, memo: Optional[dict] = None) -> list:
     return out
 
 
-def extract_views(doc_tokens, mention: Mention, *, context_window: int = 10,
-                  doc_cap: int = 2000) -> GranularityViews:
+def extract_views(doc_tokens, mention: Mention, *,
+                  context_window: int = CONTEXT_WINDOW,
+                  doc_cap: int = DOC_CAP) -> GranularityViews:
     """Slice the three source granularities for one mention.
 
     The document view is truncated to ``doc_cap`` tokens; when the
@@ -151,7 +153,7 @@ def extract_views(doc_tokens, mention: Mention, *, context_window: int = 10,
     return GranularityViews(mention_tokens, context_tokens, document_tokens)
 
 
-def extract_target_views(title: str, body: str, *, doc_cap: int = 2000,
+def extract_target_views(title: str, body: str, *, doc_cap: int = DOC_CAP,
                          memo: Optional[dict] = None):
     """Tokenize an entity's title (underscores read as spaces) and body,
     both through ``memo`` (see ``tokenize``)."""

@@ -11,8 +11,9 @@ from convlink.binfile import read_framed, write_framed
 from convlink.config import FeatureToggles, ModelConfig, toggles_from_name
 from convlink.embeddings import EmbeddingTable
 from convlink.kb import KnowledgeBase
-from convlink.model import (MODEL_MAGIC, MODEL_VERSION, Model, TargetCache,
-                            loss_and_grad, prepare_mention, score_pairs)
+from convlink.model import (MODEL_MAGIC, MODEL_VERSION, SPARSE_ENTRY, Model,
+                            TargetCache, loss_and_grad, prepare_mention,
+                            score_pairs)
 from convlink.textproc import Document, Mention, Token
 
 
@@ -60,6 +61,15 @@ MALFORMED_KB_PAYLOADS = {
     "anchor-count-string": kb_payload(anchor_index={"one": {"E1": "1"}}),
     "anchor-unknown-entity": kb_payload(anchor_index={"one": {"E9": 1}}),
     "skipped-anchors-string": kb_payload(skipped_anchors="3"),
+    # well-typed, but not what ingest-kb writes
+    "entity-title-blank": kb_payload(
+        entities={"E1": {"title": " \t", "body": "one two"}}),
+    "anchor-count-zero": kb_payload(anchor_index={"one": {"E1": 0}}),
+    "anchor-count-negative": kb_payload(anchor_index={"one": {"E1": -3}}),
+    "anchor-not-normalized": kb_payload(anchor_index={"One": {"E1": 1}}),
+    "anchor-empty": kb_payload(anchor_index={"": {"E1": 1}}),
+    "anchor-no-entity": kb_payload(anchor_index={"one": {}}),
+    "skipped-anchors-negative": kb_payload(skipped_anchors=-1),
 }
 
 
@@ -82,6 +92,31 @@ def rewrite_model_header(path, edit):
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
     write_framed(path, MODEL_MAGIC, MODEL_VERSION,
                  struct.pack("<I", len(raw)) + raw + payload[4 + hlen:])
+
+
+def rewrite_sparse_block(path, entries):
+    """Replace a saved model's sparse block with ``entries``, (index,
+    weight) pairs written in the order given, keeping ``n_sparse``, the
+    frame and the checksum valid."""
+    _, payload = read_framed(path, MODEL_MAGIC, (MODEL_VERSION,))
+    (hlen,) = struct.unpack_from("<I", payload, 0)
+    header = json.loads(payload[4:4 + hlen].decode("utf-8"))
+    theta = payload[4 + hlen:len(payload) - 16 * header["n_sparse"]]
+    header["n_sparse"] = len(entries)
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    write_framed(path, MODEL_MAGIC, MODEL_VERSION, b"".join([
+        struct.pack("<I", len(raw)), raw, theta,
+        np.array(entries, dtype=SPARSE_ENTRY).tobytes()]))
+
+
+# Sparse blocks that save_model never writes: indices must ascend
+# strictly and stay below the hashed vocabulary's capacity
+MALFORMED_SPARSE_BLOCKS = {
+    "duplicate-index": [(5, 1.0), (5, 7.0)],
+    "descending": [(7, 1.0), (5, 1.0)],
+    "index-at-capacity": [(2 ** 20, 1.0)],
+    "index-max-u64": [(2 ** 64 - 1, 1.0)],
+}
 
 
 def with_key(header, path, value):
@@ -134,6 +169,14 @@ MALFORMED_MODEL_HEADERS = {
     "k-huge": lambda h: with_key(h, ("config", "k"), 10 ** 30),
     "d-huge": lambda h: with_key(h, ("config", "d"), 10 ** 30),
     "ell-huge": lambda h: with_key(h, ("config", "ell"), 10 ** 30),
+    "toggles-unknown-keys": lambda h: with_key(
+        h, ("config", "toggles"), {"Ik": 3286, ":\u0081": -264409}),
+    # the fixed preparation settings at values that train never writes
+    "context-window-3": lambda h: with_key(h, ("config", "context_window"), 3),
+    "doc-cap-40": lambda h: with_key(h, ("config", "doc_cap"), 40),
+    "top-k-31": lambda h: with_key(h, ("config", "top_k"), 31),
+    "hash-capacity-2**70":
+        lambda h: with_key(h, ("config", "hash_capacity"), 2 ** 70),
 }
 
 
@@ -188,8 +231,7 @@ def tiny_world(seed, d=4, k=3, ell=2, toggles=None, gold="E1",
             [{"anchor_text": "ones", "entity_id": "E1"}] * 3
             + [{"anchor_text": "ones", "entity_id": "E2"}] * 1
             + [{"anchor_text": "one", "entity_id": "E2"}] * 2)
-        config = ModelConfig(d=d, k=k, ell=ell, context_window=3, doc_cap=40,
-                             top_k=5, hash_capacity=2 ** 16, init_seed=seed,
+        config = ModelConfig(d=d, k=k, ell=ell, init_seed=seed,
                              toggles=toggles or FeatureToggles())
         model = Model.initialize(config)
         model.w_dense[:] = rng.normal(size=6) * 0.8
@@ -269,7 +311,7 @@ def brute_force_marginals(world):
 
     Returns (entity order, P(t), P(t, q), gold NLL or None).
     """
-    from convlink.config import COSINE_PAIRS
+    from convlink.config import COSINE_PAIRS, HASH_CAPACITY
     from convlink.kb import NULL_ENTITY
     from convlink.sparse import (NULL_FEATURE, entity_feature_strings,
                                  fnv1a64, query_feature_strings,
@@ -282,9 +324,7 @@ def brute_force_marginals(world):
     prep, mention = world.prep, world.mention
     cfg = model.config
     tog = cfg.toggles
-    views = extract_views(world.doc.tokens, mention,
-                          context_window=cfg.context_window,
-                          doc_cap=cfg.doc_cap)
+    views = extract_views(world.doc.tokens, mention)
     doc_surf = [t.surface for t in views.document_tokens]
 
     def topic(granularity, tokens):
@@ -301,7 +341,7 @@ def brute_force_marginals(world):
                 feats = [NULL_FEATURE]
             elif tog.use_sparse:
                 title_toks, body_toks = extract_target_views(
-                    kb.title(entity), kb.body(entity), doc_cap=cfg.doc_cap)
+                    kb.title(entity), kb.body(entity))
                 feats = entity_feature_strings(kb, q, entity) + [
                     tfidf_feature(tfidf.cosine(
                         tfidf.bag(doc_surf),
@@ -311,10 +351,10 @@ def brute_force_marginals(world):
             if tog.use_sparse:
                 feats = feats + query_feature_strings(views.mention_tokens, q)
             for f in feats:
-                s += model.w_sparse.get(fnv1a64(f) % cfg.hash_capacity, 0.0)
+                s += model.w_sparse.get(fnv1a64(f) % HASH_CAPACITY, 0.0)
             if tog.use_dense and entity != NULL_ENTITY:
                 title_toks, body_toks = extract_target_views(
-                    kb.title(entity), kb.body(entity), doc_cap=cfg.doc_cap)
+                    kb.title(entity), kb.body(entity))
                 topics = {
                     "src_mention": topic("src_mention", views.mention_tokens),
                     "src_context": topic("src_context", views.context_tokens),

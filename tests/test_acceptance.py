@@ -118,9 +118,7 @@ def synth(tmp_path_factory):
         "table": table,
         "train": load_corpus(data.paths["train.jsonl"]),
         "test": load_corpus(data.paths["test.jsonl"]),
-        "config": ModelConfig(d=table.dim, k=ABLATION_K, ell=5,
-                              context_window=10, doc_cap=2000, top_k=30,
-                              init_seed=0),
+        "config": ModelConfig(d=table.dim, k=ABLATION_K, ell=5, init_seed=0),
     }
 
 

@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 from convlink import cli, model as model_mod
 from convlink.binfile import read_framed, write_framed
 from convlink.cli import run
-from convlink.config import GRANULARITIES, FeatureToggles, ModelConfig
+from convlink.config import (FIXED_SETTINGS, GRANULARITIES, FeatureToggles,
+                             ModelConfig)
 from convlink.kb import KB_MAGIC, KB_VERSION
 from convlink.synthetic import SyntheticSpec
 from helpers import (MALFORMED_KB_PAYLOADS, MALFORMED_MODEL_HEADERS,
-                     rewrite_model_header, with_key, write_embeddings)
+                     MALFORMED_SPARSE_BLOCKS, rewrite_model_header,
+                     rewrite_sparse_block, with_key, write_embeddings)
 
 
 GEN_ARGS = ["--n-topics", "2", "--vocab-per-topic", "12", "--n-entities", "4",
@@ -115,6 +117,16 @@ def test_malformed_kb_payload_is_data_error(workspace, tmp_path, capsys, kind):
     assert "%s: malformed KB payload" % kb in capsys.readouterr().err
 
 
+# What the error line must also say, for some MALFORMED_MODEL_HEADERS
+MODEL_HEADER_MESSAGES = {
+    "toggles-unknown-keys": '"Ik"',
+    "context-window-3": "context_window must be 10, got 3",
+    "doc-cap-40": "doc_cap must be 2000, got 40",
+    "top-k-31": "top_k must be 30, got 31",
+    "hash-capacity-2**70": "hash_capacity must be 1048576, got %d" % 2 ** 70,
+}
+
+
 @pytest.mark.parametrize("kind", sorted(MALFORMED_MODEL_HEADERS))
 def test_malformed_model_header_is_data_error(workspace, tmp_path, capsys,
                                               kind):
@@ -127,8 +139,25 @@ def test_malformed_model_header_is_data_error(workspace, tmp_path, capsys,
                 "--corpus", workspace["test"],
                 "--out", str(tmp_path / "preds.jsonl")])
     assert code == 2
-    assert ("%s: malformed model payload" % model_path
-            in capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert "%s: malformed model payload" % model_path in err
+    assert MODEL_HEADER_MESSAGES.get(kind, "") in err
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_SPARSE_BLOCKS))
+def test_malformed_sparse_block_is_data_error(workspace, untrained_model,
+                                              tmp_path, capsys, kind):
+    model_path = str(tmp_path / "model.bin")
+    shutil.copyfile(untrained_model, model_path)
+    rewrite_sparse_block(model_path, MALFORMED_SPARSE_BLOCKS[kind])
+    code = run(["-q", "link", "--model", model_path, "--kb", workspace["kb"],
+                "--embeddings", workspace["embeddings"],
+                "--corpus", workspace["test"],
+                "--out", str(tmp_path / "preds.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: %s: malformed model payload: sparse indices must ascend "
+        "strictly below 1048576\n" % model_path)
 
 
 def header_paths(node, prefix=()):
@@ -142,10 +171,11 @@ def header_paths(node, prefix=()):
 HEADER_PATHS = sorted(header_paths({"config": ModelConfig().to_dict(),
                                     "n_sparse": 0}))
 
-# None deletes the key; the rest are zero, negative, past a signed
-# 64-bit integer, or of the wrong JSON type
+# None deletes the key; the rest are zero, negative, positive, past a
+# signed 64-bit integer, or of the wrong JSON type
 HEADER_VALUE = st.one_of(
-    st.none(), st.integers(-2 ** 70, 0), st.integers(2 ** 63, 2 ** 70),
+    st.none(), st.integers(-2 ** 70, 0), st.integers(1, 2 ** 63 - 1),
+    st.integers(2 ** 63, 2 ** 70),
     st.booleans(), st.floats(), st.text(max_size=3),
     st.lists(st.booleans(), max_size=7),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
@@ -171,6 +201,9 @@ def test_link_reports_any_bad_model_header_value_as_data_error(
             code == 2 and len(lines) == 1
             and lines[0].startswith("error: %s: " % model_path)), \
             (path, code, lines)
+        # a fixed preparation setting loads only at its fixed value
+        if path[-1] in FIXED_SETTINGS and value != FIXED_SETTINGS[path[-1]]:
+            assert code == 2, (path, value)
 
 
 def train_with_component(workspace, tmp_path, lineno, value):

@@ -149,8 +149,7 @@ def oracle_corpus():
 
 
 def eval_model(toggles=None, seed=0):
-    config = ModelConfig(d=6, k=4, ell=2, context_window=4, doc_cap=30,
-                         top_k=5, hash_capacity=2 ** 16, init_seed=seed,
+    config = ModelConfig(d=6, k=4, ell=2, init_seed=seed,
                          toggles=toggles or FeatureToggles())
     return Model.initialize(config)
 
@@ -159,7 +158,7 @@ class TestEvaluate:
     def test_always_null_scores_zero(self):
         kb, docs, table = oracle_corpus()
         m = eval_model(toggles_from_name("sparse-only"))
-        vocab = FeatureVocabulary(m.config.hash_capacity)
+        vocab = FeatureVocabulary()
         m.w_sparse[vocab.index_of("e:null")] = 100.0
         report = evaluate([("model", m)], docs,
                           model.TargetCache(kb, table, m.config))
@@ -171,7 +170,7 @@ class TestEvaluate:
         kb, docs, table = oracle_corpus()
         m = eval_model(toggles_from_name("sparse-only"))
         # exact title match plus link counts identify the gold everywhere
-        vocab = FeatureVocabulary(m.config.hash_capacity)
+        vocab = FeatureVocabulary()
         m.w_sparse[vocab.index_of("e:title=exact")] = 50.0
         m.w_sparse[vocab.index_of("e:null")] = -50.0
         report = evaluate([("model", m)], docs,
@@ -216,7 +215,7 @@ class TestEvaluate:
     def test_scored_model_must_share_preparation_settings(self):
         kb, docs, table = oracle_corpus()
         other = eval_model()
-        other.config = replace(other.config, top_k=2)
+        other.config = replace(other.config, ell=3)
         targets = model.TargetCache(kb, table, eval_model().config)
         with pytest.raises(ValueError):
             evaluate([("m", eval_model()), ("x", other)], docs, targets)
@@ -247,9 +246,7 @@ class TestEvaluate:
         table = load_word2vec(data.paths["embeddings.txt"])
         train_docs = load_corpus(data.paths["train.jsonl"])
         test_docs = load_corpus(data.paths["test.jsonl"])
-        config = ModelConfig(d=table.dim, k=4, ell=5, context_window=10,
-                             doc_cap=200, top_k=5, hash_capacity=2 ** 16,
-                             init_seed=0,
+        config = ModelConfig(d=table.dim, k=4, ell=5, init_seed=0,
                              toggles=toggles_from_name("sparse-only"))
         m = Model.initialize(config)
         m, _ = train(m, train_docs, kb, table, epochs=3, seed=0)
@@ -321,8 +318,7 @@ class TestRunAblation:
         table = load_word2vec(data.paths["embeddings.txt"])
         train_docs = load_corpus(data.paths["train.jsonl"])
         test_docs = load_corpus(data.paths["test.jsonl"])
-        config = ModelConfig(d=table.dim, k=4, ell=5, context_window=10,
-                             doc_cap=200, top_k=5, hash_capacity=2 ** 16)
+        config = ModelConfig(d=table.dim, k=4, ell=5)
         report, trained = run_ablation(
             config, train_docs, test_docs, kb, table,
             configs=[("full", FeatureToggles()),
@@ -341,9 +337,7 @@ class TestRunAblation:
         table = load_word2vec(data.paths["embeddings.txt"])
         train_docs = load_corpus(data.paths["train.jsonl"])
         test_docs = load_corpus(data.paths["test.jsonl"])
-        config = ModelConfig(d=table.dim, k=4, ell=5, context_window=10,
-                             doc_cap=200, top_k=5, hash_capacity=2 ** 16,
-                             init_seed=2)
+        config = ModelConfig(d=table.dim, k=4, ell=5, init_seed=2)
         report, trained = run_ablation(config, train_docs, test_docs, kb,
                                        table, ABLATION_TOGGLES, epochs=2,
                                        seed=3)
@@ -368,8 +362,7 @@ class TestRunAblation:
         table = load_word2vec(data.paths["embeddings.txt"])
         train_docs = load_corpus(data.paths["train.jsonl"])
         test_docs = load_corpus(data.paths["test.jsonl"])
-        config = ModelConfig(d=table.dim, k=4, ell=5, context_window=10,
-                             doc_cap=200, top_k=5, hash_capacity=2 ** 16)
+        config = ModelConfig(d=table.dim, k=4, ell=5)
         preps = model.prepare_corpus(model.TargetCache(kb, table, config),
                                      train_docs + test_docs)
         entities = {e for p in preps

@@ -23,8 +23,9 @@ from convlink.model import (EPS, MODEL_MAGIC, MODEL_VERSION, RHO, SPAN,
 from convlink.sparse import FeatureTable
 from convlink.textproc import Document, Mention, Token
 from helpers import (ABLATION_TOGGLES, MALFORMED_MODEL_HEADERS,
-                     brute_force_marginals, max_fd_relative_error,
-                     rewrite_model_header, table_rows, tiny_world, toks)
+                     MALFORMED_SPARSE_BLOCKS, brute_force_marginals,
+                     max_fd_relative_error, rewrite_model_header,
+                     rewrite_sparse_block, table_rows, tiny_world, toks)
 
 
 class TestScorePairs:
@@ -296,8 +297,7 @@ def micro_table(seed=0, d=6):
 
 
 def micro_model(seed=0, toggles=None, d=6):
-    config = ModelConfig(d=d, k=4, ell=2, context_window=4, doc_cap=30,
-                         top_k=5, hash_capacity=2 ** 16, init_seed=seed,
+    config = ModelConfig(d=d, k=4, ell=2, init_seed=seed,
                          toggles=toggles or FeatureToggles())
     return Model.initialize(config)
 
@@ -874,3 +874,30 @@ class TestSaveLoad:
         save_model(m1, p1)
         save_model(m2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_version_3_header_bytes(self, tmp_path):
+        # the header as train writes it; another layout needs a new version
+        path = tmp_path / "model.bin"
+        save_model(Model.initialize(ModelConfig(d=16, k=48, init_seed=1)),
+                   path)
+        version, payload = read_framed(path, MODEL_MAGIC, (MODEL_VERSION,))
+        (hlen,) = struct.unpack_from("<I", payload, 0)
+        assert version == 3
+        assert payload[4:4 + hlen] == (
+            b'{"config": {"context_window": 10, "d": 16, "doc_cap": 2000, '
+            b'"ell": 5, "hash_capacity": 1048576, "init_seed": 1, "k": 48, '
+            b'"toggles": {"dense_mask": [true, true, true, true, true, true],'
+            b' "use_sparse": true}, "top_k": 30}, "n_sparse": 0}')
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_SPARSE_BLOCKS))
+    def test_sparse_block_must_ascend_below_capacity(self, tmp_path, kind):
+        path = tmp_path / "model.bin"
+        save_model(micro_model(), path)
+        rewrite_sparse_block(path, [(3, 0.5), (2 ** 20 - 1, -1.0)])
+        assert load_model(path).w_sparse == {3: 0.5, 2 ** 20 - 1: -1.0}
+        rewrite_sparse_block(path, MALFORMED_SPARSE_BLOCKS[kind])
+        with pytest.raises(LoadError) as err:
+            load_model(path)
+        assert str(err.value) == (
+            "%s: malformed model payload: sparse indices must ascend "
+            "strictly below 1048576" % path)

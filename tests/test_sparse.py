@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlink import sparse
+from convlink.config import HASH_CAPACITY
 from convlink.kb import NULL_ENTITY, generate_queries
 from convlink.sparse import (FeatureTable, FeatureVocabulary, TfIdfModel,
                              entity_feature_strings, features_e, features_q,
@@ -23,11 +24,11 @@ class TestHashing:
         assert fnv1a64("foobar") == 0x85944171F73967E8
 
     def test_hashed_mode_deterministic(self):
-        v1 = FeatureVocabulary(2 ** 20)
-        v2 = FeatureVocabulary(2 ** 20)
+        v1 = FeatureVocabulary()
+        v2 = FeatureVocabulary()
         for f in ["q:flag=is_original", "e:count_bucket=3", "e:null"]:
             assert v1.index_of(f) == v2.index_of(f)
-            assert 0 <= v1.index_of(f) < 2 ** 20
+            assert 0 <= v1.index_of(f) < HASH_CAPACITY
 
     def test_each_feature_hashed_once(self, monkeypatch):
         calls = []
@@ -37,16 +38,18 @@ class TestHashing:
             return fnv1a64(text)
 
         monkeypatch.setattr(sparse, "fnv1a64", counting_hash)
-        vocab = FeatureVocabulary(1000)
+        vocab = FeatureVocabulary()
         for _ in range(3):
             for f in ["e:null", "q:first=floyd"]:
-                assert vocab.index_of(f) == fnv1a64(f) % 1000
+                assert vocab.index_of(f) == fnv1a64(f) % HASH_CAPACITY
         assert calls == ["e:null", "q:first=floyd"]
 
-    def test_feature_table_merges_duplicates(self):
-        v = FeatureVocabulary(1)   # force total collision
+    def test_feature_table_merges_duplicates(self, monkeypatch):
+        # force total collision: every feature hashes to one index
+        monkeypatch.setattr(sparse, "fnv1a64", lambda text: HASH_CAPACITY + 5)
+        v = FeatureVocabulary()
         table = FeatureTable.from_rows([[v.index_of(f) for f in "abc"]])
-        assert table.keys == [0]
+        assert table.keys == [5]
         assert table.val.tolist() == [3.0]
 
 
