@@ -16,8 +16,7 @@ from dataclasses import replace
 from . import evalharness, kb as kb_mod, model as model_mod, synthetic
 from .config import GRANULARITIES, ModelConfig, toggles_from_name
 from .embeddings import load_word2vec
-from .errors import (ConvlinkError, DimensionError, FormatError, IngestError,
-                     UsageError)
+from .errors import ConvlinkError, DimensionError, IngestError, UsageError
 from .textproc import load_corpus, read_jsonl, string_field
 
 log = logging.getLogger("convlink")
@@ -128,8 +127,6 @@ def _cmd_ingest(args) -> int:
         for where, rec in read_jsonl(args.articles):
             for key in ("id", "title", "body"):
                 string_field(rec, key, where)
-            if not rec["title"].strip():
-                raise FormatError("%s: title must be non-empty" % where)
             yield rec
 
     def anchors():

@@ -94,12 +94,15 @@ class KnowledgeBase:
     def ingest(cls, articles, anchors) -> "KnowledgeBase":
         """Build indexes from article records {id,title,body} and anchor
         records {anchor_text,entity_id}.  Anchors naming unknown entities
-        are skipped and counted; duplicate article ids are an error."""
+        are skipped and counted; duplicate article ids and blank titles
+        are errors."""
         entities = {}
         for rec in articles:
             eid = rec["id"]
             if eid in entities:
                 raise IngestError("duplicate entity id %r" % eid)
+            if not rec["title"].strip():
+                raise IngestError("title must be non-empty")
             entities[eid] = {"title": rec["title"], "body": rec["body"]}
         anchor_index = {}
         skipped = 0

@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from convlink.binfile import read_framed, write_framed
-from convlink.config import FeatureToggles, ModelConfig, toggles_from_name
+from convlink.config import (CONTEXT_WINDOW, SRC_CONTEXT, SRC_DOCUMENT,
+                             FeatureToggles, ModelConfig, toggles_from_name)
 from convlink.embeddings import EmbeddingTable
 from convlink.kb import KnowledgeBase
 from convlink.model import (MODEL_MAGIC, MODEL_VERSION, SPARSE_ENTRY, Model,
@@ -212,7 +213,10 @@ TINY_WORDS = (["w%d" % i for i in range(15)]
 def tiny_world(seed, d=4, k=3, ell=2, toggles=None, gold="E1",
                min_kink_gap=0.0):
     """A complete random micro-instance: 20-word vocabulary, two real
-    candidates plus NULL, exactly two latent queries.
+    candidates plus NULL, exactly two latent queries.  The 26-token
+    document is longer than the widest context view (2 * CONTEXT_WINDOW
+    + 1 tokens), so the context view is a strict sub-window of the
+    document view.
 
     With ``min_kink_gap`` > 0, content is resampled until every encoder
     pre-activation stays at least that far from the ReLU kink and all
@@ -235,8 +239,8 @@ def tiny_world(seed, d=4, k=3, ell=2, toggles=None, gold="E1",
                              toggles=toggles or FeatureToggles())
         model = Model.initialize(config)
         model.w_dense[:] = rng.normal(size=6) * 0.8
-        words = [TINY_WORDS[int(i)]
-                 for i in rng.integers(len(TINY_WORDS), size=9)]
+        words = [TINY_WORDS[int(i)] for i in
+                 rng.integers(len(TINY_WORDS), size=2 * CONTEXT_WINDOW + 5)]
         pos = int(rng.integers(0, len(words) + 1))
         doc_tokens = toks(*(words[:pos] + ["Ones"] + words[pos:]))
         mention = Mention("doc-%d" % seed, pos, pos + 1, gold)
@@ -245,6 +249,8 @@ def tiny_world(seed, d=4, k=3, ell=2, toggles=None, gold="E1",
         prep = prepare_mention(targets, doc, mention)
         assert len(prep.queries) == 2
         assert len(prep.cand.candidates) == 3
+        assert (len(prep.source_views[SRC_CONTEXT].X)
+                < len(prep.source_views[SRC_DOCUMENT].X))
         for idx in entry_indices(prep.features):
             if idx not in model.w_sparse:
                 model.w_sparse[idx] = float(rng.normal() * 0.4)

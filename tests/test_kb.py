@@ -26,6 +26,12 @@ class TestIngest:
                 [{"id": "E1", "title": "a", "body": ""},
                  {"id": "E1", "title": "b", "body": ""}], [])
 
+    @pytest.mark.parametrize("title", ["", " \t"])
+    def test_blank_title(self, title):
+        with pytest.raises(IngestError, match="title must be non-empty"):
+            KnowledgeBase.ingest([{"id": "E1", "title": title, "body": ""}],
+                                 [])
+
     def test_unknown_anchor_skipped_with_count(self):
         kb = KnowledgeBase.ingest(
             [{"id": "E1", "title": "T1", "body": ""}],
