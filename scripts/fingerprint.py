@@ -8,10 +8,11 @@ the test split with each, evaluates the full model under two configs,
 inspects one filter row and runs the five-config ablation grid.  The
 next line pins the corpus reader and the tokenizer: the test split
 written back by ``save_corpus(load_corpus(...))``, then every KB body's
-token surfaces in entity order.  The last line is a model at the paper's
-width (d 300, k 150, 2 epochs, seed 1), trained on an eight-document
-world that ``synthetic.generate`` writes.  All files go to a temporary
-directory.
+token surfaces in entity order.  The last two lines are a model at the
+paper's width (d 300, k 150, 2 epochs, seed 1), trained on an
+eight-document world that ``synthetic.generate`` writes, and its
+predictions on that world's one test document, which pin the row store
+of ``cnn.Memo``.  All files go to a temporary directory.
 Run it in two checkouts and diff the outputs to show that a change keeps
 every bit.
 """
@@ -130,6 +131,11 @@ def main():
             "--out", path("wide_model.bin"),
             "--k", "150", "--epochs", "2", "--seed", "1")
         artefacts.append(("train d300 k150", sha(path("wide_model.bin"))))
+        cli("link", "--kb", path("wide.bin"),
+            "--embeddings", os.path.join(wide, "embeddings.txt"),
+            "--corpus", os.path.join(wide, "test.jsonl"),
+            "--model", path("wide_model.bin"), "--out", path("wide.jsonl"))
+        artefacts.append(("link d300 k150", sha(path("wide.jsonl"))))
     for name, digest in artefacts:
         print("%s  %s" % (digest, name))
 

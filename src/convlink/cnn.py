@@ -57,25 +57,26 @@ class View:
     each distinct row once, when that saves work: d * (n' - u) >
     GATHER_COST * n', for the windows cost n' * d * ell * k multiply-adds
     and the projection u * d * ell * k plus n' * ell * k gathers.
-    ``first`` then holds each distinct row's first position in ``X`` and
-    ``ids`` each token's distinct index; otherwise both are None.  A view
-    of at most ell rows always takes the windows.
+    ``first`` then holds each distinct row's first position in ``X``,
+    ``row_ids`` its embedding-table row, ascending, and ``ids`` each
+    token's distinct index; otherwise all three are None.  A view of at
+    most ell rows always takes the windows.
     """
 
     def __init__(self, X: np.ndarray, ell: int, rows=None):
         self.X = X
         self.windows = window_matrix(X, ell)
-        self.first = self.ids = None
+        self.first = self.ids = self.row_ids = None
         n, d = X.shape
         n_windows = n - ell + 1
         # u >= 1, so a view that fails the rule at u = 1 fails it for any u
         if rows is None or n <= ell or \
                 d * (n_windows - 1) <= GATHER_COST * n_windows:
             return
-        _, first, ids = np.unique(rows, return_index=True,
-                                  return_inverse=True)
+        row_ids, first, ids = np.unique(rows, return_index=True,
+                                        return_inverse=True)
         if d * (n_windows - len(first)) > GATHER_COST * n_windows:
-            self.first, self.ids = first, ids
+            self.first, self.ids, self.row_ids = first, ids, row_ids
 
 
 def embed(table, surfaces, ell: int) -> View:
@@ -94,6 +95,20 @@ class Encoding:
         self.norm = np.linalg.norm(topic)
 
 
+def _check_width(W: np.ndarray, M: np.ndarray) -> None:
+    if W.shape[1] != M.shape[1]:
+        raise DimensionError(
+            "window width %d does not match bank width d*ell = %d"
+            % (W.shape[1], M.shape[1]))
+
+
+def _project(U: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The (u, k, ell) products of the rows U with the bank's ell blocks
+    M_j, each (k, d): [:, :, j] is U M_j^T, as M's columns are ell blocks
+    of d."""
+    return (U @ M.reshape(-1, U.shape[1]).T).reshape(len(U), M.shape[0], -1)
+
+
 def _encode(M: np.ndarray, view: View) -> Encoding:
     """Encode one ``View`` with one (k, d*ell) filter bank ``M``.
 
@@ -101,23 +116,69 @@ def _encode(M: np.ndarray, view: View) -> Encoding:
     once to the u distinct rows U: P_j = U M_j^T, and the pre-activations
     are A = sum_j P_j[ids[j : j + n']]."""
     W = view.windows
-    if W.shape[1] != M.shape[1]:
-        raise DimensionError(
-            "window width %d does not match bank width d*ell = %d"
-            % (W.shape[1], M.shape[1]))
+    _check_width(W, M)
     if view.ids is None:
         A = W @ M.T
     else:
-        d = view.X.shape[1]
-        ell = M.shape[1] // d
-        # (u, k, ell): P[:, :, j] is P_j, as M's columns are ell blocks of d
-        P = (view.X[view.first] @ M.reshape(-1, d).T).reshape(
-            len(view.first), M.shape[0], ell)
+        P = _project(view.X[view.first], M)
         n_windows = len(W)
         A = P[view.ids[:n_windows], :, 0]
-        for j in range(1, ell):
+        for j in range(1, P.shape[2]):
             A += P[view.ids[j:j + n_windows], :, j]
     return Encoding(np.maximum(A, 0.0).sum(axis=0), W, A)
+
+
+class RowStore:
+    """Embedding rows projected through one frozen (k, d*ell) bank ``M``,
+    each the first time a projected ``View`` needs it.  ``slot`` maps an
+    embedding-table row to its slot s; rows ell*s .. ell*s + ell - 1 of
+    ``P`` hold that row's ell products with M's blocks, P_j = w M_j^T, so
+    each gather reads k contiguous values.  ``P`` doubles when full, and
+    only the rows of stored slots are written."""
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+        self.slot = {}
+        self.P = np.empty((0, M.shape[0]))
+
+    def encode(self, view: View) -> Encoding:
+        """``_encode(M, view)`` for a projected view, up to rounding:
+        the same sums over products taken in other batches."""
+        W, M = view.windows, self.M
+        _check_width(W, M)
+        k, d = M.shape[0], view.X.shape[1]
+        ell = M.shape[1] // d
+        slot = np.fromiter((self.slot.get(r, -1)
+                            for r in view.row_ids.tolist()),
+                           dtype=np.intp, count=len(view.row_ids))
+        new = np.flatnonzero(slot < 0)
+        if len(new):
+            n, m = len(self.slot), len(new)
+            slot[new] = np.arange(n, n + m)
+            self.slot.update(zip(view.row_ids[new].tolist(), range(n, n + m)))
+            if len(self.P) < (n + m) * ell:
+                P = np.empty((max(2 * len(self.P), (n + m) * ell), k))
+                P[:n * ell] = self.P[:n * ell]
+                self.P = P
+            self.P[n * ell:(n + m) * ell].reshape(m, ell, k)[:] = _project(
+                view.X[view.first[new]], M).transpose(0, 2, 1)
+        rows = slot[view.ids] * ell
+        n_windows = len(W)
+        A = self.P[rows[:n_windows]]
+        for j in range(1, ell):
+            A += self.P[rows[j:j + n_windows] + j]
+        return Encoding(np.maximum(A, 0.0).sum(axis=0), W, A)
+
+
+class Memo(dict):
+    """What a frozen model's forward passes share: each target ``View``
+    already encoded, mapped to its ``Encoding`` without windows, and in
+    ``rows`` one ``RowStore`` per granularity whose bank has encoded a
+    projected view."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = {}
 
 
 def encode(M: np.ndarray, X: np.ndarray, ell: int) -> np.ndarray:
@@ -173,23 +234,35 @@ def forward_from_matrices(banks: dict, source_views: dict,
     ``target_views`` holds one such dict per candidate, or None for the
     NULL candidate, whose six features stay zero.
 
-    ``memo``, for frozen weights only, maps each target ``View`` already
-    encoded with these banks to its ``Encoding`` without windows; a view
-    missing from it is encoded and stored.  Without it every needed
-    view is encoded.
+    ``memo``, a ``Memo`` for frozen weights only, maps each target
+    ``View`` already encoded with these banks to its ``Encoding`` without
+    windows; a view missing from it is encoded and stored.  Through it,
+    every projected view, source or target, gathers its pre-activations
+    from the memo's ``RowStore`` for its bank, which projects each
+    embedding row once.  So a view that takes the windows encodes
+    bit-identically with and without a memo, and a projected one equal
+    to rounding.  Without a memo every needed view is encoded.
     """
     mask = tuple(mask)
     needed = needed_granularities(mask)
+
+    def encode_view(g, view):
+        if memo is None or view.ids is None:
+            return _encode(banks[g], view)
+        store = memo.rows.get(g)
+        if store is None:
+            store = memo.rows[g] = RowStore(banks[g])
+        return store.encode(view)
 
     def encode_target(g, view):
         if memo is None:
             return _encode(banks[g], view)
         enc = memo.get(view)
         if enc is None:
-            enc = memo[view] = Encoding(_encode(banks[g], view).topic)
+            enc = memo[view] = Encoding(encode_view(g, view).topic)
         return enc
 
-    source = {g: _encode(banks[g], view)
+    source = {g: encode_view(g, view)
               for g, view in source_views.items() if g in needed}
     targets = [None if views is None else
                {g: encode_target(g, view) for g, view in views.items()

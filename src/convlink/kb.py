@@ -152,7 +152,7 @@ def _edits(tokens):
     if n > 1 and _is_stopword(tokens[-1]):
         yield F_STOPWORD, tokens[:-1]
     last = tokens[-1].surface
-    if len(last) > 3 and last.endswith("s") and not last[:-1].isspace():
+    if len(last) > 3 and last.endswith("s"):
         clipped = Token(last[:-1], tokens[-1].pos, tokens[-1].ner)
         yield F_PLURAL, tokens[:-1] + (clipped,)
     if any(t.is_punctuation for t in tokens):
@@ -270,14 +270,12 @@ def _tokens_for(text, orig):
     return tuple(out)
 
 
-def candidates_for(kb: KnowledgeBase, queries, top_k=TOP_K) -> CandidateSet:
-    """Union of each query's ``top_k`` entities by anchor count, plus NULL."""
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
+def candidates_for(kb: KnowledgeBase, queries) -> CandidateSet:
+    """Union of each query's ``TOP_K`` entities by anchor count, plus NULL."""
     ordered = []
     seen = set()
     for q in queries:
-        for eid, _ in kb.ranked_entities(q.text)[:top_k]:
+        for eid, _ in kb.ranked_entities(q.text)[:TOP_K]:
             if eid not in seen:
                 ordered.append(eid)
                 seen.add(eid)

@@ -202,11 +202,13 @@ def score_pairs(model: Model, prep: PreparedMention,
     dense features come from one CNN forward pass per mention and are
     shared across queries.
 
-    ``memo``, for frozen weights only, maps each target ``cnn.View`` to
-    its encoding under this model (see ``cnn.forward_from_matrices``);
-    it is filled as candidates are scored and shared by every mention
-    the same model scores.  The scores are bit-identical with and
-    without it, but a memoized forward pass cannot be backpropagated.
+    ``memo``, a ``cnn.Memo`` for frozen weights only, holds this
+    model's target encodings and projected embedding rows (see
+    ``cnn.forward_from_matrices``); it is filled as candidates are
+    scored and shared by every mention the same model scores.  Views
+    that take the windows score bit-identically with and without it,
+    and projected views equal to rounding; a memoized forward pass
+    cannot be backpropagated.
     """
     T = len(prep.cand.candidates)
     Q = len(prep.queries)
@@ -240,8 +242,9 @@ class ScoredCandidate:
 def infer(model: Model, prep: PreparedMention, memo: dict = None) -> list:
     """Marginal distribution over candidates, sorted by probability
     descending with ties broken by entity id.  ``memo`` is as for
-    ``score_pairs``: one per model, used only while its weights are
-    frozen."""
+    ``score_pairs``: one ``cnn.Memo`` per model, used only while its
+    weights are frozen; with it, probabilities of projected views
+    equal those without it to rounding."""
     table = score_pairs(model, prep, memo)
     Pt, _ = marginals_from_scores(table.S)
     out = [ScoredCandidate(entity=entity, marginal_prob=float(p))
@@ -255,13 +258,14 @@ def link(targets: TargetCache, models, pairs):
     (doc, mention) pair in order.  Each mention is prepared once, in
     ``targets``, and scored by every model, so a model's config may
     differ from ``targets.config`` only in its toggles.  Each model
-    keeps its own memo of target encodings, since models differ in
-    weights and mask; their weights must stay frozen meanwhile."""
+    keeps its own ``cnn.Memo`` of target encodings and projected rows,
+    since models differ in weights and mask; their weights must stay
+    frozen meanwhile."""
     for m in models:
         if m.config.with_toggles(targets.config.toggles) != targets.config:
             raise ValueError("a scored model's config differs from the "
                              "preparing config beyond its toggles")
-    memos = [{} for _ in models]
+    memos = [cnn.Memo() for _ in models]
     for doc, mention in pairs:
         prep = prepare_mention(targets, doc, mention)
         yield prep, [infer(m, prep, memo)[0]

@@ -36,8 +36,8 @@ class Token:
     def __post_init__(self):
         if not self.surface:
             raise ValueError("token surface must be non-empty")
-        if self.surface.isspace():
-            raise ValueError("token surface must not be all whitespace")
+        if self.surface.split() != [self.surface]:
+            raise ValueError("token surface must not contain whitespace")
         for tag in (self.pos, self.ner):
             if tag == "":
                 raise ValueError("tags, when present, must be non-empty")
@@ -122,12 +122,12 @@ def tokenize(text: str, memo: Optional[dict] = None) -> list:
     return out
 
 
-def extract_views(doc_tokens, mention: Mention, *,
-                  context_window: int = CONTEXT_WINDOW,
-                  doc_cap: int = DOC_CAP) -> GranularityViews:
-    """Slice the three source granularities for one mention.
+def extract_views(doc_tokens, mention: Mention) -> GranularityViews:
+    """Slice the three source granularities for one mention: the
+    mention, ``CONTEXT_WINDOW`` tokens on each side of it, and the
+    document.
 
-    The document view is truncated to ``doc_cap`` tokens; when the
+    The document view is truncated to ``DOC_CAP`` tokens; when the
     mention would fall outside the truncated prefix the window is
     re-centered on the mention so the span always survives truncation.
     """
@@ -136,31 +136,32 @@ def extract_views(doc_tokens, mention: Mention, *,
         raise SpanError("span [%d, %d) invalid for document of %d tokens"
                         % (mention.start, mention.end, n))
     mention_tokens = list(doc_tokens[mention.start:mention.end])
-    lo = max(0, mention.start - context_window)
-    hi = min(n, mention.end + context_window)
+    lo = max(0, mention.start - CONTEXT_WINDOW)
+    hi = min(n, mention.end + CONTEXT_WINDOW)
     context_tokens = list(doc_tokens[lo:hi])
-    if n <= doc_cap:
+    if n <= DOC_CAP:
         document_tokens = list(doc_tokens)
     else:
         center = (mention.start + mention.end) // 2
-        dlo = max(0, min(center - doc_cap // 2, n - doc_cap))
+        dlo = max(0, min(center - DOC_CAP // 2, n - DOC_CAP))
         if mention.start < dlo:
             dlo = mention.start
-        elif mention.end > dlo + doc_cap:
-            dlo = min(mention.end - doc_cap, n - doc_cap)
+        elif mention.end > dlo + DOC_CAP:
+            dlo = min(mention.end - DOC_CAP, n - DOC_CAP)
         dlo = max(0, dlo)
-        document_tokens = list(doc_tokens[dlo:dlo + doc_cap])
+        document_tokens = list(doc_tokens[dlo:dlo + DOC_CAP])
     return GranularityViews(mention_tokens, context_tokens, document_tokens)
 
 
-def extract_target_views(title: str, body: str, *, doc_cap: int = DOC_CAP,
+def extract_target_views(title: str, body: str, *,
                          memo: Optional[dict] = None):
-    """Tokenize an entity's title (underscores read as spaces) and body,
-    both through ``memo`` (see ``tokenize``)."""
+    """Tokenize an entity's title (underscores read as spaces) and the
+    first ``DOC_CAP`` tokens of its body, both through ``memo`` (see
+    ``tokenize``)."""
     if not title or not title.strip():
         raise InvalidEntityError("entity title must be non-empty")
     title_tokens = tokenize(title.replace("_", " "), memo)
-    body_tokens = tokenize(body, memo)[:doc_cap]
+    body_tokens = tokenize(body, memo)[:DOC_CAP]
     return title_tokens, body_tokens
 
 

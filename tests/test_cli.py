@@ -314,6 +314,9 @@ MALFORMED_CORPORA = {
     "token-whitespace": '{"doc_id": "d", "tokens": ["a", " \\t"]}',
     "token-surface-whitespace": ('{"doc_id": "d", "tokens": '
                                  '[{"surface": "\\u00a0", "pos": "NN"}]}'),
+    "token-surface-inner-whitespace": ('{"doc_id": "d", "tokens": '
+                                       '["New York"]}'),
+    "token-surface-edge-whitespace": '{"doc_id": "d", "tokens": ["   xs"]}',
     "token-surface-number": '{"doc_id": "d", "tokens": [{"surface": 7}]}',
     "token-pos-list": ('{"doc_id": "d", "tokens": '
                        '[{"surface": "a", "pos": ["NNP"]}]}'),

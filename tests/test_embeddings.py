@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convlink.embeddings import load_word2vec
-from convlink.errors import DimensionError, FormatError
+from convlink.errors import ConvlinkError, DimensionError, FormatError
 
 
 def write(tmp_path, text, name="vec.txt"):
@@ -166,3 +168,55 @@ def test_blank_lines_and_whitespace_skipped(tmp_path):
     assert empty.vectors.shape == (0, 3)
     rows, X = empty.lookup_sequence(["a", "b"])
     assert rows.tolist() == [-1, -1] and np.array_equal(X, np.zeros((2, 3)))
+
+
+# A token holds no whitespace and no line break
+TOKEN = st.text(st.characters(blacklist_categories=("Z", "C")),
+                min_size=1, max_size=6)
+VALUE = st.floats(-10.0, 10.0).map(repr)
+NON_NUMERIC = ["abc", "1e", "--1", "1.2.3", "0x10", "1,5", "1_0", "-", "."]
+NON_FINITE = ["nan", "-NaN", "inf", "-Infinity", "1e999"]
+
+
+@st.composite
+def damaged_word2vec(draw):
+    """The text of a word2vec file that is valid but for one damage:
+    a truncated line, a value too many or too few, a non-numeric or
+    non-finite value, or a header that does not match the rows."""
+    dim, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = [[draw(TOKEN)] + [draw(VALUE) for _ in range(dim)]
+            for _ in range(n)]
+    header = "%d %d" % (n, dim)
+    row = rows[draw(st.integers(0, n - 1))]
+    damage = draw(st.sampled_from(["truncated", "field-count", "non-numeric",
+                                   "non-finite", "header"]))
+    if damage == "truncated":
+        # cut anywhere before the last value starts, even to nothing
+        line = " ".join(row)
+        row[:] = [line[:draw(st.integers(0, len(line) - len(row[-1]) - 1))]]
+    elif damage == "field-count":
+        if draw(st.booleans()):
+            row.append(draw(VALUE))
+        else:
+            row.pop()
+    elif damage in ("non-numeric", "non-finite"):
+        row[draw(st.integers(1, dim))] = draw(st.sampled_from(
+            NON_NUMERIC if damage == "non-numeric" else NON_FINITE))
+    else:
+        header = draw(st.sampled_from([
+            "%d %d" % (n + draw(st.sampled_from([-n, -1, 1, 3])), dim),
+            "%d %d" % (n, dim + draw(st.sampled_from([1, 2]))),
+            "%d %d" % (n, max(1, dim - 1)) if dim > 1 else "%d 0" % n,
+            "%d -%d" % (n, dim), "-%d %d" % (n, dim), "%d.0 %d" % (n, dim),
+            "%d" % n, "%d %d %d" % (n, dim, dim), "x %d" % dim]))
+    return "\n".join([header] + [" ".join(r) for r in rows]) + "\n"
+
+
+@given(damaged_word2vec())
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+def test_any_damaged_file_is_a_data_error_naming_it(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "vec.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConvlinkError) as err:
+        load_word2vec(path)
+    assert str(path) in str(err.value)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convlink import kb as kb_mod
 from convlink.binfile import write_framed
 from convlink.errors import ChecksumError, IngestError, LoadError, VersionError
 from convlink.kb import (KB_MAGIC, KB_VERSION, NULL_ENTITY, F_CAPSEQ,
@@ -74,9 +75,9 @@ class TestGenerateQueries:
         # 3-letter tokens are left alone
         texts = {q.text for q in generate_queries(toks("gas"))}
         assert texts == {"gas"}
-        # nor is one whose stem would be only whitespace, not a token
-        texts = {q.text for q in generate_queries(toks("\t  s"))}
-        assert texts == {"s"}
+        # nor could a stem of only whitespace be: no token holds any
+        with pytest.raises(ValueError):
+            toks("\t  s")
 
     def test_punctuation_drop(self):
         texts = {q.text for q in generate_queries(toks("Obama", ","))}
@@ -113,19 +114,20 @@ class TestGenerateQueries:
 class TestCandidates:
     def test_figure_example(self, small_kb):
         queries = generate_queries(toks("Pink", "Floyd"))
-        cand = candidates_for(small_kb, queries, top_k=30)
+        cand = candidates_for(small_kb, queries)
         assert "Pink_Floyd" in cand.candidates
         assert "Gavin_Floyd" in cand.candidates
         assert NULL_ENTITY in cand.candidates
 
     def test_no_match_gives_null_only(self, small_kb):
         queries = generate_queries(toks("Zanzibar"))
-        cand = candidates_for(small_kb, queries, top_k=30)
+        cand = candidates_for(small_kb, queries)
         assert cand.candidates == [NULL_ENTITY]
 
-    def test_top_k_bound(self, small_kb):
+    def test_top_k_bound(self, small_kb, monkeypatch):
+        monkeypatch.setattr(kb_mod, "TOP_K", 1)
         queries = generate_queries(toks("Floyd"))
-        cand = candidates_for(small_kb, queries, top_k=1)
+        cand = candidates_for(small_kb, queries)
         assert len(cand.candidates) <= 2
         # "floyd" anchor: Gavin_Floyd count 5 beats Pink_Floyd count 3
         assert cand.candidates[0] == "Gavin_Floyd"

@@ -302,12 +302,12 @@ def micro_model(seed=0, toggles=None, d=6):
     return Model.initialize(config)
 
 
-def memo_world(toggles=None):
+def memo_world(toggles=None, d=6):
     """A model with random dense weights and the prepared mentions of
     the micro corpus: each has EA, EB and NULL as candidates."""
     kb, docs = micro_corpus()
-    table = micro_table()
-    m = micro_model(seed=4, toggles=toggles)
+    table = micro_table(d=d)
+    m = micro_model(seed=4, toggles=toggles, d=d)
     m.w_dense[:] = np.random.default_rng(4).normal(size=6)
     targets = TargetCache(kb, table, m.config)
     preps = [prepare_mention(targets, d, d.mentions[0]) for d in docs]
@@ -328,7 +328,7 @@ class TestTargetMemo:
     @pytest.mark.parametrize("name", ["full", "cnn-only", "pair:ment*title"])
     def test_memo_gives_bit_identical_marginals(self, name):
         m, preps = memo_world(dict(ABLATION_TOGGLES)[name])
-        memo = {}
+        memo = cnn.Memo()
         for prep in preps:
             want = [(s.entity, s.marginal_prob) for s in infer(m, prep)]
             got = [(s.entity, s.marginal_prob) for s in infer(m, prep, memo)]
@@ -343,6 +343,15 @@ class TestTargetMemo:
         for enc in memo.values():
             assert enc.windows is None and enc.pre is None
             assert enc.topic.shape == (m.config.k,)
+        assert memo.rows == {}
+
+    def test_acceptance_width_creates_no_row_store(self):
+        # at d=16 <= GATHER_COST every view takes the windows
+        m, preps = memo_world(d=16)
+        memo = cnn.Memo()
+        for prep in preps:
+            assert infer(m, prep, memo) == infer(m, prep)
+        assert memo.rows == {} and len(memo) == 4
 
     def test_targets_encoded_once_per_entity(self, monkeypatch):
         m, preps = memo_world()
@@ -350,7 +359,7 @@ class TestTargetMemo:
         real = cnn._encode
         monkeypatch.setattr(cnn, "_encode", lambda M, view: (
             calls.append(view) or real(M, view)))
-        memo = {}
+        memo = cnn.Memo()
         for prep in preps:
             infer(m, prep, memo)
         views = target_views(preps, {"tgt_title", "tgt_document"})
@@ -360,7 +369,7 @@ class TestTargetMemo:
 
     def test_memoized_forward_cannot_backpropagate(self):
         m, preps = memo_world()
-        table = score_pairs(m, preps[0], {})
+        table = score_pairs(m, preps[0], cnn.Memo())
         assert table.forward.memoized
         grads = model_mod.bank_views(np.zeros_like(m.theta[N_DENSE:]),
                                      m.config.k)
@@ -369,6 +378,76 @@ class TestTargetMemo:
             cnn.backward(table.forward, upstream, grads)
         # the same mention without a memo backpropagates
         cnn.backward(score_pairs(m, preps[0]).forward, upstream, grads)
+
+
+def projected_rows(preps, needed):
+    """Granularity -> the embedding-table rows of every projected view
+    of ``preps`` whose granularity is in ``needed``."""
+    rows = {}
+    for prep in preps:
+        views = list(prep.source_views.items()) + [
+            item for tgt in prep.target_views if tgt is not None
+            for item in tgt.items()]
+        for g, view in views:
+            if g in needed and view.ids is not None:
+                rows.setdefault(g, set()).update(view.row_ids.tolist())
+    return rows
+
+
+class TestRowStore:
+    """The memo's projected rows, at a width where the micro corpus's
+    bodies and most of its documents take the projection."""
+
+    @pytest.mark.parametrize("name", ["full", "cnn-only", "pair:doc*doc"])
+    def test_marginals_match_encoding_per_mention(self, name):
+        toggles = dict(ABLATION_TOGGLES)[name]
+        m, preps = memo_world(toggles, d=64)
+        memo = cnn.Memo()
+        for prep in preps:
+            want = infer(m, prep)
+            got = infer(m, prep, memo)
+            assert [s.entity for s in got] == [s.entity for s in want]
+            assert max(abs(a.marginal_prob - b.marginal_prob)
+                       for a, b in zip(got, want)) <= 1e-12
+        needed = needed_granularities(toggles.dense_mask)
+        assert set(memo.rows) == set(projected_rows(preps, needed)) == (
+            needed - {"src_mention", "tgt_title"})
+
+    def test_each_row_projected_once_per_bank(self, monkeypatch):
+        m, preps = memo_world(d=64)
+        projected = {g: [] for g in GRANULARITIES}
+        real = cnn._project
+
+        def spy(U, M):
+            [g] = [g for g, bank in m.banks.items() if bank is M]
+            projected[g].append(U.copy())
+            return real(U, M)
+
+        monkeypatch.setattr(cnn, "_project", spy)
+        memo = cnn.Memo()
+        for _ in range(2):          # the second pass projects no row
+            for prep in preps:
+                infer(m, prep, memo)
+        rows = projected_rows(preps, GRANULARITIES)
+        assert set(rows) == set(memo.rows)
+        for g, ids in rows.items():
+            assert set(memo.rows[g].slot) == ids
+            # distinct table rows have distinct vectors, OOV the zero row
+            U = np.vstack(projected[g])
+            assert len(U) == len(np.unique(U, axis=0)) == len(ids)
+        assert not any(projected[g] for g in GRANULARITIES if g not in rows)
+
+    def test_memoized_forward_cannot_backpropagate(self):
+        m, preps = memo_world(d=64)
+        prep = next(p for p in preps
+                    if p.source_views["src_document"].ids is not None)
+        memo = cnn.Memo()
+        table = score_pairs(m, prep, memo)
+        assert table.forward.memoized and "src_document" in memo.rows
+        grads = model_mod.bank_views(np.zeros_like(m.theta[N_DENSE:]),
+                                     m.config.k)
+        with pytest.raises(CacheError):
+            cnn.backward(table.forward, np.ones_like(table.forward.fc), grads)
 
 
 class TestTrain:

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convlink import textproc
+from convlink.config import CONTEXT_WINDOW, DOC_CAP
 from convlink.errors import FormatError, InvalidEntityError, SpanError
 from convlink.textproc import (Document, Mention, Token, _split_chunk,
                                extract_target_views, extract_views,
@@ -73,12 +75,12 @@ class TestTokenizeMemo:
         assert set(memo) == {c for chunks in texts
                              for c in sep.join(chunks).split()}
 
-    def test_target_views_through_a_memo(self):
+    def test_target_views_through_a_memo(self, monkeypatch):
+        monkeypatch.setattr(textproc, "DOC_CAP", 3)
         memo = {}
-        plain = extract_target_views("Pink_Floyd", "Pink Floyd, (band).",
-                                     doc_cap=3)
+        plain = extract_target_views("Pink_Floyd", "Pink Floyd, (band).")
         assert extract_target_views("Pink_Floyd", "Pink Floyd, (band).",
-                                    doc_cap=3, memo=memo) == plain
+                                    memo=memo) == plain
         assert surfaces(plain[1]) == ["Pink", "Floyd", ","]
         assert set(memo) == {"Pink", "Floyd", "Floyd,", "(band)."}
 
@@ -86,25 +88,26 @@ class TestTokenizeMemo:
 class TestExtractViews:
     def test_window_arithmetic(self):
         doc = toks(*["w%d" % i for i in range(100)])
-        views = extract_views(doc, Mention("d", 50, 52), context_window=10)
+        views = extract_views(doc, Mention("d", 50, 52))
+        assert CONTEXT_WINDOW == 10
         assert views.context_tokens == doc[40:62]
         assert views.mention_tokens == doc[50:52]
         assert views.document_tokens == doc
 
     def test_boundary_clip(self):
         doc = toks(*["w%d" % i for i in range(100)])
-        views = extract_views(doc, Mention("d", 0, 2), context_window=10)
+        views = extract_views(doc, Mention("d", 0, 2))
         assert views.context_tokens == doc[0:12]
 
     def test_truncation(self):
-        doc = toks(*["w%d" % i for i in range(5000)])
-        views = extract_views(doc, Mention("d", 10, 12), doc_cap=2000)
-        assert len(views.document_tokens) == 2000
+        doc = toks(*["w%d" % i for i in range(2 * DOC_CAP + 1000)])
+        views = extract_views(doc, Mention("d", 10, 12))
+        assert len(views.document_tokens) == DOC_CAP
 
     def test_recentering_keeps_mention(self):
-        doc = toks(*["w%d" % i for i in range(5000)])
-        views = extract_views(doc, Mention("d", 4000, 4002), doc_cap=2000)
-        assert len(views.document_tokens) == 2000
+        doc = toks(*["w%d" % i for i in range(2 * DOC_CAP + 1000)])
+        views = extract_views(doc, Mention("d", 4000, 4002))
+        assert len(views.document_tokens) == DOC_CAP
         assert doc[4000] in views.document_tokens
         assert doc[4001] in views.document_tokens
 
@@ -124,8 +127,10 @@ class TestExtractViews:
         cap = data.draw(st.integers(min_value=max(end - start, 1),
                                     max_value=400))
         doc = toks(*["w%d" % i for i in range(n)])
-        views = extract_views(doc, Mention("d", start, end),
-                              context_window=window, doc_cap=cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(textproc, "CONTEXT_WINDOW", window)
+            mp.setattr(textproc, "DOC_CAP", cap)
+            views = extract_views(doc, Mention("d", start, end))
         assert _is_contiguous_sublist(views.mention_tokens,
                                       views.context_tokens)
         assert _is_contiguous_sublist(views.mention_tokens,
@@ -153,9 +158,9 @@ class TestTargetViews:
         assert surfaces(title) == ["Gavin", "Floyd"]
 
     def test_body_truncated(self):
-        body = " ".join("tok%d" % i for i in range(10000))
-        _, body_tokens = extract_target_views("Pink_Floyd", body, doc_cap=2000)
-        assert len(body_tokens) == 2000
+        body = " ".join("tok%d" % i for i in range(5 * DOC_CAP))
+        _, body_tokens = extract_target_views("Pink_Floyd", body)
+        assert len(body_tokens) == DOC_CAP
 
     def test_degenerate_body(self):
         title, body = extract_target_views("A", "")
@@ -227,7 +232,7 @@ class TestCorpusIO:
                                         "must be non-empty"),
         ('""', "bad token: token surface must be non-empty"),
         # a no-break space and a tab: whitespace to str.split, as in text
-        ('"\\u00a0\\t"', "bad token: token surface must not be all "
+        ('"\\u00a0\\t"', "bad token: token surface must not contain "
                          "whitespace"),
     ], ids=["pos-number", "ner-list", "pos-empty", "surface-empty",
             "surface-whitespace"])
