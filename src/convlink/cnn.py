@@ -95,59 +95,54 @@ class Encoding:
         self.norm = np.linalg.norm(topic)
 
 
-def _check_width(W: np.ndarray, M: np.ndarray) -> None:
+def _encode(M: np.ndarray, view: View, store=None) -> Encoding:
+    """Encode one ``View`` with one (k, d*ell) filter bank ``M``.
+
+    A projected view gathers its pre-activations from ``store``, a
+    ``RowStore`` of ``M``, or from a fresh one."""
+    W = view.windows
     if W.shape[1] != M.shape[1]:
         raise DimensionError(
             "window width %d does not match bank width d*ell = %d"
             % (W.shape[1], M.shape[1]))
-
-
-def _project(U: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """The (u, k, ell) products of the rows U with the bank's ell blocks
-    M_j, each (k, d): [:, :, j] is U M_j^T, as M's columns are ell blocks
-    of d."""
-    return (U @ M.reshape(-1, U.shape[1]).T).reshape(len(U), M.shape[0], -1)
-
-
-def _encode(M: np.ndarray, view: View) -> Encoding:
-    """Encode one ``View`` with one (k, d*ell) filter bank ``M``.
-
-    On a projected view the bank's ell blocks M_j, each (k, d), apply
-    once to the u distinct rows U: P_j = U M_j^T, and the pre-activations
-    are A = sum_j P_j[ids[j : j + n']]."""
-    W = view.windows
-    _check_width(W, M)
     if view.ids is None:
         A = W @ M.T
     else:
-        P = _project(view.X[view.first], M)
-        n_windows = len(W)
-        A = P[view.ids[:n_windows], :, 0]
-        for j in range(1, P.shape[2]):
-            A += P[view.ids[j:j + n_windows], :, j]
+        A = (RowStore(M) if store is None else store).gather(view)
     return Encoding(np.maximum(A, 0.0).sum(axis=0), W, A)
 
 
 class RowStore:
-    """Embedding rows projected through one frozen (k, d*ell) bank ``M``,
-    each the first time a projected ``View`` needs it.  ``slot`` maps an
-    embedding-table row to its slot s; rows ell*s .. ell*s + ell - 1 of
-    ``P`` hold that row's ell products with M's blocks, P_j = w M_j^T, so
-    each gather reads k contiguous values.  ``P`` doubles when full, and
-    only the rows of stored slots are written."""
+    """Embedding rows projected through one (k, d*ell) bank ``M``, each
+    the first time a projected ``View`` needs it: the bank's ell blocks
+    M_j, each (k, d), apply once to a row w as P_j = w M_j^T.  ``slot``
+    maps an embedding-table row to its slot s; rows ell*s .. ell*s +
+    ell - 1 of ``P`` hold its P_0 .. P_{ell-1}, so each gather reads k
+    contiguous values.  ``P`` doubles when full, and only the rows of
+    stored slots are written.
+
+    A store kept across views is only valid while ``M`` is frozen; one
+    made for a single view encodes it exactly as its windows would be,
+    up to rounding."""
 
     def __init__(self, M: np.ndarray):
         self.M = M
         self.slot = {}
         self.P = np.empty((0, M.shape[0]))
 
-    def encode(self, view: View) -> Encoding:
-        """``_encode(M, view)`` for a projected view, up to rounding:
-        the same sums over products taken in other batches."""
-        W, M = view.windows, self.M
-        _check_width(W, M)
-        k, d = M.shape[0], view.X.shape[1]
-        ell = M.shape[1] // d
+    def _project(self, U: np.ndarray) -> np.ndarray:
+        """The (u, ell, k) products of the rows U with the ell blocks;
+        M's columns are ell blocks of d."""
+        k = self.M.shape[0]
+        return (U @ self.M.reshape(-1, U.shape[1]).T).reshape(
+            len(U), k, -1).transpose(0, 2, 1)
+
+    def gather(self, view: View):
+        """The (windows x k) pre-activations of a projected view,
+        A = sum_j P_j[ids[j : j + n']], projecting its rows not yet
+        stored."""
+        k, d = self.M.shape[0], view.X.shape[1]
+        ell = self.M.shape[1] // d
         slot = np.fromiter((self.slot.get(r, -1)
                             for r in view.row_ids.tolist()),
                            dtype=np.intp, count=len(view.row_ids))
@@ -160,14 +155,14 @@ class RowStore:
                 P = np.empty((max(2 * len(self.P), (n + m) * ell), k))
                 P[:n * ell] = self.P[:n * ell]
                 self.P = P
-            self.P[n * ell:(n + m) * ell].reshape(m, ell, k)[:] = _project(
-                view.X[view.first[new]], M).transpose(0, 2, 1)
+            self.P[n * ell:(n + m) * ell].reshape(m, ell, k)[:] = \
+                self._project(view.X[view.first[new]])
         rows = slot[view.ids] * ell
-        n_windows = len(W)
+        n_windows = len(view.windows)
         A = self.P[rows[:n_windows]]
         for j in range(1, ell):
             A += self.P[rows[j:j + n_windows] + j]
-        return Encoding(np.maximum(A, 0.0).sum(axis=0), W, A)
+        return A
 
 
 class Memo(dict):
@@ -249,10 +244,9 @@ def forward_from_matrices(banks: dict, source_views: dict,
     def encode_view(g, view):
         if memo is None or view.ids is None:
             return _encode(banks[g], view)
-        store = memo.rows.get(g)
-        if store is None:
-            store = memo.rows[g] = RowStore(banks[g])
-        return store.encode(view)
+        if g not in memo.rows:
+            memo.rows[g] = RowStore(banks[g])
+        return _encode(banks[g], view, memo.rows[g])
 
     def encode_target(g, view):
         if memo is None:

@@ -357,8 +357,8 @@ class TestTargetMemo:
         m, preps = memo_world()
         calls = []
         real = cnn._encode
-        monkeypatch.setattr(cnn, "_encode", lambda M, view: (
-            calls.append(view) or real(M, view)))
+        monkeypatch.setattr(cnn, "_encode", lambda M, view, store=None: (
+            calls.append(view) or real(M, view, store)))
         memo = cnn.Memo()
         for prep in preps:
             infer(m, prep, memo)
@@ -416,14 +416,14 @@ class TestRowStore:
     def test_each_row_projected_once_per_bank(self, monkeypatch):
         m, preps = memo_world(d=64)
         projected = {g: [] for g in GRANULARITIES}
-        real = cnn._project
+        real = cnn.RowStore._project
 
-        def spy(U, M):
-            [g] = [g for g, bank in m.banks.items() if bank is M]
+        def spy(store, U):
+            [g] = [g for g, bank in m.banks.items() if bank is store.M]
             projected[g].append(U.copy())
-            return real(U, M)
+            return real(store, U)
 
-        monkeypatch.setattr(cnn, "_project", spy)
+        monkeypatch.setattr(cnn.RowStore, "_project", spy)
         memo = cnn.Memo()
         for _ in range(2):          # the second pass projects no row
             for prep in preps:
