@@ -25,6 +25,11 @@ import os
 import sys
 import tempfile
 
+# One BLAS thread, set before numpy loads: the ``train d300 k150`` line
+# moves with the thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 

@@ -44,90 +44,107 @@ def window_matrix(X: np.ndarray, ell: int) -> np.ndarray:
 
 
 # The cost of gathering one element of a projected token row, in
-# multiply-adds of a matrix product: the break-even constant of ``View``.
+# multiply-adds of a matrix product: the break-even constant of ``_encode``.
 GATHER_COST = 25
 
 
 class View:
-    """One embedded (n, d) token sequence ``X`` prepared for filter width
-    ``ell``.  ``windows`` is its ``window_matrix``.
+    """One token sequence prepared for filter width ``ell``: its n
+    tokens' rows ``rows`` in the embedding ``table``, -1 out of
+    vocabulary, or, for a sequence given as its embedded (n, d) matrix
+    ``X``, no rows.  ``X``, its ``window_matrix`` ``windows`` and
+    ``distinct``, the view's distinct rows ascending with each token's
+    index into them, are built the first time they are read and kept;
+    which of them an encoding reads is ``_encode``'s choice."""
 
-    Given each token's embedding-table row in ``rows``, a view with u
-    distinct rows and n' = n - ell + 1 windows is encoded by projecting
-    each distinct row once, when that saves work: d * (n' - u) >
-    GATHER_COST * n', for the windows cost n' * d * ell * k multiply-adds
-    and the projection u * d * ell * k plus n' * ell * k gathers.
-    ``first`` then holds each distinct row's first position in ``X``,
-    ``row_ids`` its embedding-table row, ascending, and ``ids`` each
-    token's distinct index; otherwise all three are None.  A view of at
-    most ell rows always takes the windows.
-    """
+    def __init__(self, X, ell: int, rows=None, table=None):
+        self.ell, self.rows, self.table = ell, rows, table
+        self._X, self._windows, self._distinct = X, None, None
+        self.n, self.d = (len(rows), table.dim) if X is None else X.shape
 
-    def __init__(self, X: np.ndarray, ell: int, rows=None):
-        self.X = X
-        self.windows = window_matrix(X, ell)
-        self.first = self.ids = self.row_ids = None
-        n, d = X.shape
-        n_windows = n - ell + 1
-        # u >= 1, so a view that fails the rule at u = 1 fails it for any u
-        if rows is None or n <= ell or \
-                d * (n_windows - 1) <= GATHER_COST * n_windows:
-            return
-        row_ids, first, ids = np.unique(rows, return_index=True,
-                                        return_inverse=True)
-        if d * (n_windows - len(first)) > GATHER_COST * n_windows:
-            self.first, self.ids, self.row_ids = first, ids, row_ids
+    @property
+    def X(self) -> np.ndarray:
+        if self._X is None:
+            self._X = self.table.lookup_sequence(self.rows)
+        return self._X
+
+    @property
+    def windows(self) -> np.ndarray:
+        if self._windows is None:
+            self._windows = window_matrix(self.X, self.ell)
+        return self._windows
+
+    @property
+    def distinct(self):
+        if self._distinct is None:
+            self._distinct = np.unique(self.rows, return_inverse=True)
+        return self._distinct
 
 
 def embed(table, surfaces, ell: int) -> View:
-    """The ``View`` of a token sequence embedded with ``table``."""
-    rows, X = table.lookup_sequence(surfaces)
-    return View(X, ell, rows)
+    """The ``View`` of a token sequence in ``table``."""
+    return View(None, ell, np.array([table.row(t) for t in surfaces],
+                                    dtype=np.intp), table)
 
 
 class Encoding:
     """One view under one bank: its pooled topic vector and that vector's
-    norm, and its windows and (windows x k) pre-activations, both None
-    for a topic vector taken from a memo."""
+    norm, and the ``View`` and its (windows x k) pre-activations, both
+    None for a topic vector taken from a memo."""
 
-    def __init__(self, topic, windows=None, pre=None):
-        self.topic, self.windows, self.pre = topic, windows, pre
+    def __init__(self, topic, view=None, pre=None):
+        self.topic, self.view, self.pre = topic, view, pre
         self.norm = np.linalg.norm(topic)
 
 
 def _encode(M: np.ndarray, view: View, store=None) -> Encoding:
     """Encode one ``View`` with one (k, d*ell) filter bank ``M``.
 
-    A projected view gathers its pre-activations from ``store``, a
-    ``RowStore`` of ``M``, or from a fresh one."""
-    W = view.windows
-    if W.shape[1] != M.shape[1]:
+    The pre-activations of a view with n' = n - ell + 1 windows are its
+    windows times the bank, n' * d * ell * k multiply-adds, or gathered
+    from a ``RowStore`` of ``M``: n' * ell * k gathers of GATHER_COST
+    each, plus d * ell * k for each row the store projects.  A view of
+    at most ell tokens, a view without table rows and any view at d <=
+    GATHER_COST take the windows.  Under frozen weights every other view
+    gathers from the store that the callable ``store`` returns, the
+    bank's shared ``RowStore``, which projects each row once across
+    views.  Without one, a view of u distinct rows gathers from a fresh
+    store only when that saves work, d (n' - u) > GATHER_COST * n'.  The
+    two paths encode equal up to rounding."""
+    if view.d * view.ell != M.shape[1]:
         raise DimensionError(
             "window width %d does not match bank width d*ell = %d"
-            % (W.shape[1], M.shape[1]))
-    if view.ids is None:
-        A = W @ M.T
-    else:
-        A = (RowStore(M) if store is None else store).gather(view)
-    return Encoding(np.maximum(A, 0.0).sum(axis=0), W, A)
+            % (view.d * view.ell, M.shape[1]))
+    n_windows = view.n - view.ell + 1
+    if view.rows is None or n_windows < 2 or view.d <= GATHER_COST:
+        store = None
+    elif store is not None:
+        store = store()
+    elif view.d * (n_windows - len(view.distinct[0])) > \
+            GATHER_COST * n_windows:
+        store = RowStore(M, view.table)
+    A = view.windows @ M.T if store is None else store.gather(view)
+    return Encoding(np.maximum(A, 0.0).sum(axis=0), view, A)
 
 
 class RowStore:
-    """Embedding rows projected through one (k, d*ell) bank ``M``, each
-    the first time a projected ``View`` needs it: the bank's ell blocks
-    M_j, each (k, d), apply once to a row w as P_j = w M_j^T.  ``slot``
-    maps an embedding-table row to its slot s; rows ell*s .. ell*s +
-    ell - 1 of ``P`` hold its P_0 .. P_{ell-1}, so each gather reads k
-    contiguous values.  ``P`` doubles when full, and only the rows of
-    stored slots are written.
+    """Rows of the embedding ``table`` projected through one (k, d*ell)
+    bank ``M``, each the first time a view gathers it: the bank's ell
+    blocks M_j, each (k, d), apply once to a row w as P_j = w M_j^T.
+    ``slot`` holds each table row's slot s, -1 until stored, with the
+    OOV row -1 in its last entry; rows ell*s .. ell*s + ell - 1 of ``P``
+    hold its P_0 .. P_{ell-1}, so each gather reads k contiguous values.
+    ``P`` doubles when full, and only the rows of stored slots are
+    written.
 
     A store kept across views is only valid while ``M`` is frozen; one
     made for a single view encodes it exactly as its windows would be,
     up to rounding."""
 
-    def __init__(self, M: np.ndarray):
-        self.M = M
-        self.slot = {}
+    def __init__(self, M: np.ndarray, table):
+        self.M, self.table = M, table
+        self.slot = np.full(len(table.vectors) + 1, -1, dtype=np.intp)
+        self.stored = 0
         self.P = np.empty((0, M.shape[0]))
 
     def _project(self, U: np.ndarray) -> np.ndarray:
@@ -138,27 +155,25 @@ class RowStore:
             len(U), k, -1).transpose(0, 2, 1)
 
     def gather(self, view: View):
-        """The (windows x k) pre-activations of a projected view,
+        """The (windows x k) pre-activations of a view of this table,
         A = sum_j P_j[ids[j : j + n']], projecting its rows not yet
         stored."""
-        k, d = self.M.shape[0], view.X.shape[1]
-        ell = self.M.shape[1] // d
-        slot = np.fromiter((self.slot.get(r, -1)
-                            for r in view.row_ids.tolist()),
-                           dtype=np.intp, count=len(view.row_ids))
+        k, ell = self.M.shape[0], self.M.shape[1] // self.table.dim
+        row_ids, ids = view.distinct
+        slot = self.slot[row_ids]
         new = np.flatnonzero(slot < 0)
         if len(new):
-            n, m = len(self.slot), len(new)
-            slot[new] = np.arange(n, n + m)
-            self.slot.update(zip(view.row_ids[new].tolist(), range(n, n + m)))
+            n, m = self.stored, len(new)
+            slot[new] = self.slot[row_ids[new]] = np.arange(n, n + m)
+            self.stored += m
             if len(self.P) < (n + m) * ell:
                 P = np.empty((max(2 * len(self.P), (n + m) * ell), k))
                 P[:n * ell] = self.P[:n * ell]
                 self.P = P
             self.P[n * ell:(n + m) * ell].reshape(m, ell, k)[:] = \
-                self._project(view.X[view.first[new]])
-        rows = slot[view.ids] * ell
-        n_windows = len(view.windows)
+                self._project(self.table.lookup_sequence(row_ids[new]))
+        rows = slot[ids] * ell
+        n_windows = view.n - ell + 1
         A = self.P[rows[:n_windows]]
         for j in range(1, ell):
             A += self.P[rows[j:j + n_windows] + j]
@@ -167,19 +182,19 @@ class RowStore:
 
 class Memo(dict):
     """What a frozen model's forward passes share: each target ``View``
-    already encoded, mapped to its ``Encoding`` without windows, and in
-    ``rows`` one ``RowStore`` per granularity whose bank has encoded a
-    projected view."""
+    already encoded, mapped to its ``Encoding`` without a view, and in
+    ``rows`` one ``RowStore`` per granularity whose bank has gathered a
+    view."""
 
     def __init__(self):
         super().__init__()
         self.rows = {}
 
-
-def encode(M: np.ndarray, X: np.ndarray, ell: int) -> np.ndarray:
-    """Apply the (k, d*ell) filter bank ``M`` to an embedded (n, d)
-    sequence, each row taken as a distinct token."""
-    return _encode(M, View(X, ell)).topic
+    def store(self, g, M: np.ndarray, table) -> RowStore:
+        """Granularity ``g``'s store of bank ``M``, made on first use."""
+        if g not in self.rows:
+            self.rows[g] = RowStore(M, table)
+        return self.rows[g]
 
 
 def _cosine(u: Encoding, w: Encoding):
@@ -208,7 +223,7 @@ class ForwardCache:
     features.
 
     A ``memoized`` pass may have taken target encodings from a memo,
-    without their windows or pre-activations, so it cannot be
+    without their views or pre-activations, so it cannot be
     backpropagated.
     """
     mask: tuple
@@ -231,22 +246,22 @@ def forward_from_matrices(banks: dict, source_views: dict,
 
     ``memo``, a ``Memo`` for frozen weights only, maps each target
     ``View`` already encoded with these banks to its ``Encoding`` without
-    windows; a view missing from it is encoded and stored.  Through it,
-    every projected view, source or target, gathers its pre-activations
-    from the memo's ``RowStore`` for its bank, which projects each
-    embedding row once.  So a view that takes the windows encodes
-    bit-identically with and without a memo, and a projected one equal
-    to rounding.  Without a memo every needed view is encoded.
+    a view; a view missing from it is encoded and stored.  Through it,
+    every view that ``_encode`` sends to a store, source or target,
+    gathers its pre-activations from the memo's ``RowStore`` for its
+    bank, which projects each embedding row once.  So a view that takes
+    the windows encodes bit-identically with and without a memo, and a
+    gathered one equal to rounding.  Without a memo every needed view is
+    encoded.
     """
     mask = tuple(mask)
     needed = needed_granularities(mask)
 
     def encode_view(g, view):
-        if memo is None or view.ids is None:
+        if memo is None:
             return _encode(banks[g], view)
-        if g not in memo.rows:
-            memo.rows[g] = RowStore(banks[g])
-        return _encode(banks[g], view, memo.rows[g])
+        return _encode(banks[g], view,
+                       lambda: memo.store(g, banks[g], view.table))
 
     def encode_target(g, view):
         if memo is None:
@@ -288,7 +303,7 @@ def backward(cache: ForwardCache, upstream: np.ndarray, grads: dict) -> None:
         raise CacheError("backward requires the cached forward pass")
     if cache.memoized:
         raise CacheError("forward pass used memoized target vectors and "
-                         "kept no target windows")
+                         "kept no target views")
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != cache.fc.shape:
         raise DimensionError("upstream gradient must be %s, got %s"
@@ -320,4 +335,5 @@ def _backprop_pooling(grads: dict, encodings: dict, dv: dict) -> None:
         if not np.any(dvg):
             continue
         enc = encodings[g]
-        grads[g] += ((enc.pre > 0.0) * dvg[np.newaxis, :]).T @ enc.windows
+        grads[g] += (((enc.pre > 0.0) * dvg[np.newaxis, :]).T
+                     @ enc.view.windows)

@@ -43,15 +43,14 @@ class EmbeddingTable:
             idx = self.vocab.get(token.lower(), -1)
         return idx
 
-    def lookup_sequence(self, tokens):
-        """Each token's ``row`` and the (n, d) matrix of their vectors,
-        zero on OOV rows; n may be zero."""
-        rows = np.array([self.row(t) for t in tokens], dtype=np.intp)
+    def lookup_sequence(self, rows: np.ndarray) -> np.ndarray:
+        """The (n, d) matrix of the vectors at the table rows ``rows``,
+        zero at the OOV row -1; n may be zero."""
         if not self.vocab:
-            return rows, np.zeros((len(rows), self.dim))
+            return np.zeros((len(rows), self.dim))
         X = self.vectors[rows]
         X[rows < 0] = 0.0
-        return rows, X
+        return X
 
     def oov_rate(self, tokens) -> float:
         """Exact fraction of tokens that miss even after lowercasing."""

@@ -207,7 +207,7 @@ def score_pairs(model: Model, prep: PreparedMention,
     ``cnn.forward_from_matrices``); it is filled as candidates are
     scored and shared by every mention the same model scores.  Views
     that take the windows score bit-identically with and without it,
-    and projected views equal to rounding; a memoized forward pass
+    and gathered views equal to rounding; a memoized forward pass
     cannot be backpropagated.
     """
     T = len(prep.cand.candidates)
@@ -243,7 +243,7 @@ def infer(model: Model, prep: PreparedMention, memo: dict = None) -> list:
     """Marginal distribution over candidates, sorted by probability
     descending with ties broken by entity id.  ``memo`` is as for
     ``score_pairs``: one ``cnn.Memo`` per model, used only while its
-    weights are frozen; with it, probabilities of projected views
+    weights are frozen; with it, probabilities of gathered views
     equal those without it to rounding."""
     table = score_pairs(model, prep, memo)
     Pt, _ = marginals_from_scores(table.S)

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from convlink import cnn
 from convlink.binfile import read_framed, write_framed
 from convlink.config import (CONTEXT_WINDOW, SRC_CONTEXT, SRC_DOCUMENT,
                              FeatureToggles, ModelConfig, toggles_from_name)
@@ -25,6 +26,18 @@ def make_table(tokens, dim=4, seed=0):
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return EmbeddingTable(dim=dim, vocab={t: i for i, t in enumerate(tokens)},
                           vectors=vecs)
+
+
+def encode(M, X, ell):
+    """The topic vector of the embedded (n, d) sequence ``X`` under the
+    filter bank ``M``, each row taken as a distinct token."""
+    return cnn._encode(M, cnn.View(X, ell)).topic
+
+
+def built(view):
+    """Which of a ``cnn.View``'s parts built on first use it holds."""
+    return {name for name in ("X", "windows", "distinct")
+            if getattr(view, "_" + name) is not None}
 
 
 def write_embeddings(path, vectors):
@@ -334,7 +347,8 @@ def brute_force_marginals(world):
     doc_surf = [t.surface for t in views.document_tokens]
 
     def topic(granularity, tokens):
-        _, X = table.lookup_sequence([t.surface for t in tokens])
+        X = table.lookup_sequence(np.array([table.row(t.surface)
+                                            for t in tokens], dtype=np.intp))
         return reference_encode(model.banks[granularity], X, cfg.ell)
 
     entities = list(prep.cand.candidates)

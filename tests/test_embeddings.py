@@ -7,6 +7,12 @@ from convlink.embeddings import load_word2vec
 from convlink.errors import ConvlinkError, DimensionError, FormatError
 
 
+def lookup(table, tokens):
+    """Each token's table row and ``lookup_sequence`` at those rows."""
+    rows = np.array([table.row(t) for t in tokens], dtype=np.intp)
+    return rows, table.lookup_sequence(rows)
+
+
 def write(tmp_path, text, name="vec.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -24,7 +30,7 @@ def test_text_roundtrip(tmp_path):
 def test_oov_is_all_zeros(tmp_path):
     table = load_word2vec(write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n"))
     assert table.row("zzz-not-present") == -1
-    rows, mat = table.lookup_sequence(["zzz-not-present", "a", "qq"])
+    rows, mat = lookup(table, ["zzz-not-present", "a", "qq"])
     assert rows.tolist() == [-1, 0, -1]
     assert np.array_equal(mat[[0, 2]], np.zeros((2, 3)))
 
@@ -72,13 +78,13 @@ def test_duplicate_tokens_keep_first(tmp_path):
 
 def test_lookup_sequence(tmp_path):
     table = load_word2vec(write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n"))
-    rows, mat = table.lookup_sequence(["a", "a"])
+    rows, mat = lookup(table, ["a", "a"])
     assert mat.shape == (2, 3)
     assert np.array_equal(mat[0], mat[1])
     assert rows.tolist() == [0, 0]
-    rows, mat = table.lookup_sequence([])
+    rows, mat = lookup(table, [])
     assert mat.shape == (0, 3) and rows.shape == (0,)
-    rows, mixed = table.lookup_sequence(["a", "zzz", "B"])
+    rows, mixed = lookup(table, ["a", "zzz", "B"])
     assert np.array_equal(mixed, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
                                   [0.0, 1.0, 0.0]])
     # OOV is row -1; the lowercase fallback resolves to the row it hits
@@ -87,11 +93,11 @@ def test_lookup_sequence(tmp_path):
 
 def test_lookup_is_referentially_transparent(tmp_path):
     table = load_word2vec(write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n"))
-    _, first = table.lookup_sequence(["a", "zzz"])
+    _, first = lookup(table, ["a", "zzz"])
     expected = first.copy()
     first[:] = 7.0      # the caller's matrix is a copy, not the table
     for _ in range(5):
-        assert np.array_equal(table.lookup_sequence(["a", "zzz"])[1],
+        assert np.array_equal(lookup(table, ["a", "zzz"])[1],
                               expected)
 
 
@@ -166,7 +172,7 @@ def test_blank_lines_and_whitespace_skipped(tmp_path):
                                           [-1.0, 0.5]])
     empty = load_word2vec(write(tmp_path, "0 3\n\n", name="none.txt"))
     assert empty.vectors.shape == (0, 3)
-    rows, X = empty.lookup_sequence(["a", "b"])
+    rows, X = lookup(empty, ["a", "b"])
     assert rows.tolist() == [-1, -1] and np.array_equal(X, np.zeros((2, 3)))
 
 

@@ -102,7 +102,7 @@ class TestGenerateQueries:
     @given(st.lists(st.sampled_from(
         ["The", "Pink", "Floyd", "Weapons", "of", ",", "U.N.", "clubs"]),
         min_size=1, max_size=5))
-    @settings(max_examples=150)
+    @settings(max_examples=150, derandomize=True, database=None)
     def test_texts_unique_and_nonempty(self, surfaces):
         queries = generate_queries(toks(*surfaces))
         texts = [q.text for q in queries]
@@ -138,7 +138,7 @@ class TestCandidates:
         assert cand.candidates == [NULL_ENTITY]
 
     @given(st.data())
-    @settings(max_examples=60)
+    @settings(max_examples=60, derandomize=True, database=None)
     def test_monotone_and_union(self, data):
         # random tiny KB
         entities = ["E%d" % i for i in range(4)]

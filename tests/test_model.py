@@ -24,7 +24,7 @@ from convlink.sparse import FeatureTable
 from convlink.textproc import Document, Mention, Token
 from helpers import (ABLATION_TOGGLES, MALFORMED_MODEL_HEADERS,
                      MALFORMED_SPARSE_BLOCKS, brute_force_marginals,
-                     max_fd_relative_error, rewrite_model_header,
+                     built, encode, max_fd_relative_error, rewrite_model_header,
                      rewrite_sparse_block, table_rows, tiny_world, toks)
 
 
@@ -341,7 +341,7 @@ class TestTargetMemo:
         assert len(views) == 2 * len(needed)
         assert set(memo) == set(views)
         for enc in memo.values():
-            assert enc.windows is None and enc.pre is None
+            assert enc.view is None and enc.pre is None
             assert enc.topic.shape == (m.config.k,)
         assert memo.rows == {}
 
@@ -352,6 +352,22 @@ class TestTargetMemo:
         for prep in preps:
             assert infer(m, prep, memo) == infer(m, prep)
         assert memo.rows == {} and len(memo) == 4
+
+    def test_acceptance_width_routes_no_view_to_a_store(self, monkeypatch):
+        gathered = []
+        real = cnn.RowStore.gather
+        monkeypatch.setattr(cnn.RowStore, "gather", lambda store, view: (
+            gathered.append(view) or real(store, view)))
+        m, preps = memo_world(d=16)
+        memo = cnn.Memo()
+        for prep in preps:
+            infer(m, prep, memo)
+            infer(m, prep)
+            loss_and_grad(m, prep)
+        assert gathered == [] and memo.rows == {}
+        views = [v for prep in preps for v in prep.source_views.values()]
+        views += target_views(preps, GRANULARITIES)
+        assert all("distinct" not in built(v) for v in views)
 
     def test_targets_encoded_once_per_entity(self, monkeypatch):
         m, preps = memo_world()
@@ -381,22 +397,32 @@ class TestTargetMemo:
 
 
 def projected_rows(preps, needed):
-    """Granularity -> the embedding-table rows of every projected view
-    of ``preps`` whose granularity is in ``needed``."""
+    """Granularity -> the embedding-table rows of every view of
+    ``preps`` longer than ell whose granularity is in ``needed``: at d
+    > GATHER_COST, the views a memo's stores gather."""
     rows = {}
     for prep in preps:
         views = list(prep.source_views.items()) + [
             item for tgt in prep.target_views if tgt is not None
             for item in tgt.items()]
         for g, view in views:
-            if g in needed and view.ids is not None:
-                rows.setdefault(g, set()).update(view.row_ids.tolist())
+            assert view.d > cnn.GATHER_COST
+            if g in needed and view.n > view.ell:
+                rows.setdefault(g, set()).update(view.rows.tolist())
     return rows
 
 
+def stored_rows(store):
+    """The table rows a ``cnn.RowStore`` holds, the OOV row as -1."""
+    oov = len(store.slot) - 1
+    return {-1 if r == oov else r
+            for r in np.flatnonzero(store.slot >= 0).tolist()}
+
+
 class TestRowStore:
-    """The memo's projected rows, at a width where the micro corpus's
-    bodies and most of its documents take the projection."""
+    """The memo's projected rows, at a width where every view longer
+    than ell, the micro corpus's contexts, documents and bodies, takes
+    the store."""
 
     @pytest.mark.parametrize("name", ["full", "cnn-only", "pair:doc*doc"])
     def test_marginals_match_encoding_per_mention(self, name):
@@ -431,16 +457,42 @@ class TestRowStore:
         rows = projected_rows(preps, GRANULARITIES)
         assert set(rows) == set(memo.rows)
         for g, ids in rows.items():
-            assert set(memo.rows[g].slot) == ids
+            assert stored_rows(memo.rows[g]) == ids
             # distinct table rows have distinct vectors, OOV the zero row
             U = np.vstack(projected[g])
             assert len(U) == len(np.unique(U, axis=0)) == len(ids)
         assert not any(projected[g] for g in GRANULARITIES if g not in rows)
 
+    def test_memoized_context_matches_its_windows_encoding(self):
+        m, preps = memo_world(d=64)
+        ell, bank = m.config.ell, m.banks["src_context"]
+        memo = cnn.Memo()
+        for prep in preps:
+            got = score_pairs(m, prep, memo).forward.source["src_context"]
+            view = prep.source_views["src_context"]
+            assert view.n > ell and "windows" not in built(view)
+            want = encode(bank, view.X, ell)
+            assert np.max(np.abs(got.topic - want)) <= 1e-12
+        assert "src_context" in memo.rows
+
+    def test_memoized_infer_never_embeds_long_views(self):
+        m, preps = memo_world(d=64)
+        memo = cnn.Memo()
+        for prep in preps:
+            infer(m, prep, memo)
+        views = [v for prep in preps for v in prep.source_views.values()]
+        views += target_views(preps, GRANULARITIES)
+        long_views = [v for v in views if v.n > m.config.ell]
+        assert long_views and set(memo.rows) == {
+            "src_context", "src_document", "tgt_document"}
+        for v in views:
+            assert {"X", "windows"} & built(v) == (
+                set() if v.n > m.config.ell else {"X", "windows"})
+
     def test_memoized_forward_cannot_backpropagate(self):
         m, preps = memo_world(d=64)
         prep = next(p for p in preps
-                    if p.source_views["src_document"].ids is not None)
+                    if p.source_views["src_document"].n > m.config.ell)
         memo = cnn.Memo()
         table = score_pairs(m, prep, memo)
         assert table.forward.memoized and "src_document" in memo.rows
@@ -715,25 +767,24 @@ class TestThetaLayout:
 
 class TestPreparedWindows:
     def test_long_views_share_memory_with_embedded_rows(self, monkeypatch):
-        # every view longer than ell keeps a strided view of its embedded
-        # rows, not a copy
+        # every view longer than ell builds its windows as a strided view
+        # of its own embedded rows, not a copy
         from convlink.embeddings import EmbeddingTable
         embedded = []
         real = EmbeddingTable.lookup_sequence
         monkeypatch.setattr(EmbeddingTable, "lookup_sequence",
-                            lambda self, surfaces: embedded.append(
-                                real(self, surfaces)) or embedded[-1])
+                            lambda self, rows: embedded.append(
+                                real(self, rows)) or embedded[-1])
         m, preps = memo_world()
         ell = m.config.ell
-        views = [v.windows for prep in preps
-                 for v in prep.source_views.values()]
-        views += [v.windows for prep in preps for tgt in prep.target_views
+        views = [v for prep in preps for v in prep.source_views.values()]
+        views += [v for prep in preps for tgt in prep.target_views
                   if tgt is not None for v in tgt.values()]
-        long_views = [W for W in views if W.shape[0] > 1]
+        long_views = [v for v in views if v.windows.shape[0] > 1]
         assert long_views
-        for W in long_views:
-            assert any(X.shape[0] > ell and np.shares_memory(W, X)
-                       for _, X in embedded)
+        for v in long_views:
+            assert v.n > ell and np.shares_memory(v.windows, v.X)
+            assert any(X is v.X for X in embedded)
 
     def test_target_cache_builds_windows_once_per_entity(self, monkeypatch):
         calls = []
@@ -741,8 +792,12 @@ class TestPreparedWindows:
         monkeypatch.setattr(cnn, "window_matrix", lambda X, ell: (
             calls.append(X.shape) or real(X, ell)))
         m, preps = memo_world()
-        # three source views per mention, two target views per entity
-        assert len(calls) == 3 * len(preps) + 2 * 2
+        assert calls == []          # preparation builds no windows
+        for _ in range(2):          # the second pass builds none
+            for prep in preps:
+                score_pairs(m, prep)
+            # three source views per mention, two target views per entity
+            assert len(calls) == 3 * len(preps) + 2 * 2
         for prep in preps[1:]:
             for a, b in zip(preps[0].target_views, prep.target_views):
                 if a is not None:
