@@ -11,8 +11,9 @@ written back by ``save_corpus(load_corpus(...))``, then every KB body's
 token surfaces in entity order.  The last two lines are a model at the
 paper's width (d 300, k 150, 2 epochs, seed 1), trained on an
 eight-document world that ``synthetic.generate`` writes, and its
-predictions on that world's one test document, which pin the row store
-of ``cnn.Memo``.  All files go to a temporary directory.
+predictions on that world's one test document: they pin the row store,
+the fresh one each training view gathers from and the one per bank in
+``cnn.Memo``.  All files go to a temporary directory.
 Run it in two checkouts and diff the outputs to show that a change keeps
 every bit.
 """

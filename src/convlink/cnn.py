@@ -43,24 +43,24 @@ def window_matrix(X: np.ndarray, ell: int) -> np.ndarray:
     return view.reshape(n - ell + 1, ell * d)
 
 
-# The cost of gathering one element of a projected token row, in
-# multiply-adds of a matrix product: the break-even constant of ``_encode``.
+# The embedding width at or below which ``_encode`` never gathers: where
+# a gather reads one element of a projected row, the windows product
+# spends d multiply-adds, and the read costs about this many of them.
 GATHER_COST = 25
 
 
 class View:
     """One token sequence prepared for filter width ``ell``: its n
     tokens' rows ``rows`` in the embedding ``table``, -1 out of
-    vocabulary, or, for a sequence given as its embedded (n, d) matrix
-    ``X``, no rows.  ``X``, its ``window_matrix`` ``windows`` and
-    ``distinct``, the view's distinct rows ascending with each token's
-    index into them, are built the first time they are read and kept;
-    which of them an encoding reads is ``_encode``'s choice."""
+    vocabulary.  Its embedded (n, d) rows ``X``, their ``window_matrix``
+    ``windows`` and ``distinct``, the view's distinct rows ascending with
+    each token's index into them, are built the first time they are read
+    and kept; which of them an encoding reads is ``_encode``'s choice."""
 
-    def __init__(self, X, ell: int, rows=None, table=None):
-        self.ell, self.rows, self.table = ell, rows, table
-        self._X, self._windows, self._distinct = X, None, None
-        self.n, self.d = (len(rows), table.dim) if X is None else X.shape
+    def __init__(self, rows, table, ell: int):
+        self.rows, self.table, self.ell = rows, table, ell
+        self._X = self._windows = self._distinct = None
+        self.n, self.d = len(rows), table.dim
 
     @property
     def X(self) -> np.ndarray:
@@ -83,8 +83,8 @@ class View:
 
 def embed(table, surfaces, ell: int) -> View:
     """The ``View`` of a token sequence in ``table``."""
-    return View(None, ell, np.array([table.row(t) for t in surfaces],
-                                    dtype=np.intp), table)
+    return View(np.array([table.row(t) for t in surfaces], dtype=np.intp),
+                table, ell)
 
 
 class Encoding:
@@ -100,30 +100,19 @@ class Encoding:
 def _encode(M: np.ndarray, view: View, store=None) -> Encoding:
     """Encode one ``View`` with one (k, d*ell) filter bank ``M``.
 
-    The pre-activations of a view with n' = n - ell + 1 windows are its
-    windows times the bank, n' * d * ell * k multiply-adds, or gathered
-    from a ``RowStore`` of ``M``: n' * ell * k gathers of GATHER_COST
-    each, plus d * ell * k for each row the store projects.  A view of
-    at most ell tokens, a view without table rows and any view at d <=
-    GATHER_COST take the windows.  Under frozen weights every other view
-    gathers from the store that the callable ``store`` returns, the
-    bank's shared ``RowStore``, which projects each row once across
-    views.  Without one, a view of u distinct rows gathers from a fresh
-    store only when that saves work, d (n' - u) > GATHER_COST * n'.  The
-    two paths encode equal up to rounding."""
+    A view of at most ell tokens, and any view at d <= GATHER_COST,
+    takes its windows times the bank.  Every other view gathers its
+    pre-activations from ``store``, a ``RowStore`` of ``M`` over the
+    view's table, or else from a fresh one; a store kept across views
+    projects each row once.  The two paths encode equal up to rounding."""
     if view.d * view.ell != M.shape[1]:
         raise DimensionError(
             "window width %d does not match bank width d*ell = %d"
             % (view.d * view.ell, M.shape[1]))
-    n_windows = view.n - view.ell + 1
-    if view.rows is None or n_windows < 2 or view.d <= GATHER_COST:
-        store = None
-    elif store is not None:
-        store = store()
-    elif view.d * (n_windows - len(view.distinct[0])) > \
-            GATHER_COST * n_windows:
-        store = RowStore(M, view.table)
-    A = view.windows @ M.T if store is None else store.gather(view)
+    if view.n <= view.ell or view.d <= GATHER_COST:
+        A = view.windows @ M.T
+    else:
+        A = (RowStore(M, view.table) if store is None else store).gather(view)
     return Encoding(np.maximum(A, 0.0).sum(axis=0), view, A)
 
 
@@ -183,18 +172,12 @@ class RowStore:
 class Memo(dict):
     """What a frozen model's forward passes share: each target ``View``
     already encoded, mapped to its ``Encoding`` without a view, and in
-    ``rows`` one ``RowStore`` per granularity whose bank has gathered a
-    view."""
+    ``stores`` one ``RowStore`` over ``table`` per bank of ``banks``,
+    from which every view that ``_encode`` gathers reads."""
 
-    def __init__(self):
+    def __init__(self, banks: dict, table):
         super().__init__()
-        self.rows = {}
-
-    def store(self, g, M: np.ndarray, table) -> RowStore:
-        """Granularity ``g``'s store of bank ``M``, made on first use."""
-        if g not in self.rows:
-            self.rows[g] = RowStore(M, table)
-        return self.rows[g]
+        self.stores = {g: RowStore(M, table) for g, M in banks.items()}
 
 
 def _cosine(u: Encoding, w: Encoding):
@@ -244,28 +227,25 @@ def forward_from_matrices(banks: dict, source_views: dict,
     ``target_views`` holds one such dict per candidate, or None for the
     NULL candidate, whose six features stay zero.
 
-    ``memo``, a ``Memo`` for frozen weights only, maps each target
-    ``View`` already encoded with these banks to its ``Encoding`` without
-    a view; a view missing from it is encoded and stored.  Through it,
-    every view that ``_encode`` sends to a store, source or target,
-    gathers its pre-activations from the memo's ``RowStore`` for its
-    bank, which projects each embedding row once.  So a view that takes
-    the windows encodes bit-identically with and without a memo, and a
-    gathered one equal to rounding.  Without a memo every needed view is
-    encoded.
+    ``memo``, a ``Memo`` of these banks for frozen weights only, maps
+    each target ``View`` already encoded to its ``Encoding`` without a
+    view; a view missing from it is encoded and stored.  Every view that
+    ``_encode`` gathers, source or target, reads the memo's store for
+    its bank, which projects each embedding row once; without a memo it
+    reads a fresh store.  So a view that takes the windows encodes
+    bit-identically with and without a memo, and a gathered one equal to
+    rounding.
     """
     mask = tuple(mask)
     needed = needed_granularities(mask)
+    stores = {} if memo is None else memo.stores
 
     def encode_view(g, view):
-        if memo is None:
-            return _encode(banks[g], view)
-        return _encode(banks[g], view,
-                       lambda: memo.store(g, banks[g], view.table))
+        return _encode(banks[g], view, stores.get(g))
 
     def encode_target(g, view):
         if memo is None:
-            return _encode(banks[g], view)
+            return encode_view(g, view)
         enc = memo.get(view)
         if enc is None:
             enc = memo[view] = Encoding(encode_view(g, view).topic)

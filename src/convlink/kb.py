@@ -94,11 +94,13 @@ class KnowledgeBase:
     def ingest(cls, articles, anchors) -> "KnowledgeBase":
         """Build indexes from article records {id,title,body} and anchor
         records {anchor_text,entity_id}.  Anchors naming unknown entities
-        are skipped and counted; duplicate article ids and blank titles
-        are errors."""
+        are skipped and counted; duplicate article ids, the reserved id
+        NULL_ENTITY and blank titles are errors."""
         entities = {}
         for rec in articles:
             eid = rec["id"]
+            if eid == NULL_ENTITY:
+                raise IngestError("reserved entity id %r" % eid)
             if eid in entities:
                 raise IngestError("duplicate entity id %r" % eid)
             if not rec["title"].strip():
@@ -298,14 +300,15 @@ def save_kb(kb: KnowledgeBase, path) -> None:
 
 def _check_payload(entities, anchor_index, skipped_anchors) -> None:
     """ValueError unless the fields are what ``ingest`` and ``save_kb``
-    write: every title non-blank, and every anchor normalized, non-empty
-    and linked to known entities with counts of at least 1."""
-    if type(entities) is not dict or any(
+    write: no entity id NULL_ENTITY, every title non-blank, and every
+    anchor normalized, non-empty and linked to known entities with
+    counts of at least 1."""
+    if type(entities) is not dict or NULL_ENTITY in entities or any(
             type(rec) is not dict or set(rec) != {"title", "body"}
             or any(type(v) is not str for v in rec.values())
             or not rec["title"].strip() for rec in entities.values()):
-        raise ValueError('entities must map each id to {"title": non-blank '
-                         'string, "body": string}')
+        raise ValueError('entities must map each id but %s to {"title": '
+                         'non-blank string, "body": string}' % NULL_ENTITY)
     if type(anchor_index) is not dict or any(
             not anchor or anchor != normalize_anchor(anchor)
             or type(counts) is not dict or not counts

@@ -265,7 +265,7 @@ def link(targets: TargetCache, models, pairs):
         if m.config.with_toggles(targets.config.toggles) != targets.config:
             raise ValueError("a scored model's config differs from the "
                              "preparing config beyond its toggles")
-    memos = [cnn.Memo() for _ in models]
+    memos = [cnn.Memo(m.banks, targets.table) for m in models]
     for doc, mention in pairs:
         prep = prepare_mention(targets, doc, mention)
         yield prep, [infer(m, prep, memo)[0]

@@ -28,10 +28,19 @@ def make_table(tokens, dim=4, seed=0):
                           vectors=vecs)
 
 
+def matrix_view(X, ell):
+    """The ``cnn.View`` of the embedded (n, d) sequence ``X``, each row
+    taken as a distinct token: row i of a table holding X's rows."""
+    n, d = X.shape
+    table = EmbeddingTable(dim=d, vocab={"r%d" % i: i for i in range(n)},
+                           vectors=np.array(X, dtype=float))
+    return cnn.View(np.arange(n, dtype=np.intp), table, ell)
+
+
 def encode(M, X, ell):
     """The topic vector of the embedded (n, d) sequence ``X`` under the
     filter bank ``M``, each row taken as a distinct token."""
-    return cnn._encode(M, cnn.View(X, ell)).topic
+    return cnn._encode(M, matrix_view(X, ell)).topic
 
 
 def built(view):
@@ -76,6 +85,9 @@ MALFORMED_KB_PAYLOADS = {
     "anchor-unknown-entity": kb_payload(anchor_index={"one": {"E9": 1}}),
     "skipped-anchors-string": kb_payload(skipped_anchors="3"),
     # well-typed, but not what ingest-kb writes
+    "entity-null-id": kb_payload(
+        entities={"<NULL>": {"title": "Null", "body": "one two"}},
+        anchor_index={"one": {"<NULL>": 1}}),
     "entity-title-blank": kb_payload(
         entities={"E1": {"title": " \t", "body": "one two"}}),
     "anchor-count-zero": kb_payload(anchor_index={"one": {"E1": 0}}),

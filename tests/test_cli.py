@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import filecmp
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import zlib
 from dataclasses import asdict
 
 import pytest
@@ -18,7 +20,7 @@ from convlink.binfile import read_framed, write_framed
 from convlink.cli import run
 from convlink.config import (FIXED_SETTINGS, GRANULARITIES, FeatureToggles,
                              ModelConfig)
-from convlink.kb import KB_MAGIC, KB_VERSION
+from convlink.kb import KB_MAGIC, KB_VERSION, NULL_ENTITY
 from convlink.synthetic import SyntheticSpec
 from helpers import (MALFORMED_KB_PAYLOADS, MALFORMED_MODEL_HEADERS,
                      MALFORMED_SPARSE_BLOCKS, rewrite_model_header,
@@ -161,7 +163,8 @@ def test_malformed_sparse_block_is_data_error(workspace, untrained_model,
 
 
 def header_paths(node, prefix=()):
-    """The path of every key in a model header, nested ones included."""
+    """The path of every key in a JSON object such as a model header,
+    nested ones included."""
     for key, value in node.items():
         yield prefix + (key,)
         if isinstance(value, dict):
@@ -204,6 +207,55 @@ def test_link_reports_any_bad_model_header_value_as_data_error(
         # a fixed preparation setting loads only at its fixed value
         if path[-1] in FIXED_SETTINGS and value != FIXED_SETTINGS[path[-1]]:
             assert code == 2, (path, value)
+
+
+DELETE = object()
+
+# DELETE removes the key and a tuple (name,) moves its value to the key
+# name; the rest replace the value with one of a wrong JSON type or shape
+KB_VALUE = st.one_of(
+    st.just(DELETE), st.tuples(st.one_of(st.just(NULL_ENTITY),
+                                         st.text(max_size=3))),
+    st.none(), st.booleans(), st.integers(-2, 2),
+    st.integers(2 ** 63, 2 ** 70), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-1, 2), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.one_of(
+        st.none(), st.integers(-1, 2), st.text(max_size=2)), max_size=2))
+
+
+@given(value=KB_VALUE)
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+def test_link_reports_any_bad_kb_payload_value_as_data_error(
+        workspace, untrained_model, value):
+    root = workspace["root"]
+    _, payload = read_framed(workspace["kb"], KB_MAGIC, (KB_VERSION,))
+    valid = json.loads(zlib.decompress(payload))
+    kb_path = str(root / "property-kb.bin")
+    for path in sorted(header_paths(valid)):
+        data = copy.deepcopy(valid)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        if value is DELETE or type(value) is tuple:
+            moved = node.pop(path[-1])
+        if type(value) is tuple:
+            node[value[0]] = moved
+        elif value is not DELETE:
+            node[path[-1]] = value
+        write_framed(kb_path, KB_MAGIC, KB_VERSION,
+                     zlib.compress(json.dumps(data).encode("utf-8")))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["-q", "link", "--kb", kb_path,
+                        "--embeddings", workspace["embeddings"],
+                        "--corpus", workspace["test"],
+                        "--model", untrained_model,
+                        "--out", str(root / "property-preds.jsonl")])
+        lines = err.getvalue().splitlines()
+        assert (code, lines) == (0, []) or (
+            code == 2 and len(lines) == 1
+            and lines[0].startswith("error: %s: " % kb_path)), \
+            (path, code, lines)
 
 
 def train_with_component(workspace, tmp_path, lineno, value):
@@ -302,6 +354,24 @@ def test_duplicate_article_id_names_file_and_line(tmp_path, capsys):
                 "--anchors", anchors, "--out", str(tmp_path / "kb.bin")])
     assert code == 2
     assert ("error: %s:2: duplicate entity id 'E1'" % articles
+            in capsys.readouterr().err)
+
+
+def test_null_article_id_names_file_and_line(tmp_path, capsys):
+    # the reserved id once ingested and then failed train as
+    # "candidates must be deduplicated", naming no file
+    articles = str(tmp_path / "articles.jsonl")
+    anchors = str(tmp_path / "anchors.jsonl")
+    with open(articles, "w", encoding="utf-8") as fh:
+        fh.write('{"id": "E1", "title": "T1", "body": "b"}\n'
+                 '{"id": "<NULL>", "title": "T2", "body": "c"}\n')
+    with open(anchors, "w", encoding="utf-8") as fh:
+        fh.write('{"anchor_text": "t", "entity_id": "E1"}\n')
+    out = tmp_path / "kb.bin"
+    code = run(["-q", "ingest-kb", "--articles", articles,
+                "--anchors", anchors, "--out", str(out)])
+    assert code == 2 and not out.exists()
+    assert ("error: %s:2: reserved entity id '<NULL>'" % articles
             in capsys.readouterr().err)
 
 

@@ -8,7 +8,8 @@ from convlink.config import (COSINE_PAIRS, GRANULARITIES, N_DENSE,
                              ModelConfig, needed_granularities)
 from convlink.errors import CacheError, DimensionError
 from convlink.model import Model
-from helpers import built, encode, encodings, make_table, tiny_world, toks
+from helpers import (built, encode, encodings, make_table, matrix_view,
+                     tiny_world, toks)
 
 
 def reference_encode(M, X, ell):
@@ -134,11 +135,10 @@ def paper_table(d, u=180, seed=0):
 def encode_path(view, memo=False):
     """How ``cnn._encode`` encodes a ``view`` whose windows are not yet
     built: "windows", or "store" for a gather, which never builds them;
-    without a memo, or under one with ``memo``."""
+    given no store, or with ``memo`` a ``cnn.RowStore`` as a memo's."""
     assert "windows" not in built(view)
     bank = np.ones((2, view.d * view.ell))
-    cnn._encode(bank, view, (lambda: cnn.RowStore(bank, view.table))
-                if memo else None)
+    cnn._encode(bank, view, cnn.RowStore(bank, view.table) if memo else None)
     return "windows" if "windows" in built(view) else "store"
 
 
@@ -206,12 +206,6 @@ class TestProjection:
             view = cnn.embed(paper_table(300, u=1), ["t0"] * n, 5)
             assert encode_path(view, memo) == "windows"
             assert view.windows.shape == (1, 1500)
-
-    def test_encode_takes_rows_as_distinct_tokens(self):
-        row = np.random.default_rng(33).normal(size=(1, 300))
-        for memo in (False, True):
-            view = cnn.View(np.tile(row, (200, 1)), 5)
-            assert view.rows is None and encode_path(view, memo) == "windows"
 
     def test_tiny_world_at_acceptance_width_takes_windows(self):
         for seed in range(5):
@@ -310,7 +304,7 @@ def make_banks(rng, k=3, ell=2, d=4):
 
 def random_views(rng, d, lens, ell=2):
     """The ``cnn.View``s of random (n, d) views."""
-    return {g: cnn.View(rng.normal(size=(n, d)), ell)
+    return {g: matrix_view(rng.normal(size=(n, d)), ell)
             for g, n in lens.items()}
 
 

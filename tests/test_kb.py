@@ -27,6 +27,11 @@ class TestIngest:
                 [{"id": "E1", "title": "a", "body": ""},
                  {"id": "E1", "title": "b", "body": ""}], [])
 
+    def test_null_entity_id_is_reserved(self):
+        with pytest.raises(IngestError, match="reserved entity id '<NULL>'"):
+            KnowledgeBase.ingest([{"id": NULL_ENTITY, "title": "N",
+                                   "body": ""}], [])
+
     @pytest.mark.parametrize("title", ["", " \t"])
     def test_blank_title(self, title):
         with pytest.raises(IngestError, match="title must be non-empty"):

@@ -24,7 +24,7 @@ from convlink.sparse import FeatureTable
 from convlink.textproc import Document, Mention, Token
 from helpers import (ABLATION_TOGGLES, MALFORMED_MODEL_HEADERS,
                      MALFORMED_SPARSE_BLOCKS, brute_force_marginals,
-                     built, encode, max_fd_relative_error, rewrite_model_header,
+                     built, max_fd_relative_error, rewrite_model_header,
                      rewrite_sparse_block, table_rows, tiny_world, toks)
 
 
@@ -181,6 +181,24 @@ class TestLossAndGrad:
         w = tiny_world(seed=8, min_kink_gap=1e-3)
         assert max_fd_relative_error(w.model, w.prep, h=1e-5) < 1e-4
 
+    def test_finite_differences_through_row_stores(self, monkeypatch):
+        # criterion 1's h and bound at d=64 > GATHER_COST, where training
+        # gathers every view longer than ell from a fresh store
+        gathered = []
+        real = cnn.RowStore.gather
+        monkeypatch.setattr(cnn.RowStore, "gather", lambda store, view: (
+            gathered.append(view) or real(store, view)))
+        for seed in range(3):
+            w = tiny_world(seed=seed, d=64, min_kink_gap=1e-3)
+            views = list(w.prep.source_views.values()) + [
+                v for tgt in w.prep.target_views if tgt is not None
+                for v in tgt.values()]
+            gathered.clear()
+            loss_and_grad(w.model, w.prep)
+            long_views = {v for v in views if v.n > w.model.config.ell}
+            assert long_views and set(gathered) == long_views
+            assert max_fd_relative_error(w.model, w.prep, h=1e-5) < 1e-4
+
     def test_untouched_sparse_index_has_no_gradient(self):
         w = tiny_world(seed=9)
         _, grads = loss_and_grad(w.model, w.prep)
@@ -317,6 +335,16 @@ def memo_world(toggles=None, d=6):
     return m, preps
 
 
+def memo_of(m, preps):
+    """A new ``cnn.Memo`` of ``m``'s banks over the table of ``preps``."""
+    return cnn.Memo(m.banks, preps[0].source_views["src_mention"].table)
+
+
+def gathered_banks(memo):
+    """The granularities whose store in ``memo`` holds rows."""
+    return {g for g, store in memo.stores.items() if store.stored > 0}
+
+
 def target_views(preps, needed):
     """Each distinct target ``cnn.View`` of ``preps`` whose granularity
     is in ``needed``, mapped to that granularity."""
@@ -328,7 +356,7 @@ class TestTargetMemo:
     @pytest.mark.parametrize("name", ["full", "cnn-only", "pair:ment*title"])
     def test_memo_gives_bit_identical_marginals(self, name):
         m, preps = memo_world(dict(ABLATION_TOGGLES)[name])
-        memo = cnn.Memo()
+        memo = memo_of(m, preps)
         for prep in preps:
             want = [(s.entity, s.marginal_prob) for s in infer(m, prep)]
             got = [(s.entity, s.marginal_prob) for s in infer(m, prep, memo)]
@@ -343,15 +371,17 @@ class TestTargetMemo:
         for enc in memo.values():
             assert enc.view is None and enc.pre is None
             assert enc.topic.shape == (m.config.k,)
-        assert memo.rows == {}
+        assert gathered_banks(memo) == set()
 
     def test_acceptance_width_creates_no_row_store(self):
-        # at d=16 <= GATHER_COST every view takes the windows
+        # at d=16 <= GATHER_COST every view takes the windows, so the
+        # memo's stores, one per bank, stay empty
         m, preps = memo_world(d=16)
-        memo = cnn.Memo()
+        memo = memo_of(m, preps)
         for prep in preps:
             assert infer(m, prep, memo) == infer(m, prep)
-        assert memo.rows == {} and len(memo) == 4
+        assert len(memo.stores) == len(GRANULARITIES) and len(memo) == 4
+        assert all(s.stored == 0 for s in memo.stores.values())
 
     def test_acceptance_width_routes_no_view_to_a_store(self, monkeypatch):
         gathered = []
@@ -359,12 +389,12 @@ class TestTargetMemo:
         monkeypatch.setattr(cnn.RowStore, "gather", lambda store, view: (
             gathered.append(view) or real(store, view)))
         m, preps = memo_world(d=16)
-        memo = cnn.Memo()
+        memo = memo_of(m, preps)
         for prep in preps:
             infer(m, prep, memo)
             infer(m, prep)
             loss_and_grad(m, prep)
-        assert gathered == [] and memo.rows == {}
+        assert gathered == [] and gathered_banks(memo) == set()
         views = [v for prep in preps for v in prep.source_views.values()]
         views += target_views(preps, GRANULARITIES)
         assert all("distinct" not in built(v) for v in views)
@@ -375,7 +405,7 @@ class TestTargetMemo:
         real = cnn._encode
         monkeypatch.setattr(cnn, "_encode", lambda M, view, store=None: (
             calls.append(view) or real(M, view, store)))
-        memo = cnn.Memo()
+        memo = memo_of(m, preps)
         for prep in preps:
             infer(m, prep, memo)
         views = target_views(preps, {"tgt_title", "tgt_document"})
@@ -385,7 +415,7 @@ class TestTargetMemo:
 
     def test_memoized_forward_cannot_backpropagate(self):
         m, preps = memo_world()
-        table = score_pairs(m, preps[0], cnn.Memo())
+        table = score_pairs(m, preps[0], memo_of(m, preps))
         assert table.forward.memoized
         grads = model_mod.bank_views(np.zeros_like(m.theta[N_DENSE:]),
                                      m.config.k)
@@ -428,7 +458,7 @@ class TestRowStore:
     def test_marginals_match_encoding_per_mention(self, name):
         toggles = dict(ABLATION_TOGGLES)[name]
         m, preps = memo_world(toggles, d=64)
-        memo = cnn.Memo()
+        memo = memo_of(m, preps)
         for prep in preps:
             want = infer(m, prep)
             got = infer(m, prep, memo)
@@ -436,7 +466,7 @@ class TestRowStore:
             assert max(abs(a.marginal_prob - b.marginal_prob)
                        for a, b in zip(got, want)) <= 1e-12
         needed = needed_granularities(toggles.dense_mask)
-        assert set(memo.rows) == set(projected_rows(preps, needed)) == (
+        assert gathered_banks(memo) == set(projected_rows(preps, needed)) == (
             needed - {"src_mention", "tgt_title"})
 
     def test_each_row_projected_once_per_bank(self, monkeypatch):
@@ -450,14 +480,14 @@ class TestRowStore:
             return real(store, U)
 
         monkeypatch.setattr(cnn.RowStore, "_project", spy)
-        memo = cnn.Memo()
+        memo = memo_of(m, preps)
         for _ in range(2):          # the second pass projects no row
             for prep in preps:
                 infer(m, prep, memo)
         rows = projected_rows(preps, GRANULARITIES)
-        assert set(rows) == set(memo.rows)
+        assert set(rows) == gathered_banks(memo)
         for g, ids in rows.items():
-            assert stored_rows(memo.rows[g]) == ids
+            assert stored_rows(memo.stores[g]) == ids
             # distinct table rows have distinct vectors, OOV the zero row
             U = np.vstack(projected[g])
             assert len(U) == len(np.unique(U, axis=0)) == len(ids)
@@ -466,24 +496,24 @@ class TestRowStore:
     def test_memoized_context_matches_its_windows_encoding(self):
         m, preps = memo_world(d=64)
         ell, bank = m.config.ell, m.banks["src_context"]
-        memo = cnn.Memo()
+        memo = memo_of(m, preps)
         for prep in preps:
             got = score_pairs(m, prep, memo).forward.source["src_context"]
             view = prep.source_views["src_context"]
             assert view.n > ell and "windows" not in built(view)
-            want = encode(bank, view.X, ell)
+            want = np.maximum(view.windows @ bank.T, 0.0).sum(axis=0)
             assert np.max(np.abs(got.topic - want)) <= 1e-12
-        assert "src_context" in memo.rows
+        assert "src_context" in gathered_banks(memo)
 
     def test_memoized_infer_never_embeds_long_views(self):
         m, preps = memo_world(d=64)
-        memo = cnn.Memo()
+        memo = memo_of(m, preps)
         for prep in preps:
             infer(m, prep, memo)
         views = [v for prep in preps for v in prep.source_views.values()]
         views += target_views(preps, GRANULARITIES)
         long_views = [v for v in views if v.n > m.config.ell]
-        assert long_views and set(memo.rows) == {
+        assert long_views and gathered_banks(memo) == {
             "src_context", "src_document", "tgt_document"}
         for v in views:
             assert {"X", "windows"} & built(v) == (
@@ -493,9 +523,10 @@ class TestRowStore:
         m, preps = memo_world(d=64)
         prep = next(p for p in preps
                     if p.source_views["src_document"].n > m.config.ell)
-        memo = cnn.Memo()
+        memo = memo_of(m, preps)
         table = score_pairs(m, prep, memo)
-        assert table.forward.memoized and "src_document" in memo.rows
+        assert table.forward.memoized
+        assert "src_document" in gathered_banks(memo)
         grads = model_mod.bank_views(np.zeros_like(m.theta[N_DENSE:]),
                                      m.config.k)
         with pytest.raises(CacheError):
