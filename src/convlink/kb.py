@@ -56,7 +56,7 @@ def normalize_anchor(text: str) -> str:
 class Query:
     text: str
     flags: frozenset
-    tokens: tuple = ()
+    tokens: tuple               # its first derivation's tokens, tags kept
 
     def __post_init__(self):
         if not self.text:
@@ -198,22 +198,20 @@ def generate_queries(mention_tokens) -> list:
 
     Each edit type applies at most once per derivation branch and at most
     three edits compose.  Queries with identical text merge, unioning
-    their derivation flags.  The maximal capitalized run is always
-    produced as a query when one exists.
+    their derivation flags and keeping the tokens of the first derivation
+    (the original, then breadth-first), tags included.  The maximal
+    capitalized run is always produced as a query when one exists.
     """
     if not mention_tokens:
         raise ValueError("mention must contain at least one token")
     orig = tuple(mention_tokens)
-    merged = {}   # text -> set of flags
+    merged = {}   # text -> (set of flags, tokens of its first derivation)
 
     def note(tokens, flags):
-        text = _query_text(tokens)
-        if not text:
-            return
-        flags = set(flags)
+        entry = merged.setdefault(_query_text(tokens), (set(), tokens))
+        entry[0].update(flags)
         if _all_capitalized(tokens):
-            flags.add(F_CAPSEQ)
-        merged.setdefault(text, set()).update(flags)
+            entry[0].add(F_CAPSEQ)
 
     note(orig, {F_ORIGINAL})
     frontier = [(orig, frozenset())]
@@ -240,36 +238,8 @@ def generate_queries(mention_tokens) -> list:
             flags = {F_ORIGINAL}
         note(orig[i:j], flags)
 
-    out = []
-    for text in sorted(merged):
-        flags = merged[text]
-        if F_ORIGINAL in flags and flags & REMOVAL_FLAGS:
-            # a removal path reproduced the original text; keep it original
-            flags = flags - REMOVAL_FLAGS
-        out.append(Query(text=text, flags=frozenset(flags),
-                         tokens=_tokens_for(text, orig)))
-    return out
-
-
-def _tokens_for(text, orig):
-    """Best-effort token objects for a query text, preserving tags.
-
-    Matches query words back to the first mention token with the same
-    lowercased surface so POS/NER tags survive the edits.
-    """
-    by_surface = {}
-    for t in orig:
-        by_surface.setdefault(t.surface.lower(), t)
-    out = []
-    for word in text.split():
-        src = by_surface.get(word)
-        if src is None and word and not word.endswith("s"):
-            src = by_surface.get(word + "s")  # plural-stripped form
-        if src is not None:
-            out.append(Token(src.surface, src.pos, src.ner))
-        else:
-            out.append(Token(word))
-    return tuple(out)
+    return [Query(text, frozenset(flags), tokens)
+            for text, (flags, tokens) in sorted(merged.items())]
 
 
 def candidates_for(kb: KnowledgeBase, queries) -> CandidateSet:
@@ -331,6 +301,6 @@ def load_kb(path) -> KnowledgeBase:
                   data.get("skipped_anchors", 0))
         _check_payload(*fields)
         return KnowledgeBase(*fields)
-    except (zlib.error, ValueError, KeyError, TypeError,
-            AttributeError) as exc:
+    except (zlib.error, ValueError, KeyError, TypeError, AttributeError,
+            RecursionError) as exc:
         raise LoadError("%s: malformed KB payload: %s" % (path, exc))

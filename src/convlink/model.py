@@ -524,8 +524,8 @@ def load_model(path) -> Model:
         if off != len(payload):
             raise LoadError("%s: %d trailing payload bytes"
                             % (path, len(payload) - off))
-    except (struct.error, KeyError, OverflowError, TypeError,
-            ValueError) as exc:
+    except (struct.error, KeyError, OverflowError, TypeError, ValueError,
+            RecursionError) as exc:
         raise LoadError("%s: malformed model payload: %s" % (path, exc))
     if not (np.isfinite(theta).all() and np.isfinite(entries["w"]).all()):
         raise LoadError("%s: non-finite weight in model payload" % path)

@@ -119,9 +119,9 @@ def query_feature_strings(mention_tokens, query: Query) -> list:
     words = query.text.split()
     feats.append("q:first=%s" % words[0])
     feats.append("q:last=%s" % words[-1])
-    if query.tokens and all(t.pos is not None for t in query.tokens):
+    if all(t.pos is not None for t in query.tokens):
         feats.append("q:pos=%s" % "-".join(t.pos for t in query.tokens))
-    if query.tokens and all(t.ner is not None for t in query.tokens):
+    if all(t.ner is not None for t in query.tokens):
         feats.append("q:ner=%s" % "-".join(t.ner for t in query.tokens))
     return feats
 
@@ -172,7 +172,7 @@ def _title_match(query_text: str, title: str):
 def entity_feature_strings(kb: KnowledgeBase, query: Query, entity) -> list:
     """The f_E features of a (query, entity) pair that the source document
     does not affect; a non-NULL pair also gets ``tfidf_feature``."""
-    if entity == NULL_ENTITY or entity is None:
+    if entity == NULL_ENTITY:
         return [NULL_FEATURE]
     count = rank = 0
     for i, (eid, n) in enumerate(kb.ranked_entities(query.text), start=1):

@@ -52,6 +52,9 @@ from .textproc import Document, Mention, Token, save_corpus
 
 MENTION_PREFIX = "the"
 MENTION_SUFFIX = "clubs"
+PHRASE_LEN = 5           # tokens per topic phrase
+HEAVY_PERIOD = 3         # every third clear document per (group, kind)
+EMBEDDING_NOISE = 0.25   # spread of topic-word vectors around their topic
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,9 @@ class SyntheticSpec:
     misleading_fraction: float = 0.5
     muddy_fraction: float = 0.2
     anchor_skew: float = 4.0
-    heavy_distractor_fraction: float = 0.3
     seed: int = 0
     embedding_dim: int = 16
-    embedding_noise: float = 0.25
     phrases_per_topic: int = 10
-    phrase_len: int = 5
     body_tokens: int = 60
     filler_vocab_size: int = 80
     filler_min: int = 35
@@ -79,9 +79,8 @@ class SyntheticSpec:
     def validate(self) -> None:
         positive = ("n_topics", "vocab_per_topic", "n_entities",
                     "mention_ambiguity", "n_train_docs", "n_test_docs",
-                    "embedding_dim", "phrases_per_topic", "phrase_len",
-                    "body_tokens", "filler_vocab_size", "filler_min",
-                    "filler_max")
+                    "embedding_dim", "phrases_per_topic", "body_tokens",
+                    "filler_vocab_size", "filler_min", "filler_max")
         for name in positive:
             if getattr(self, name) < 1:
                 raise SpecError("%s must be positive" % name)
@@ -98,8 +97,6 @@ class SyntheticSpec:
             raise SpecError("misleading_fraction must be in [0, 1]")
         if not (0.0 <= self.muddy_fraction <= 1.0):
             raise SpecError("muddy_fraction must be in [0, 1]")
-        if not (0.0 <= self.heavy_distractor_fraction <= 1.0):
-            raise SpecError("heavy_distractor_fraction must be in [0, 1]")
         if self.misleading_fraction > 1.0 - self.muddy_fraction + 1e-9:
             raise SpecError("misleading_fraction cannot exceed the clear-"
                             "document fraction %.2f" % (1.0 - self.muddy_fraction))
@@ -179,7 +176,7 @@ def generate(spec: SyntheticSpec, out_dir) -> SyntheticData:
         doc_vocab = _doc_half(spec, t)
         phrases[t] = [
             [doc_vocab[int(i)] for i in
-             rng.integers(len(doc_vocab), size=spec.phrase_len)]
+             rng.integers(len(doc_vocab), size=PHRASE_LEN)]
             for _ in range(spec.phrases_per_topic)
         ]
 
@@ -239,16 +236,16 @@ def generate(spec: SyntheticSpec, out_dir) -> SyntheticData:
 
             def phrase_run(t):
                 if t is None:
-                    return filler_run(spec.phrase_len)
+                    return filler_run(PHRASE_LEN)
                 bank = phrases[t]
                 return list(bank[int(rng.integers(len(bank)))])
 
             # Clear documents carry two gold-topic phrases inside the
             # context window plus distractor phrases from a non-gold
             # candidate's topic far from the mention: usually one (the
-            # document still leans the right way), but in a fixed
-            # minority of documents three, which outweigh the gold
-            # phrases in the whole-document topic estimate.  No single
+            # document still leans the right way), but three in every
+            # HEAVY_PERIOD-th, which outweigh the gold phrases in the
+            # whole-document topic estimate.  No single
             # weight on the document similarity explains both
             # populations; the local context stays clean.  Muddy
             # documents carry no topical content at all and resolve only
@@ -263,10 +260,7 @@ def generate(spec: SyntheticSpec, out_dir) -> SyntheticData:
                 others = [m["topic"] for v, m in enumerate(group["members"])
                           if v != gold_slot]
                 far_topic = others[turn % len(others)] if others else None
-                heavy_period = max(1, int(round(
-                    1.0 / max(spec.heavy_distractor_fraction, 1e-9))))
-                heavy = (spec.heavy_distractor_fraction > 0.0
-                         and turn % heavy_period == 0)
+                heavy = turn % HEAVY_PERIOD == 0
                 n_far = 3 if heavy else 1
                 kind = "heavy-distractor" if heavy else "light-distractor"
             far = []
@@ -283,7 +277,7 @@ def generate(spec: SyntheticSpec, out_dir) -> SyntheticData:
             words = (f1[:cut] + far + f1[cut:] + phrase_run(near_topic)
                      + [MENTION_PREFIX, surface, MENTION_SUFFIX]
                      + phrase_run(near_topic) + f2)
-            start = len(far) + len(f1) + spec.phrase_len
+            start = len(far) + len(f1) + PHRASE_LEN
             mention = Mention(doc_id="%s%05d" % (id_prefix, i),
                               start=start, end=start + 3,
                               gold_entity=gold["id"])
@@ -317,7 +311,7 @@ def generate(spec: SyntheticSpec, out_dir) -> SyntheticData:
     for t in range(spec.n_topics):
         for tok in _doc_half(spec, t) + _body_half(spec, t):
             emb[tok] = unit(topic_means[t]
-                            + spec.embedding_noise
+                            + EMBEDDING_NOISE
                             * rng.normal(size=spec.embedding_dim))
     for tok in filler:
         emb[tok] = unit(rng.normal(size=spec.embedding_dim))

@@ -170,8 +170,13 @@ def extract_target_views(title: str, body: str, *,
 #   {"doc_id": str,
 #    "tokens": [str | {"surface": str, "pos": str?, "ner": str?}, ...],
 #    "mentions": [{"start": int, "end": int, "gold_entity": str?}, ...]}
-# with 0 <= start < end <= len(tokens).
+# with 0 <= start < end <= len(tokens).  No other key is allowed.
 # ---------------------------------------------------------------------------
+
+_DOC_KEYS = frozenset({"doc_id", "tokens", "mentions"})
+_MENTION_KEYS = frozenset({"start", "end", "gold_entity"})
+_TOKEN_KEYS = frozenset({"surface", "pos", "ner"})
+
 
 def text_lines(path):
     """Yield ``(line number, line)`` for each line of a UTF-8 text file,
@@ -193,18 +198,26 @@ def text_lines(path):
 
 def read_jsonl(path):
     """Yield ``("<path>:<line>", record)`` for each non-blank line of a
-    JSON-lines file; a line that is not a JSON object is a format error."""
+    JSON-lines file; a line that is not a JSON object is a format error,
+    as is one nested too deeply or holding an integer too long to read."""
     for lineno, line in text_lines(path):
         if not line.strip():
             continue
         where = "%s:%d" % (path, lineno)
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError("%s: invalid JSON: %s" % (where, exc))
         if not isinstance(rec, dict):
             raise FormatError("%s: a record must be a JSON object" % where)
         yield where, rec
+
+
+def _check_keys(obj: dict, allowed, what: str, where: str) -> None:
+    unknown = obj.keys() - allowed
+    if unknown:
+        raise FormatError("%s: unknown %s key %s" % (
+            where, what, ", ".join(map(json.dumps, sorted(unknown)))))
 
 
 def string_field(rec: dict, key: str, where: str) -> str:
@@ -226,6 +239,7 @@ def _token_from_json(obj, where, interned: dict):
     if isinstance(obj, str):
         key = obj
     elif isinstance(obj, dict) and isinstance(obj.get("surface"), str):
+        _check_keys(obj, _TOKEN_KEYS, "token", where)
         key = (obj["surface"], obj.get("pos"), obj.get("ner"))
         for name, tag in zip(("pos", "ner"), key[1:]):
             if tag is not None and not isinstance(tag, str):
@@ -247,6 +261,7 @@ def _token_from_json(obj, where, interned: dict):
 def _mention_from_json(obj, doc_id, n_tokens, where):
     if not isinstance(obj, dict):
         raise FormatError("%s: a mention must be an object" % where)
+    _check_keys(obj, _MENTION_KEYS, "mention", where)
     start, end = obj.get("start"), obj.get("end")
     if type(start) is not int or type(end) is not int:
         raise FormatError("%s: mention start and end must be integers, "
@@ -279,6 +294,7 @@ def load_corpus(path) -> list:
     docs = []
     interned = {}
     for where, rec in read_jsonl(path):
+        _check_keys(rec, _DOC_KEYS, "document", where)
         doc_id = string_field(rec, "doc_id", where)
         raw_tokens = rec.get("tokens")
         raw_mentions = rec.get("mentions", [])

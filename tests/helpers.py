@@ -96,6 +96,8 @@ MALFORMED_KB_PAYLOADS = {
     "anchor-empty": kb_payload(anchor_index={"": {"E1": 1}}),
     "anchor-no-entity": kb_payload(anchor_index={"one": {}}),
     "skipped-anchors-negative": kb_payload(skipped_anchors=-1),
+    # deeper than json.loads can recurse, so written as raw bytes
+    "deeply-nested": zlib.compress(b"[" * 100000),
 }
 
 
@@ -111,11 +113,13 @@ ABLATION_TOGGLES = [
 
 def rewrite_model_header(path, edit):
     """Apply ``edit`` to a saved model's JSON header in place, keeping a
-    valid frame and checksum."""
+    valid frame and checksum; an ``edit`` that returns bytes gives the
+    raw header."""
     _, payload = read_framed(path, MODEL_MAGIC, (MODEL_VERSION,))
     (hlen,) = struct.unpack_from("<I", payload, 0)
     header = edit(json.loads(payload[4:4 + hlen].decode("utf-8")))
-    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    raw = header if isinstance(header, bytes) else json.dumps(
+        header, sort_keys=True).encode("utf-8")
     write_framed(path, MODEL_MAGIC, MODEL_VERSION,
                  struct.pack("<I", len(raw)) + raw + payload[4 + hlen:])
 
@@ -203,6 +207,8 @@ MALFORMED_MODEL_HEADERS = {
     "top-k-31": lambda h: with_key(h, ("config", "top_k"), 31),
     "hash-capacity-2**70":
         lambda h: with_key(h, ("config", "hash_capacity"), 2 ** 70),
+    # deeper than json.loads can recurse, so written as raw bytes
+    "deeply-nested": lambda h: b"[" * 100000,
 }
 
 

@@ -4,8 +4,10 @@ import filecmp
 import io
 import json
 import logging
+import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import zlib
@@ -22,6 +24,7 @@ from convlink.config import (FIXED_SETTINGS, GRANULARITIES, FeatureToggles,
                              ModelConfig)
 from convlink.kb import KB_MAGIC, KB_VERSION, NULL_ENTITY
 from convlink.synthetic import SyntheticSpec
+from convlink.textproc import load_corpus
 from helpers import (MALFORMED_KB_PAYLOADS, MALFORMED_MODEL_HEADERS,
                      MALFORMED_SPARSE_BLOCKS, rewrite_model_header,
                      rewrite_sparse_block, with_key, write_embeddings)
@@ -162,6 +165,20 @@ def test_malformed_sparse_block_is_data_error(workspace, untrained_model,
         "strictly below 1048576\n" % model_path)
 
 
+def run_ok_or_data_error(argv, prefix, context=None):
+    """Run the CLI and check that it exits 0 in silence, or 2 with one
+    line ``error: <prefix>...``; returns the exit code.  ``context``
+    goes into the failure message."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    lines = err.getvalue().splitlines()
+    assert (code, lines) == (0, []) or (
+        code == 2 and len(lines) == 1
+        and lines[0].startswith("error: %s" % prefix)), (context, code, lines)
+    return code
+
+
 def header_paths(node, prefix=()):
     """The path of every key in a JSON object such as a model header,
     nested ones included."""
@@ -193,17 +210,12 @@ def test_link_reports_any_bad_model_header_value_as_data_error(
     for path in HEADER_PATHS:
         shutil.copyfile(untrained_model, model_path)
         rewrite_model_header(model_path, lambda h: with_key(h, path, value))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run(["-q", "link", "--kb", workspace["kb"],
-                        "--embeddings", workspace["embeddings"],
-                        "--corpus", workspace["test"], "--model", model_path,
-                        "--out", str(root / "property-preds.jsonl")])
-        lines = err.getvalue().splitlines()
-        assert (code, lines) == (0, []) or (
-            code == 2 and len(lines) == 1
-            and lines[0].startswith("error: %s: " % model_path)), \
-            (path, code, lines)
+        code = run_ok_or_data_error(
+            ["-q", "link", "--kb", workspace["kb"],
+             "--embeddings", workspace["embeddings"],
+             "--corpus", workspace["test"], "--model", model_path,
+             "--out", str(root / "property-preds.jsonl")],
+            model_path + ": ", path)
         # a fixed preparation setting loads only at its fixed value
         if path[-1] in FIXED_SETTINGS and value != FIXED_SETTINGS[path[-1]]:
             assert code == 2, (path, value)
@@ -244,18 +256,12 @@ def test_link_reports_any_bad_kb_payload_value_as_data_error(
             node[path[-1]] = value
         write_framed(kb_path, KB_MAGIC, KB_VERSION,
                      zlib.compress(json.dumps(data).encode("utf-8")))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run(["-q", "link", "--kb", kb_path,
-                        "--embeddings", workspace["embeddings"],
-                        "--corpus", workspace["test"],
-                        "--model", untrained_model,
-                        "--out", str(root / "property-preds.jsonl")])
-        lines = err.getvalue().splitlines()
-        assert (code, lines) == (0, []) or (
-            code == 2 and len(lines) == 1
-            and lines[0].startswith("error: %s: " % kb_path)), \
-            (path, code, lines)
+        run_ok_or_data_error(
+            ["-q", "link", "--kb", kb_path,
+             "--embeddings", workspace["embeddings"],
+             "--corpus", workspace["test"], "--model", untrained_model,
+             "--out", str(root / "property-preds.jsonl")],
+            kb_path + ": ", path)
 
 
 def train_with_component(workspace, tmp_path, lineno, value):
@@ -409,6 +415,17 @@ MALFORMED_CORPORA = {
                    '"mentions": [{"start": 1, "end": 1}]}'),
     "gold-number": ('{"doc_id": "d", "tokens": ["a"], '
                     '"mentions": [{"start": 0, "end": 1, "gold_entity": 3}]}'),
+    # a misspelt key once loaded as an unlabeled mention
+    "mention-unknown-key": ('{"doc_id": "d", "tokens": ["a"], '
+                            '"mentions": [{"start": 0, "end": 1, '
+                            '"gold": "E1"}]}'),
+    "document-unknown-key": ('{"doc_id": "d", "tokens": ["a"], '
+                             '"mention": []}'),
+    "token-unknown-key": ('{"doc_id": "d", "tokens": '
+                          '[{"surface": "a", "tag": "NN"}]}'),
+    "deeply-nested": "[" * 100000,
+    "integer-too-long": ('{"doc_id": "d", "tokens": ["a"], "mentions": '
+                         '[{"start": %s, "end": 1}]}' % ("1" * 5000)),
 }
 
 
@@ -483,16 +500,11 @@ def test_link_reports_any_bad_corpus_value_as_data_error(
     with open(corpus, "w", encoding="utf-8") as fh:
         fh.write('{"doc_id": "ok", "tokens": ["a"], "mentions": []}\n'
                  + json.dumps(record) + "\n")
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = run(["-q", "link", "--kb", workspace["kb"],
-                    "--embeddings", workspace["embeddings"],
-                    "--corpus", corpus, "--model", untrained_model,
-                    "--out", str(root / "property-preds.jsonl")])
-    lines = err.getvalue().splitlines()
-    assert (code, lines) == (0, []) or (
-        code == 2 and len(lines) == 1
-        and lines[0].startswith("error: %s:2: " % corpus)), (code, lines)
+    run_ok_or_data_error(
+        ["-q", "link", "--kb", workspace["kb"],
+         "--embeddings", workspace["embeddings"],
+         "--corpus", corpus, "--model", untrained_model,
+         "--out", str(root / "property-preds.jsonl")], corpus + ":2: ")
 
 
 def test_embeddings_not_utf8_is_data_error(workspace, tmp_path, capsys):
@@ -808,6 +820,7 @@ MALFORMED_PREDICTIONS = {
     "span-one-integer": ('{"doc_id": "x", "span": [0, 1], "entity": "y"}\n'
                          '{"doc_id": "x", "span": [3], "entity": "y"}', 2),
     "doc-id-list": ('{"doc_id": ["x"], "span": [0, 1], "entity": "y"}', 1),
+    "deeply-nested": ("[" * 100000, 1),
 }
 
 
@@ -823,6 +836,90 @@ def test_malformed_predictions_are_data_error(workspace, tmp_path, capsys,
                 "--corpus", workspace["test"], "--predictions", preds])
     assert code == 2
     assert "error: %s:%d: " % (preds, lineno) in capsys.readouterr().err
+
+
+# Any JSON value, nested a few levels deep
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@given(key=st.sampled_from(["doc_id", "span", "entity", "prob", "extra"]),
+       value=st.one_of(st.just(DELETE), ANY_JSON),
+       tail=st.one_of(st.none(), st.text(max_size=8)))
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+def test_evaluate_reports_any_bad_prediction_as_data_error(workspace, key,
+                                                           value, tail):
+    # the value replaces one key of a correct prediction; the tail, when
+    # there is one, is written as is on the lines after it
+    doc = load_corpus(workspace["test"])[0]
+    mention = doc.mentions[0]
+    record = {"doc_id": doc.doc_id, "span": [mention.start, mention.end],
+              "entity": mention.gold_entity, "prob": 1.0}
+    if value is DELETE:
+        record.pop(key, None)
+    else:
+        record[key] = value
+    root = workspace["root"]
+    preds = str(root / "property-preds.jsonl")
+    with open(preds, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n" + (tail or ""))
+    run_ok_or_data_error(
+        ["-q", "evaluate", "--kb", workspace["kb"],
+         "--embeddings", workspace["embeddings"],
+         "--corpus", workspace["test"], "--predictions", preds,
+         "--report", str(root / "property-report.jsonl")], preds + ":")
+
+
+@pytest.fixture(scope="module")
+def weighted_model(workspace):
+    """A model file whose cosine weights are 1.0 and whose sparse block
+    holds three weights in [1, 2): flipping bit 62 of any of them makes
+    an inf or a NaN."""
+    path = str(workspace["root"] / "weighted.bin")
+    m = model_mod.Model.initialize(ModelConfig(d=8, k=4, ell=5))
+    m.w_dense[:] = 1.0
+    m.w_sparse.update({3: 1.5, 70000: -1.25, 2 ** 20 - 1: 1.0})
+    model_mod.save_model(m, path)
+    return path
+
+
+@given(region=st.sampled_from(["header", "theta", "sparse"]),
+       word=st.integers(0, 2 ** 16),
+       bit=st.one_of(st.just(62), st.integers(0, 63)))
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_link_reports_any_model_bit_flip_as_data_error(
+        workspace, weighted_model, region, word, bit):
+    # the flip is bit ``bit`` of the region's 64-bit word ``word`` (taken
+    # modulo the region's size), and the checksum is written anew
+    _, payload = read_framed(weighted_model, model_mod.MODEL_MAGIC,
+                             (model_mod.MODEL_VERSION,))
+    (hlen,) = struct.unpack_from("<I", payload, 0)
+    sparse_at = len(payload) - 3 * model_mod.SPARSE_ENTRY.itemsize
+    lo, hi = {"header": (0, 4 + hlen), "theta": (4 + hlen, sparse_at),
+              "sparse": (sparse_at, len(payload))}[region]
+    at = (64 * word + bit) % (8 * (hi - lo))
+    flipped = bytearray(payload)
+    flipped[lo + at // 8] ^= 1 << at % 8
+    path = str(workspace["root"] / "flipped-model.bin")
+    write_framed(path, model_mod.MODEL_MAGIC, model_mod.MODEL_VERSION,
+                 bytes(flipped))
+    code = run_ok_or_data_error(
+        ["-q", "link", "--kb", workspace["kb"],
+         "--embeddings", workspace["embeddings"],
+         "--corpus", workspace["test"], "--model", path,
+         "--out", str(workspace["root"] / "property-preds.jsonl")],
+        path + ": ")
+    # a weight made NaN or infinite never loads; sparse entries are an
+    # index word, then a weight word
+    start = lo + at // 64 * 8
+    if region == "theta" or region == "sparse" and at // 64 % 2:
+        (w,) = struct.unpack_from("<d", flipped, start)
+        if not math.isfinite(w):
+            assert code == 2, (region, at)
 
 
 def test_evaluate_predictions_leaves_unmeasured_fields_null(

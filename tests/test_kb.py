@@ -6,9 +6,22 @@ from convlink import kb as kb_mod
 from convlink.binfile import write_framed
 from convlink.errors import ChecksumError, IngestError, LoadError, VersionError
 from convlink.kb import (KB_MAGIC, KB_VERSION, NULL_ENTITY, F_CAPSEQ,
-                         F_LEADING, F_ORIGINAL, KnowledgeBase, candidates_for,
-                         generate_queries, load_kb, normalize_anchor, save_kb)
+                         F_LEADING, F_ORIGINAL, KnowledgeBase, _query_text,
+                         candidates_for, generate_queries, load_kb,
+                         normalize_anchor, save_kb)
+from convlink.textproc import Token
 from helpers import MALFORMED_KB_PAYLOADS, kb_payload, toks
+
+
+def derived_from(query_tokens, mention):
+    """Whether a query's tokens are mention tokens, tags included, in
+    mention order, the last one perhaps with its plural "s" clipped."""
+    rest = iter(mention)
+    last = len(query_tokens) - 1
+    return all(any(m == t or (i == last and m == Token(t.surface + "s",
+                                                       t.pos, t.ner))
+                   for m in rest)
+               for i, t in enumerate(query_tokens))
 
 
 class TestIngest:
@@ -104,16 +117,25 @@ class TestGenerateQueries:
         with pytest.raises(ValueError):
             generate_queries([])
 
+    # "Congress" ends in "ss"; "Floyd" and "pink" recur with other tags
     @given(st.lists(st.sampled_from(
-        ["The", "Pink", "Floyd", "Weapons", "of", ",", "U.N.", "clubs"]),
+        [("The", "DT", "O"), ("Pink", "NNP", "B-ORG"),
+         ("Floyd", "NNP", "I-ORG"), ("Weapons", "NNS", "O"), ("of", "IN", "O"),
+         (",", ",", "O"), ("U.N.", "NNP", "B-ORG"), ("clubs", "NNS", "O"),
+         ("Congress", "NNP", "B-ORG"), ("Floyd", "NN", "O"),
+         ("pink", "JJ", "O")]),
         min_size=1, max_size=5))
     @settings(max_examples=150, derandomize=True, database=None)
-    def test_texts_unique_and_nonempty(self, surfaces):
-        queries = generate_queries(toks(*surfaces))
+    def test_texts_unique_and_nonempty(self, tagged):
+        mention = [Token(*t) for t in tagged]
+        queries = generate_queries(mention)
         texts = [q.text for q in queries]
         assert len(texts) == len(set(texts))
         assert all(texts)
         assert any(q.is_original for q in queries)
+        for q in queries:
+            assert _query_text(q.tokens) == q.text
+            assert derived_from(q.tokens, mention), q
 
 
 class TestCandidates:

@@ -122,6 +122,26 @@ class TestQueryFeatures:
         assert "q:pos=NNP-NNP" in feats
         assert not any(f.startswith("q:ner=") for f in feats)
 
+    @pytest.mark.parametrize("mention, text, pos, ner", [
+        # a plural clip of a surface ending in "ss" keeps its tags
+        ([("the", "DT", "O"), ("Congress", "NNP", "ORG")],
+         "the congres", "DT-NNP", "O-ORG"),
+        ([("the", "DT", "O"), ("Congress", "NNP", "ORG")],
+         "congres", "NNP", "ORG"),
+        # a repeated word keeps the tags of its own position
+        ([("New", "NNP", "B-LOC"), ("York", "NNP", "I-LOC"),
+          ("new", "JJ", "O"), ("Times", "NNP", "B-ORG")],
+         "new york new", "NNP-NNP-JJ", "B-LOC-I-LOC-O"),
+    ], ids=["clipped-plural", "clipped-plural-alone", "repeated-word"])
+    def test_tag_signature_reads_the_derived_tokens(self, mention, text, pos,
+                                                    ner):
+        from convlink.textproc import Token
+        mention = [Token(*t) for t in mention]
+        q = next(q for q in generate_queries(mention) if q.text == text)
+        feats = query_feature_strings(mention, q)
+        assert [f for f in feats if f.startswith(("q:pos=", "q:ner="))] == [
+            "q:pos=%s" % pos, "q:ner=%s" % ner]
+
     def test_length_buckets(self):
         for n, bucket in [(1, "1"), (2, "2"), (3, "3"), (4, "4+"), (7, "4+")]:
             mention = toks(*["Word%d" % i for i in range(n)])
