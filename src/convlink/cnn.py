@@ -43,7 +43,7 @@ def window_matrix(X: np.ndarray, ell: int) -> np.ndarray:
     return view.reshape(n - ell + 1, ell * d)
 
 
-# The embedding width at or below which ``_encode`` never gathers: where
+# The embedding width at or below which no ``View`` gathers: where
 # a gather reads one element of a projected row, the windows product
 # spends d multiply-adds, and the read costs about this many of them.
 GATHER_COST = 25
@@ -52,15 +52,22 @@ GATHER_COST = 25
 class View:
     """One token sequence prepared for filter width ``ell``: its n
     tokens' rows ``rows`` in the embedding ``table``, -1 out of
-    vocabulary.  Its embedded (n, d) rows ``X``, their ``window_matrix``
-    ``windows`` and ``distinct``, the view's distinct rows ascending with
-    each token's index into them, are built the first time they are read
-    and kept; which of them an encoding reads is ``_encode``'s choice."""
+    vocabulary.  ``gathers`` is the one encode rule: a view of more than
+    ell tokens at d > GATHER_COST gathers its pre-activations from a
+    ``RowStore``; any other view takes its windows times the bank.
+
+    ``windows`` is the view's ``window_matrix``.  A gathered view builds
+    it from the table on each read and never keeps it, so only the
+    backward pass ever holds it; any other view keeps it, a strided view
+    of its embedded (n, d) rows ``X``.  ``X`` and ``distinct``, the
+    view's distinct rows ascending with each token's index into them,
+    are built the first time they are read and kept."""
 
     def __init__(self, rows, table, ell: int):
         self.rows, self.table, self.ell = rows, table, ell
         self._X = self._windows = self._distinct = None
         self.n, self.d = len(rows), table.dim
+        self.gathers = self.n > ell and self.d > GATHER_COST
 
     @property
     def X(self) -> np.ndarray:
@@ -70,6 +77,10 @@ class View:
 
     @property
     def windows(self) -> np.ndarray:
+        if self.gathers:
+            ids = np.lib.stride_tricks.sliding_window_view(self.rows, self.ell)
+            return self.table.lookup_sequence(ids.ravel()).reshape(
+                len(ids), self.ell * self.d)
         if self._windows is None:
             self._windows = window_matrix(self.X, self.ell)
         return self._windows
@@ -100,19 +111,19 @@ class Encoding:
 def _encode(M: np.ndarray, view: View, store=None) -> Encoding:
     """Encode one ``View`` with one (k, d*ell) filter bank ``M``.
 
-    A view of at most ell tokens, and any view at d <= GATHER_COST,
-    takes its windows times the bank.  Every other view gathers its
-    pre-activations from ``store``, a ``RowStore`` of ``M`` over the
-    view's table, or else from a fresh one; a store kept across views
-    projects each row once.  The two paths encode equal up to rounding."""
+    A view that ``gathers`` reads its pre-activations from ``store``, a
+    ``RowStore`` of ``M`` over the view's table, or else from a fresh
+    one; a store kept across views projects each row once.  Any other
+    view takes its windows times the bank.  The two paths encode equal
+    up to rounding."""
     if view.d * view.ell != M.shape[1]:
         raise DimensionError(
             "window width %d does not match bank width d*ell = %d"
             % (view.d * view.ell, M.shape[1]))
-    if view.n <= view.ell or view.d <= GATHER_COST:
-        A = view.windows @ M.T
-    else:
+    if view.gathers:
         A = (RowStore(M, view.table) if store is None else store).gather(view)
+    else:
+        A = view.windows @ M.T
     return Encoding(np.maximum(A, 0.0).sum(axis=0), view, A)
 
 

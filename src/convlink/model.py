@@ -36,6 +36,15 @@ MODEL_MAGIC = b"CLMD1"
 MODEL_VERSION = 3
 SPARSE_ENTRY = np.dtype([("idx", "<u8"), ("w", "<f8")])
 
+# The largest weight magnitude a model file may hold.  Trained models
+# peak at |w| = 0.07 (paper-like) and 1.39 (the ablation-grid full model):
+# Adadelta's steps start near sqrt(EPS) = 1e-3 and grow only with the RMS
+# of earlier steps.  Below this bound a topic vector over DOC_CAP windows
+# of 300-wide rows with components below 1e10 stays far from float64
+# overflow, so a larger weight can only be damage, such as a flipped
+# exponent bit.
+WEIGHT_LIMIT = 1e6
+
 
 def bank_views(vector: np.ndarray, k: int) -> dict:
     """Granularity -> (k, d*ell) view into consecutive blocks of
@@ -449,7 +458,7 @@ def fit(model: Model, prepared: list, epochs: int, seed: int = 0,
     rows = []
     for epoch in range(epochs):
         order = rng.permutation(len(prepared))
-        total = 0.0
+        total = p_gold = 0.0
         used = 0
         skipped = 0
         for i in order:
@@ -464,18 +473,21 @@ def fit(model: Model, prepared: list, epochs: int, seed: int = 0,
                                     % prep.mention.doc_id)
             state.apply(model, grads)
             total += loss
+            p_gold += math.exp(-loss)
             used += 1
         row = {
             "epoch": epoch,
             "mean_loss": total / used if used else float("nan"),
+            "mean_p_gold": p_gold / used if used else float("nan"),
             "gold_recall": in_cand / len(prepared) if prepared else 0.0,
             "n_examples": used,
             "n_skipped": skipped,
         }
         rows.append(row)
         if log is not None:
-            log("epoch %d: mean_loss=%.4f gold_recall=%.3f skipped=%d"
-                % (epoch, row["mean_loss"], row["gold_recall"], skipped))
+            log("epoch %d: mean_loss=%.4f mean_p_gold=%.4f gold_recall=%.3f "
+                "skipped=%d" % (epoch, row["mean_loss"], row["mean_p_gold"],
+                                row["gold_recall"], skipped))
     return rows
 
 
@@ -529,5 +541,9 @@ def load_model(path) -> Model:
         raise LoadError("%s: malformed model payload: %s" % (path, exc))
     if not (np.isfinite(theta).all() and np.isfinite(entries["w"]).all()):
         raise LoadError("%s: non-finite weight in model payload" % path)
+    if (np.abs(theta) > WEIGHT_LIMIT).any() or \
+            (np.abs(entries["w"]) > WEIGHT_LIMIT).any():
+        raise LoadError("%s: model weight beyond %g in magnitude"
+                        % (path, WEIGHT_LIMIT))
     return Model(config=config, theta=theta, w_sparse=dict(
         zip(entries["idx"].tolist(), entries["w"].tolist())))

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convlink import cli, model as model_mod
+from convlink import cli, kb as kb_mod, model as model_mod
 from convlink.binfile import read_framed, write_framed
 from convlink.cli import run
 from convlink.config import (FIXED_SETTINGS, GRANULARITIES, FeatureToggles,
@@ -574,6 +575,23 @@ def test_train_epochs_zero_equals_initialized_model(workspace, tmp_path):
     assert filecmp.cmp(out, ref_path, shallow=False)
 
 
+def test_train_logs_mean_p_gold_per_epoch(workspace, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="convlink")
+    assert run(["train", "--kb", workspace["kb"],
+                "--embeddings", workspace["embeddings"],
+                "--corpus", workspace["train"],
+                "--out", str(tmp_path / "model.bin"),
+                "--epochs", "2", "--seed", "0", "--k", "4"]) == 0
+    rows = [re.fullmatch(r"epoch (\d): mean_loss=(\S+) mean_p_gold=(\S+) "
+                         r"gold_recall=\S+ skipped=\d+", message)
+            for message in caplog.messages if message.startswith("epoch ")]
+    assert [row and row.group(1) for row in rows] == ["0", "1"]
+    for row in rows:
+        loss, p_gold = float(row.group(2)), float(row.group(3))
+        # the mean of exp(-loss) is at least exp(-mean loss) (Jensen)
+        assert 0.0 < p_gold <= 1.0 and p_gold >= math.exp(-loss) - 1e-4
+
+
 def test_pipeline_train_link_evaluate(workspace, tmp_path):
     model_path = str(tmp_path / "model.bin")
     assert run(["-q", "train", "--kb", workspace["kb"],
@@ -874,6 +892,73 @@ def test_evaluate_reports_any_bad_prediction_as_data_error(workspace, key,
          "--report", str(root / "property-report.jsonl")], preds + ":")
 
 
+KB_SOURCES = {"articles": ("id", "title", "body"),
+              "anchors": ("anchor_text", "entity_id")}
+
+
+def ingest_damaged(workspace, name, data):
+    """Run ``ingest-kb`` on the workspace's KB sources with the ``name``
+    one replaced by the bytes ``data``.  It must exit 0, warning at most
+    of skipped anchors, and write a KB that loads, or exit 2 with one
+    line ``error: <the damaged file>...``."""
+    root = workspace["root"]
+    paths = {n: os.path.join(workspace["data"], n + ".jsonl")
+             for n in KB_SOURCES}
+    paths[name] = str(root / ("damaged-%s.jsonl" % name))
+    with open(paths[name], "wb") as fh:
+        fh.write(data)
+    out = root / "damaged-kb.bin"
+    if out.exists():
+        out.unlink()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["-q", "ingest-kb", "--articles", paths["articles"],
+                    "--anchors", paths["anchors"], "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert all(line.startswith("skipped ") for line in lines), lines
+        kb_mod.load_kb(str(out))
+    else:
+        assert code == 2 and len(lines) == 1 and lines[0].startswith(
+            "error: %s:" % paths[name]), (code, lines)
+
+
+@given(name=st.sampled_from(sorted(KB_SOURCES)), line=st.integers(0, 99),
+       key=st.integers(0, 3), value=st.one_of(st.just(DELETE), ANY_JSON))
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_ingest_kb_reports_any_bad_source_value_as_data_error(
+        workspace, name, line, key, value):
+    # the value replaces one key of one record, or a key no record has
+    with open(os.path.join(workspace["data"], name + ".jsonl"),
+              encoding="utf-8") as fh:
+        records = [json.loads(text) for text in fh]
+    rec = records[line % len(records)]
+    keys = KB_SOURCES[name] + ("extra",)
+    if value is DELETE:
+        rec.pop(keys[key % len(keys)], None)
+    else:
+        rec[keys[key % len(keys)]] = value
+    ingest_damaged(workspace, name, "".join(
+        json.dumps(r) + "\n" for r in records).encode("utf-8"))
+
+
+@given(name=st.sampled_from(sorted(KB_SOURCES)), at=st.integers(0, 2 ** 20),
+       byte=st.one_of(st.none(), st.integers(0, 255)))
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_ingest_kb_reports_any_byte_damage_as_data_error(workspace, name, at,
+                                                         byte):
+    # one byte overwritten, or the file cut short at it when ``byte`` is
+    # None
+    with open(os.path.join(workspace["data"], name + ".jsonl"), "rb") as fh:
+        data = bytearray(fh.read())
+    at %= len(data)
+    if byte is None:
+        del data[at:]
+    else:
+        data[at] = byte
+    ingest_damaged(workspace, name, bytes(data))
+
+
 @pytest.fixture(scope="module")
 def weighted_model(workspace):
     """A model file whose cosine weights are 1.0 and whose sparse block
@@ -887,15 +972,13 @@ def weighted_model(workspace):
     return path
 
 
-@given(region=st.sampled_from(["header", "theta", "sparse"]),
-       word=st.integers(0, 2 ** 16),
-       bit=st.one_of(st.just(62), st.integers(0, 63)))
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
-def test_link_reports_any_model_bit_flip_as_data_error(
-        workspace, weighted_model, region, word, bit):
-    # the flip is bit ``bit`` of the region's 64-bit word ``word`` (taken
-    # modulo the region's size), and the checksum is written anew
-    _, payload = read_framed(weighted_model, model_mod.MODEL_MAGIC,
+def flip_model_bit(model, path, region, word, bit):
+    """Write to ``path`` the model file ``model`` with bit ``bit`` of its
+    region's 64-bit word ``word`` (taken modulo the region's size)
+    flipped and the checksum written anew.  Returns the flipped word as
+    a float where it is a weight, else None; sparse entries are an index
+    word, then a weight word."""
+    _, payload = read_framed(model, model_mod.MODEL_MAGIC,
                              (model_mod.MODEL_VERSION,))
     (hlen,) = struct.unpack_from("<I", payload, 0)
     sparse_at = len(payload) - 3 * model_mod.SPARSE_ENTRY.itemsize
@@ -904,22 +987,46 @@ def test_link_reports_any_model_bit_flip_as_data_error(
     at = (64 * word + bit) % (8 * (hi - lo))
     flipped = bytearray(payload)
     flipped[lo + at // 8] ^= 1 << at % 8
-    path = str(workspace["root"] / "flipped-model.bin")
     write_framed(path, model_mod.MODEL_MAGIC, model_mod.MODEL_VERSION,
                  bytes(flipped))
-    code = run_ok_or_data_error(
-        ["-q", "link", "--kb", workspace["kb"],
-         "--embeddings", workspace["embeddings"],
-         "--corpus", workspace["test"], "--model", path,
-         "--out", str(workspace["root"] / "property-preds.jsonl")],
-        path + ": ")
-    # a weight made NaN or infinite never loads; sparse entries are an
-    # index word, then a weight word
-    start = lo + at // 64 * 8
     if region == "theta" or region == "sparse" and at // 64 % 2:
-        (w,) = struct.unpack_from("<d", flipped, start)
-        if not math.isfinite(w):
-            assert code == 2, (region, at)
+        return struct.unpack_from("<d", flipped, lo + at // 64 * 8)[0]
+    return None
+
+
+def link_argv(workspace, model):
+    return ["-q", "link", "--kb", workspace["kb"],
+            "--embeddings", workspace["embeddings"],
+            "--corpus", workspace["test"], "--model", model,
+            "--out", str(workspace["root"] / "property-preds.jsonl")]
+
+
+@given(region=st.sampled_from(["header", "theta", "sparse"]),
+       word=st.integers(0, 2 ** 16),
+       bit=st.one_of(st.just(62), st.integers(0, 63)))
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_link_reports_any_model_bit_flip_as_data_error(
+        workspace, weighted_model, region, word, bit):
+    path = str(workspace["root"] / "flipped-model.bin")
+    w = flip_model_bit(weighted_model, path, region, word, bit)
+    code = run_ok_or_data_error(link_argv(workspace, path), path + ": ")
+    # a weight made NaN, infinite or too large never loads
+    if w is not None and not abs(w) <= model_mod.WEIGHT_LIMIT:
+        assert code == 2, (region, word, bit)
+
+
+def test_link_rejects_a_bank_weight_flipped_to_1e307(workspace,
+                                                      weighted_model):
+    # the exponent's top bit turns a small bank weight into about -1e307,
+    # which once loaded and overflowed the topic norms
+    path = str(workspace["root"] / "flipped-bank.bin")
+    w = flip_model_bit(weighted_model, path, "theta", 166, 62)
+    assert math.isfinite(w) and abs(w) > 1e307
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(link_argv(workspace, path)) == 2
+    assert err.getvalue() == \
+        "error: %s: model weight beyond 1e+06 in magnitude\n" % path
 
 
 def test_evaluate_predictions_leaves_unmeasured_fields_null(

@@ -135,11 +135,14 @@ def paper_table(d, u=180, seed=0):
 def encode_path(view, memo=False):
     """How ``cnn._encode`` encodes a ``view`` whose windows are not yet
     built: "windows", or "store" for a gather, which never builds them;
-    given no store, or with ``memo`` a ``cnn.RowStore`` as a memo's."""
+    given no store, or with ``memo`` a ``cnn.RowStore`` as a memo's.
+    The path is the one ``view.gathers`` names."""
     assert "windows" not in built(view)
     bank = np.ones((2, view.d * view.ell))
     cnn._encode(bank, view, cnn.RowStore(bank, view.table) if memo else None)
-    return "windows" if "windows" in built(view) else "store"
+    path = "windows" if "windows" in built(view) else "store"
+    assert (path == "store") == view.gathers
+    return path
 
 
 class TestProjection:
@@ -170,6 +173,22 @@ class TestProjection:
         # row -1 sorts first, and its tokens embed as zeros
         assert row_ids[0] == -1 and not np.any(view.X[ids == 0])
         assert np.array_equal(view.X, table.lookup_sequence(row_ids)[ids])
+
+    def test_gathered_windows_are_built_from_the_table_on_each_read(self):
+        # OOV tokens included; a gathered view keeps neither its windows
+        # nor its embedded rows
+        rng = np.random.default_rng(36)
+        table = paper_table(64)
+        for ell in (1, 2, 5):
+            view = cnn.embed(table, repeating_tokens(rng, 40, 6, oov=3), ell)
+            assert view.gathers
+            first, second = view.windows, view.windows
+            assert first.flags.c_contiguous
+            assert not np.shares_memory(first, second)
+            assert not built(view)
+            want = cnn.window_matrix(table.lookup_sequence(view.rows), ell)
+            assert np.array_equal(first, want)
+            assert np.array_equal(second, want)
 
     def test_store_keeps_oov_apart_from_the_last_table_row(self):
         # row -1 reads the slot table's own last entry, so a stored OOV

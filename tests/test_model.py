@@ -16,10 +16,11 @@ from convlink.errors import (CacheError, ChecksumError, LoadError,
                              TrainingError, VersionError)
 from convlink.kb import NULL_ENTITY, KnowledgeBase
 from convlink.model import (EPS, MODEL_MAGIC, MODEL_VERSION, RHO, SPAN,
-                            AdadeltaState, GradBundle, Model, TargetCache,
-                            _model_payload, infer, load_model, loss_and_grad,
-                            marginals_from_scores, prepare_corpus,
-                            prepare_mention, save_model, score_pairs, train)
+                            WEIGHT_LIMIT, AdadeltaState, GradBundle, Model,
+                            TargetCache, _model_payload, fit, infer,
+                            load_model, loss_and_grad, marginals_from_scores,
+                            prepare_corpus, prepare_mention, save_model,
+                            score_pairs, train)
 from convlink.sparse import FeatureTable
 from convlink.textproc import Document, Mention, Token
 from helpers import (ABLATION_TOGGLES, MALFORMED_MODEL_HEADERS,
@@ -583,6 +584,15 @@ class TestTrain:
             train(m, docs, kb, table, epochs=1, seed=0)
         assert "m" in str(err.value)
 
+    def test_mean_p_gold_is_the_gold_marginal_before_the_step(self):
+        m, preps = memo_world()
+        prep = preps[0]
+        gold = prep.cand.candidates[prep.gold_index]
+        want = {s.entity: s.marginal_prob for s in infer(m, prep)}[gold]
+        [row] = fit(m, [prep], epochs=1)
+        assert row["n_examples"] == 1
+        assert row["mean_p_gold"] == pytest.approx(want, rel=1e-12)
+
     def test_skips_mentions_missing_gold(self):
         kb, docs = micro_corpus(n_docs=4)
         docs[0].mentions[0] = Mention(docs[0].doc_id, 3, 4, "E-absent")
@@ -795,11 +805,40 @@ class TestThetaLayout:
         assert str(err.value) == \
             "%s: non-finite weight in model payload" % path
 
+    @pytest.mark.parametrize("where", ["w_dense", "bank", "sparse"])
+    @pytest.mark.parametrize("value", [-2 * WEIGHT_LIMIT, 1.58e307])
+    def test_weight_beyond_limit_rejected_on_load(self, tmp_path, where,
+                                                  value):
+        m = micro_model()
+        m.w_sparse[5] = 0.5
+        if where == "w_dense":
+            m.w_dense[2] = value
+        elif where == "bank":
+            m.theta[-1] = value
+        else:
+            m.w_sparse[5] = value
+        path = tmp_path / "model.bin"
+        write_framed(path, MODEL_MAGIC, MODEL_VERSION, _model_payload(m))
+        with pytest.raises(LoadError) as err:
+            load_model(path)
+        assert str(err.value) == \
+            "%s: model weight beyond 1e+06 in magnitude" % path
+        m.w_dense[2] = m.theta[-1] = m.w_sparse[5] = -WEIGHT_LIMIT
+        save_model(m, path)
+        assert load_model(path).w_sparse[5] == -WEIGHT_LIMIT
+
+
+def prepared_views(preps):
+    """Every source and target ``cnn.View`` of the prepared mentions."""
+    return [v for prep in preps for views in
+            [prep.source_views, *filter(None, prep.target_views)]
+            for v in views.values()]
+
 
 class TestPreparedWindows:
     def test_long_views_share_memory_with_embedded_rows(self, monkeypatch):
-        # every view longer than ell builds its windows as a strided view
-        # of its own embedded rows, not a copy
+        # every view longer than ell that takes the windows builds them
+        # as a strided view of its own embedded rows, not a copy
         from convlink.embeddings import EmbeddingTable
         embedded = []
         real = EmbeddingTable.lookup_sequence
@@ -808,14 +847,27 @@ class TestPreparedWindows:
                                 real(self, rows)) or embedded[-1])
         m, preps = memo_world()
         ell = m.config.ell
-        views = [v for prep in preps for v in prep.source_views.values()]
-        views += [v for prep in preps for tgt in prep.target_views
-                  if tgt is not None for v in tgt.values()]
-        long_views = [v for v in views if v.windows.shape[0] > 1]
+        views = prepared_views(preps)
+        long_views = [v for v in views
+                      if not v.gathers and v.windows.shape[0] > 1]
         assert long_views
         for v in long_views:
             assert v.n > ell and np.shares_memory(v.windows, v.X)
             assert any(X is v.X for X in embedded)
+
+    def test_training_keeps_embedded_rows_only_where_windows_are_taken(
+            self):
+        # at d > GATHER_COST the backward builds a gathered view's
+        # windows from the table on each read, and the view keeps neither
+        # them nor its embedded rows; views of at most ell tokens keep both
+        m, preps = memo_world(d=64)
+        fit(m, preps, epochs=1)
+        views = prepared_views(preps)
+        gathered = [v for v in views if v.gathers]
+        assert gathered and len(gathered) < len(views)
+        for v in views:
+            assert built(v) - {"distinct"} == (
+                set() if v.gathers else {"X", "windows"})
 
     def test_target_cache_builds_windows_once_per_entity(self, monkeypatch):
         calls = []
