@@ -9,6 +9,7 @@ and the filter-topic purity diagnostic.
 """
 
 import argparse
+import logging
 import os
 import sys
 import time
@@ -24,9 +25,7 @@ from convlink.model import TargetCache
 from convlink.synthetic import SyntheticSpec, generate
 from convlink.textproc import load_corpus, read_jsonl
 
-
-def log(msg):
-    print(msg, file=sys.stderr, flush=True)
+log = logging.getLogger("convlink")
 
 
 def main():
@@ -40,12 +39,13 @@ def main():
     ap.add_argument("--skip-pairs", action="store_true",
                     help="only run full / sparse-only / cnn-only")
     args = ap.parse_args()
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
 
     spec = SyntheticSpec(seed=args.seed, n_train_docs=args.train_docs,
                          n_test_docs=args.test_docs)
     t0 = time.time()
     data = generate(spec, args.out)
-    log("generated corpus in %.1fs" % (time.time() - t0))
+    log.info("generated corpus in %.1fs", time.time() - t0)
 
     def records(path):
         return (rec for _, rec in read_jsonl(path))
@@ -66,8 +66,8 @@ def main():
     t0 = time.time()
     report, trained = run_ablation(config, train_docs, test_docs, kb, table,
                                    configs, epochs=args.epochs,
-                                   seed=args.seed, log=log)
-    log("ablation trained in %.1fs" % (time.time() - t0))
+                                   seed=args.seed)
+    log.info("ablation trained in %.1fs", time.time() - t0)
 
     print("%-36s %8s %8s" % ("configuration", "accuracy", "recall"))
     for row in report.rows:
@@ -92,7 +92,7 @@ def main():
     t0 = time.time()
     row, topic, purity, ngrams = most_topical_filter(
         trained["full"], test_docs, table, data.metadata["topic_vocab"])
-    log("filter scan in %.1fs" % (time.time() - t0))
+    log.info("filter scan in %.1fs", time.time() - t0)
     print("most topical src_document filter: row=%s topic=%s purity=%.2f"
           % (row, topic, purity))
     for ng in ngrams:

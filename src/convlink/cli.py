@@ -163,13 +163,10 @@ def _cmd_train(args) -> int:
     config = ModelConfig(d=table.dim, k=args.k, init_seed=args.seed,
                          toggles=toggles)
     m = model_mod.Model.initialize(config)
-    m, report = model_mod.train(m, docs, knowledge, table,
-                                epochs=args.epochs, seed=args.seed,
-                                log=log.info)
+    model_mod.train(m, docs, knowledge, table, epochs=args.epochs,
+                    seed=args.seed)
     model_mod.save_model(m, args.out)
-    log.info("trained on %d mentions (%.2f queries/mention, oov %.3f) -> %s",
-             report.n_mentions, report.mean_queries_per_mention,
-             report.oov_rate, args.out)
+    log.info("wrote model to %s", args.out)
     return 0
 
 

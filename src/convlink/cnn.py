@@ -275,7 +275,7 @@ def forward_from_matrices(banks: dict, source_views: dict,
         for i, (on, (src_g, tgt_g)) in enumerate(zip(mask, COSINE_PAIRS)):
             c = _cosine(source[src_g], tgt[tgt_g]) if on else None
             if c is not None:
-                fc[ti, i] = np.clip(c, -1.0, 1.0)
+                fc[ti, i] = min(max(c, -1.0), 1.0)
     return ForwardCache(mask=mask, source=source, targets=targets, fc=fc,
                         memoized=memo is not None)
 
@@ -299,11 +299,11 @@ def backward(cache: ForwardCache, upstream: np.ndarray, grads: dict) -> None:
     if upstream.shape != cache.fc.shape:
         raise DimensionError("upstream gradient must be %s, got %s"
                              % (cache.fc.shape, upstream.shape))
-    d_source = {g: np.zeros_like(enc.topic) for g, enc in cache.source.items()}
+    d_source = {g: np.zeros(len(enc.topic)) for g, enc in cache.source.items()}
     for ti, tgt in enumerate(cache.targets):
         if tgt is None:
             continue
-        d_target = {g: np.zeros_like(enc.topic) for g, enc in tgt.items()}
+        d_target = {g: np.zeros(len(enc.topic)) for g, enc in tgt.items()}
         for i, (on, (src_g, tgt_g)) in enumerate(zip(cache.mask, COSINE_PAIRS)):
             up = upstream[ti, i]
             if not on or up == 0.0:
@@ -323,7 +323,7 @@ def _backprop_pooling(grads: dict, encodings: dict, dv: dict) -> None:
     """Chain topic-vector gradients through sum pooling and the ReLU
     into ``grads``, one gradient array per granularity."""
     for g, dvg in dv.items():
-        if not np.any(dvg):
+        if not dvg.any():
             continue
         enc = encodings[g]
         grads[g] += (((enc.pre > 0.0) * dvg[np.newaxis, :]).T

@@ -8,13 +8,17 @@ convolution window.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, FormatError
 from .textproc import text_lines
+
+# The largest component magnitude a table may hold.  Word2vec components
+# are of order 1, so a larger one can only be damage, such as a flipped
+# exponent bit.  model.WEIGHT_LIMIT's overflow margin assumes this bound.
+COMPONENT_LIMIT = 1e10
 
 
 @dataclass
@@ -76,30 +80,29 @@ def _parse_header(line, path):
     return count, dim
 
 
-def _loadtxt_error(path, exc, linenos, dim):
-    """The FormatError for ``np.loadtxt``'s ValueError over the value
-    fields of the lines ``linenos``.  Its message names the row: counted
-    from 1 where the column count changes, so that rows before it all
-    had the first count, and from 0 where a value does not convert."""
-    msg = str(exc)
-    changed = re.search(r"from (\d+) to (\d+) at row (\d+)", msg)
-    if changed:
-        before, after, row = map(int, changed.groups())
-        i, fields = (0, before) if before != dim else (row - 1, after)
-        return FormatError("%s:%d: expected token plus %d values, got %d fields"
-                           % (path, linenos[i], dim, fields + 1))
-    bad = re.search(r"at row (\d+), column", msg)
-    if bad:
-        return FormatError("%s:%d: non-numeric vector component"
-                           % (path, linenos[int(bad.group(1))]))
-    return FormatError("%s: %s" % (path, msg))
+def _bad_line(path, values, linenos, dim, exc):
+    """The FormatError for ``np.loadtxt``'s failure ``exc`` over the
+    value fields ``values`` of the lines ``linenos``: the same parser,
+    run on one line at a time, names the first line it rejects or reads
+    as other than ``dim`` values."""
+    for text, lineno in zip(values, linenos):
+        try:
+            n = np.loadtxt([text], comments=None, ndmin=2).shape[1]
+        except ValueError:
+            return FormatError("%s:%d: non-numeric vector component"
+                               % (path, lineno))
+        if n != dim:
+            return FormatError(
+                "%s:%d: expected token plus %d values, got %d fields"
+                % (path, lineno, dim, n + 1))
+    return FormatError("%s: %s" % (path, exc))
 
 
 def load_word2vec(path) -> EmbeddingTable:
     """Read a word2vec text file: a header line ``<count> <dim>``
     followed by one line per word, ``token v1 ... v<dim>``.  Duplicate
-    tokens keep the first occurrence.  A NaN or infinite component is a
-    format error.
+    tokens keep the first occurrence.  A NaN or infinite component, or
+    one beyond ``COMPONENT_LIMIT`` in magnitude, is a format error.
 
     Each line is split once into its token and the rest, and one
     ``np.loadtxt`` parses every rest.
@@ -125,16 +128,19 @@ def load_word2vec(path) -> EmbeddingTable:
     if values:
         try:
             matrix = np.loadtxt(values, comments=None, ndmin=2)
+            if matrix.shape[1] != dim:
+                raise ValueError("expected %d values per line" % dim)
         except ValueError as exc:
-            raise _loadtxt_error(path, exc, linenos, dim) from None
-        if matrix.shape[1] != dim:   # every line has the same wrong count
-            raise FormatError(
-                "%s:%d: expected token plus %d values, got %d fields"
-                % (path, linenos[0], dim, matrix.shape[1] + 1))
-        finite = np.isfinite(matrix).all(axis=1)
-        if not finite.all():
-            raise FormatError("%s:%d: non-finite vector component"
-                              % (path, linenos[int(np.argmin(finite))]))
+            raise _bad_line(path, values, linenos, dim, exc) from None
+        # a NaN fails both comparisons and an infinity fails one
+        ok = ((matrix.max(axis=1) <= COMPONENT_LIMIT)
+              & (matrix.min(axis=1) >= -COMPONENT_LIMIT))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            what = ("vector component beyond %g in magnitude" % COMPONENT_LIMIT
+                    if np.isfinite(matrix[i]).all()
+                    else "non-finite vector component")
+            raise FormatError("%s:%d: %s" % (path, linenos[i], what))
     if len(tokens) != count:
         raise FormatError(
             "%s: header declares %d rows but file contains %d"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import logging
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -18,6 +19,8 @@ from .kb import KnowledgeBase
 from .model import (Model, TargetCache, check_epochs, fit, labeled_mentions,
                     link, prepare_corpus)
 from .textproc import read_jsonl, string_field
+
+log = logging.getLogger("convlink")
 
 
 @dataclass
@@ -133,7 +136,7 @@ def score_predictions(docs, prediction_records) -> EvalRow:
 
 def run_ablation(base_config: ModelConfig, train_docs, test_docs,
                  kb: KnowledgeBase, table: EmbeddingTable, configs,
-                 epochs: int, seed: int = 0, log=None):
+                 epochs: int, seed: int = 0):
     """Train one system per feature configuration and evaluate each on
     the test split.  Both splits are prepared in one TargetCache, once
     for all configurations.  Returns (EvalReport, name -> Model)."""
@@ -142,10 +145,9 @@ def run_ablation(base_config: ModelConfig, train_docs, test_docs,
     prepared = prepare_corpus(targets, train_docs)
     trained = {}
     for name, toggles in configs:
-        if log is not None:
-            log("training configuration %r" % name)
+        log.info("training configuration %r", name)
         m = Model.initialize(base_config.with_toggles(toggles))
-        fit(m, prepared, epochs, seed=seed, log=log)
+        fit(m, prepared, epochs, seed=seed)
         trained[name] = m
     report = evaluate(list(trained.items()), test_docs, targets)
     return report, trained

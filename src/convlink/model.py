@@ -14,9 +14,10 @@ convolutional filter banks.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,13 +37,15 @@ MODEL_MAGIC = b"CLMD1"
 MODEL_VERSION = 3
 SPARSE_ENTRY = np.dtype([("idx", "<u8"), ("w", "<f8")])
 
+log = logging.getLogger("convlink")
+
 # The largest weight magnitude a model file may hold.  Trained models
 # peak at |w| = 0.07 (paper-like) and 1.39 (the ablation-grid full model):
 # Adadelta's steps start near sqrt(EPS) = 1e-3 and grow only with the RMS
 # of earlier steps.  Below this bound a topic vector over DOC_CAP windows
-# of 300-wide rows with components below 1e10 stays far from float64
-# overflow, so a larger weight can only be damage, such as a flipped
-# exponent bit.
+# of 300-wide rows with components below embeddings.COMPONENT_LIMIT stays
+# far from float64 overflow, so a larger weight can only be damage, such
+# as a flipped exponent bit.
 WEIGHT_LIMIT = 1e6
 
 
@@ -399,14 +402,6 @@ class AdadeltaState:
             model.w_sparse[idx] = model.w_sparse.get(idx, 0.0) + dx
 
 
-@dataclass
-class TrainReport:
-    epochs: list = field(default_factory=list)
-    n_mentions: int = 0
-    mean_queries_per_mention: float = 0.0
-    oov_rate: float = 0.0
-
-
 def labeled_mentions(docs):
     """(doc, mention) for every mention with a gold entity, in corpus
     order."""
@@ -429,24 +424,23 @@ def check_epochs(epochs: int) -> None:
 
 
 def train(model: Model, docs, kb: KnowledgeBase, table: EmbeddingTable,
-          epochs: int, seed: int = 0, log=None):
-    """Prepare ``docs`` and ``fit`` the model on them."""
+          epochs: int, seed: int = 0) -> list:
+    """Prepare ``docs`` and ``fit`` ``model`` on them in place; returns
+    ``fit``'s rows."""
     check_epochs(epochs)
     prepared = prepare_corpus(TargetCache(kb, table, model.config), docs)
-    report = TrainReport(n_mentions=len(prepared))
-    if prepared:
-        report.mean_queries_per_mention = (
-            sum(len(p.queries) for p in prepared) / len(prepared))
-    all_surfaces = [t.surface for doc in docs for t in doc.tokens]
-    report.oov_rate = table.oov_rate(all_surfaces)
-    report.epochs = fit(model, prepared, epochs, seed=seed, log=log)
-    return model, report
+    rows = fit(model, prepared, epochs, seed=seed)
+    n_queries = sum(len(p.queries) for p in prepared)
+    log.info("trained on %d mentions (%.2f queries/mention, oov %.3f)",
+             len(prepared), n_queries / len(prepared) if prepared else 0.0,
+             table.oov_rate([t.surface for doc in docs for t in doc.tokens]))
+    return rows
 
 
-def fit(model: Model, prepared: list, epochs: int, seed: int = 0,
-        log=None) -> list:
+def fit(model: Model, prepared: list, epochs: int, seed: int = 0) -> list:
     """Adadelta training over single-example minibatches of prepared
-    mentions, which are only read; returns one report row per epoch.
+    mentions, which are only read; returns one report row per epoch and
+    logs each to the ``convlink`` logger.
 
     Example order is reshuffled each epoch from ``seed``; with a fixed
     seed and corpus the final weights are bit-identical across runs.
@@ -484,10 +478,9 @@ def fit(model: Model, prepared: list, epochs: int, seed: int = 0,
             "n_skipped": skipped,
         }
         rows.append(row)
-        if log is not None:
-            log("epoch %d: mean_loss=%.4f mean_p_gold=%.4f gold_recall=%.3f "
-                "skipped=%d" % (epoch, row["mean_loss"], row["mean_p_gold"],
-                                row["gold_recall"], skipped))
+        log.info("epoch %d: mean_loss=%.4f mean_p_gold=%.4f gold_recall=%.3f "
+                 "skipped=%d", epoch, row["mean_loss"], row["mean_p_gold"],
+                 row["gold_recall"], skipped)
     return rows
 
 

@@ -208,11 +208,11 @@ def test_criterion_7_determinism_and_roundtrip(synth, ablation, tmp_path):
     # (a) same seed, same corpus -> bit-identical trained weights
     short = 2
     m1 = Model.initialize(synth["config"])
-    m1, _ = train(m1, synth["train"], synth["kb"], synth["table"],
-                  epochs=short, seed=123)
+    train(m1, synth["train"], synth["kb"], synth["table"], epochs=short,
+          seed=123)
     m2 = Model.initialize(synth["config"])
-    m2, _ = train(m2, synth["train"], synth["kb"], synth["table"],
-                  epochs=short, seed=123)
+    train(m2, synth["train"], synth["kb"], synth["table"], epochs=short,
+          seed=123)
     p1, p2 = tmp_path / "m1.bin", tmp_path / "m2.bin"
     save_model(m1, p1)
     save_model(m2, p2)

@@ -11,6 +11,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 import zlib
 from dataclasses import asdict
 
@@ -296,6 +297,32 @@ def test_non_numeric_embedding_is_data_error(workspace, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_embedding_component_beyond_limit_is_data_error(workspace, tmp_path,
+                                                        capsys):
+    # 1e200 once overflowed the topic norms of link and trained a model
+    clean = str(tmp_path / "clean.bin")
+    assert run(["-q", "train", "--kb", workspace["kb"],
+                "--embeddings", workspace["embeddings"],
+                "--corpus", workspace["train"], "--out", clean,
+                "--epochs", "1", "--k", "4"]) == 0
+    with open(workspace["embeddings"], encoding="utf-8") as fh:
+        lineno = next(i for i, line in enumerate(fh, 1)
+                      if line.split()[0] == "fill0")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, embeddings = train_with_component(workspace, tmp_path, lineno,
+                                                "1e200")
+        link_code = run(["-q", "link", "--kb", workspace["kb"],
+                         "--embeddings", embeddings,
+                         "--corpus", workspace["test"], "--model", clean,
+                         "--out", str(tmp_path / "preds.jsonl")])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code == link_code == 2
+    assert capsys.readouterr().err == 2 * (
+        "error: %s:%d: vector component beyond 1e+10 in magnitude\n"
+        % (embeddings, lineno))
+
+
 @pytest.mark.parametrize("version", [1, 2])
 def test_old_model_version_is_data_error(workspace, tmp_path, capsys,
                                          version):
@@ -575,21 +602,39 @@ def test_train_epochs_zero_equals_initialized_model(workspace, tmp_path):
     assert filecmp.cmp(out, ref_path, shallow=False)
 
 
-def test_train_logs_mean_p_gold_per_epoch(workspace, tmp_path, caplog):
-    caplog.set_level(logging.INFO, logger="convlink")
-    assert run(["train", "--kb", workspace["kb"],
-                "--embeddings", workspace["embeddings"],
-                "--corpus", workspace["train"],
-                "--out", str(tmp_path / "model.bin"),
-                "--epochs", "2", "--seed", "0", "--k", "4"]) == 0
+def convlink_stderr(argv):
+    """What ``convlink`` run in a process of its own writes to stderr,
+    where its own logging set-up decides what reaches it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "convlink"] + argv,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr
+
+
+def test_train_logs_mean_p_gold_per_epoch(workspace, tmp_path):
+    out = str(tmp_path / "model.bin")
+    argv = ["train", "--kb", workspace["kb"],
+            "--embeddings", workspace["embeddings"],
+            "--corpus", workspace["train"], "--out", out,
+            "--epochs", "2", "--seed", "0", "--k", "4"]
+    *epochs, summary, wrote = convlink_stderr(argv).splitlines()
     rows = [re.fullmatch(r"epoch (\d): mean_loss=(\S+) mean_p_gold=(\S+) "
                          r"gold_recall=\S+ skipped=\d+", message)
-            for message in caplog.messages if message.startswith("epoch ")]
+            for message in epochs]
     assert [row and row.group(1) for row in rows] == ["0", "1"]
     for row in rows:
         loss, p_gold = float(row.group(2)), float(row.group(3))
         # the mean of exp(-loss) is at least exp(-mean loss) (Jensen)
         assert 0.0 < p_gold <= 1.0 and p_gold >= math.exp(-loss) - 1e-4
+    n = len(list(model_mod.labeled_mentions(load_corpus(workspace["train"]))))
+    assert n > 0 and re.fullmatch(
+        r"trained on %d mentions \(\d+\.\d\d queries/mention, "
+        r"oov \d\.\d{3}\)" % n, summary)
+    assert wrote == "wrote model to %s" % out
+    assert convlink_stderr(["-q"] + argv) == ""
 
 
 def test_pipeline_train_link_evaluate(workspace, tmp_path):

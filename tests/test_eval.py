@@ -249,7 +249,7 @@ class TestEvaluate:
         config = ModelConfig(d=table.dim, k=4, ell=5, init_seed=0,
                              toggles=toggles_from_name("sparse-only"))
         m = Model.initialize(config)
-        m, _ = train(m, train_docs, kb, table, epochs=3, seed=0)
+        train(m, train_docs, kb, table, epochs=3, seed=0)
         report = evaluate([("model", m)], test_docs,
                           model.TargetCache(kb, table, m.config))
         row = report.rows[0]
@@ -344,8 +344,8 @@ class TestRunAblation:
         assert [r.config_name for r in report.rows] == \
             [name for name, _ in ABLATION_TOGGLES]
         for (name, toggles), row in zip(ABLATION_TOGGLES, report.rows):
-            alone, _ = train(Model.initialize(config.with_toggles(toggles)),
-                             train_docs, kb, table, epochs=2, seed=3)
+            alone = Model.initialize(config.with_toggles(toggles))
+            train(alone, train_docs, kb, table, epochs=2, seed=3)
             a, b = tmp_path / "shared.bin", tmp_path / "alone.bin"
             save_model(trained[name], a)
             save_model(alone, b)

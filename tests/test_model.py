@@ -1,5 +1,7 @@
 import json
+import logging
 import math
+import re
 import struct
 from dataclasses import replace
 from types import SimpleNamespace
@@ -534,26 +536,37 @@ class TestRowStore:
             cnn.backward(table.forward, np.ones_like(table.forward.fc), grads)
 
 
+def train_summary(caplog):
+    """(mentions, queries per mention) from ``train``'s one summary
+    line."""
+    [match] = [re.fullmatch(r"trained on (\d+) mentions \((\S+) "
+                            r"queries/mention, oov \S+\)", message)
+               for message in caplog.messages
+               if message.startswith("trained on ")]
+    return int(match.group(1)), float(match.group(2))
+
+
 class TestTrain:
-    def test_zero_epochs_unchanged(self):
+    def test_zero_epochs_unchanged(self, caplog):
+        caplog.set_level(logging.INFO, logger="convlink")
         kb, docs = micro_corpus()
         table = micro_table()
         m = micro_model()
         before = {g: m.banks[g].copy() for g in GRANULARITIES}
-        m2, report = train(m, docs, kb, table, epochs=0, seed=5)
-        assert m2 is m
-        assert not m2.w_sparse
-        assert np.array_equal(m2.w_dense, np.zeros(6))
+        rows = train(m, docs, kb, table, epochs=0, seed=5)
+        assert not m.w_sparse
+        assert np.array_equal(m.w_dense, np.zeros(6))
         for g in GRANULARITIES:
-            assert np.array_equal(m2.banks[g], before[g])
-        assert report.epochs == []
-        assert report.n_mentions == len(docs)
+            assert np.array_equal(m.banks[g], before[g])
+        assert rows == []
+        assert train_summary(caplog)[0] == len(docs)
 
     def test_deterministic_replay(self):
         kb, docs = micro_corpus()
         table = micro_table()
-        m1, _ = train(micro_model(seed=3), docs, kb, table, epochs=3, seed=9)
-        m2, _ = train(micro_model(seed=3), docs, kb, table, epochs=3, seed=9)
+        m1, m2 = micro_model(seed=3), micro_model(seed=3)
+        train(m1, docs, kb, table, epochs=3, seed=9)
+        train(m2, docs, kb, table, epochs=3, seed=9)
         assert m1.w_sparse == m2.w_sparse
         assert np.array_equal(m1.w_dense, m2.w_dense)
         for g in GRANULARITIES:
@@ -563,17 +576,18 @@ class TestTrain:
     def test_separable_corpus_loss_drops(self):
         kb, docs = micro_corpus(n_docs=20)
         table = micro_table()
-        m, report = train(micro_model(), docs, kb, table, epochs=30, seed=1)
-        first = report.epochs[0]["mean_loss"]
-        last = report.epochs[-1]["mean_loss"]
+        rows = train(micro_model(), docs, kb, table, epochs=30, seed=1)
+        first = rows[0]["mean_loss"]
+        last = rows[-1]["mean_loss"]
         assert last < 0.1 * first
 
-    def test_gold_recall_reported(self):
+    def test_gold_recall_reported(self, caplog):
+        caplog.set_level(logging.INFO, logger="convlink")
         kb, docs = micro_corpus()
         table = micro_table()
-        _, report = train(micro_model(), docs, kb, table, epochs=1, seed=0)
-        assert report.epochs[0]["gold_recall"] == 1.0
-        assert 1.0 <= report.mean_queries_per_mention <= 20
+        [row] = train(micro_model(), docs, kb, table, epochs=1, seed=0)
+        assert row["gold_recall"] == 1.0
+        assert 1.0 <= train_summary(caplog)[1] <= 20
 
     def test_nan_aborts_with_doc_id(self):
         kb, docs = micro_corpus(n_docs=2)
@@ -597,9 +611,9 @@ class TestTrain:
         kb, docs = micro_corpus(n_docs=4)
         docs[0].mentions[0] = Mention(docs[0].doc_id, 3, 4, "E-absent")
         table = micro_table()
-        _, report = train(micro_model(), docs, kb, table, epochs=1, seed=0)
-        assert report.epochs[0]["n_skipped"] == 1
-        assert report.epochs[0]["n_examples"] == 3
+        [row] = train(micro_model(), docs, kb, table, epochs=1, seed=0)
+        assert row["n_skipped"] == 1
+        assert row["n_examples"] == 3
 
 
 class TestMaskedBanks:
@@ -769,7 +783,8 @@ class TestThetaLayout:
 
     def test_payload_fixed_block_is_theta(self, tmp_path):
         kb, docs = micro_corpus()
-        m, _ = train(micro_model(), docs, kb, micro_table(), epochs=1, seed=0)
+        m = micro_model()
+        train(m, docs, kb, micro_table(), epochs=1, seed=0)
         path = tmp_path / "model.bin"
         save_model(m, path)
         _, payload = read_framed(path, MODEL_MAGIC, (MODEL_VERSION,))
@@ -1008,7 +1023,8 @@ class TestSaveLoad:
     def test_roundtrip_identical_predictions(self, tmp_path):
         kb, docs = micro_corpus()
         table = micro_table()
-        m, _ = train(micro_model(), docs, kb, table, epochs=2, seed=0)
+        m = micro_model()
+        train(m, docs, kb, table, epochs=2, seed=0)
         path = tmp_path / "model.bin"
         save_model(m, path)
         m2 = load_model(path)
